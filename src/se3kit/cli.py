@@ -4,7 +4,7 @@ Subcommands:
   run           execute a YAML scenario config (closed-loop tasks, or the
                 offline filter_study / fusion_bench / gen_dataset tasks)
   filter-study  dynamics-noise sweep without a config file
-  fusion-bench  timing and convergence profile of on-manifold fusion
+  fusion-bench  convergence profile of on-manifold fusion
   gen-dataset   sample contact poses and twist labels to CSV
   validate      check a config and echo the resolved scenario, writing
                 nothing
@@ -17,13 +17,11 @@ then the SE3KIT_OUT_DIR environment variable, then the working directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import dataclasses
 import difflib
-import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -34,102 +32,56 @@ from .errors import ConfigError, DivergenceError
 from .gdnmath import SampleSpec, label_pipeline, sample_contact_pose
 from .liegroup import exp, log
 
-_CLOSED_LOOP = ("track", "follow", "push_single", "push_dual")
-_ALL_TASKS = _CLOSED_LOOP + ("filter_study", "fusion_bench", "gen_dataset")
-
-_DEFAULT_SIGMA_GRID = (10.0, 1.0, 0.1, 0.01, math.inf)
+# Offline task -> (the file it writes, the keys it reads besides the
+# common ones with their defaults).
+_OFFLINE = {
+    "filter_study": ("filter_study.csv",
+                     {"steps": 2000, "sigma_grid": [10.0, 1.0, 0.1, 0.01, math.inf]}),
+    "fusion_bench": ("fusion_bench.json", {"trials": 200}),
+    "gen_dataset": ("dataset.csv", {"samples": 1000}),
+}
+_ALL_TASKS = sim.TASKS + tuple(_OFFLINE)
 
 
 # --------------------------------------------------------------------------
 # Config loading and validation
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_number(v):
-    return _is_number(v)
-
-
-def _check_positive(v):
-    return _is_number(v) and v > 0
-
-
-def _check_nonneg_int(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 def _check_positive_int(v):
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
-
-
-def _check_bool(v):
-    return isinstance(v, bool)
-
-
-def _check_std6(v):
-    return (isinstance(v, list) and len(v) == 6
-            and all(_is_number(x) and x > 0 for x in v))
+    return sim.is_integer(v) and v >= 1
 
 
 def _check_sigma_grid(v):
     return (isinstance(v, list) and len(v) >= 1
-            and all(_is_number(x) and (x >= 0 or math.isinf(x)) for x in v))
+            and all(sim.is_number(x) and (x >= 0 or math.isinf(x)) for x in v))
 
 
-def _check_track_profile(v):
-    return v in ("periodic", "segments", "static")
-
-
-def _check_surface(v):
-    return v in ("flat", "ramp", "hemisphere")
-
+# The closed-loop schema is declared on sim.Scenario's fields.
+_SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(sim.Scenario)}
 
 # key -> (validator, human description of the expected value)
 _KEY_SPECS = {
+    **{name: (f.metadata["check"], f.metadata["expect"])
+       for name, f in _SCENARIO_FIELDS.items()},
     "task": (lambda v: v in _ALL_TASKS, f"one of {', '.join(_ALL_TASKS)}"),
-    "seed": (_check_nonneg_int, "a non-negative integer"),
     "trials": (_check_positive_int, "a positive integer"),
-    "duration": (_check_positive, "a positive number of seconds"),
-    "dt": (_check_positive, "a positive number of seconds"),
-    "observation_std": (_check_std6, "a list of 6 positive numbers"),
-    "observation_multiplier": (_check_positive, "a positive number"),
-    "dynamics_sigma": (_check_positive, "a positive number"),
-    "track_profile": (_check_track_profile, "periodic, segments, or static"),
-    "surface": (_check_surface, "flat, ramp, or hemisphere"),
-    "surface_radius": (_check_positive, "a positive radius in mm"),
-    "follow_speed": (_check_positive, "a positive speed in mm/s"),
-    "object_alpha": (lambda v: _is_number(v) and 0 < v <= 1, "a number in (0, 1]"),
-    "object_r0": (_check_positive, "a positive distance in mm"),
-    "tall": (_check_bool, "true or false"),
-    "start_y": (_check_number, "a number in mm"),
-    "start_z": (_check_number, "a number in mm"),
-    "target_y": (_check_number, "a number in mm"),
-    "target_z": (_check_number, "a number in mm"),
-    "switch_off_radius": (_check_positive, "a positive radius in mm"),
-    "termination_radius": (_check_positive, "a positive radius in mm"),
     "steps": (_check_positive_int, "a positive integer"),
     "sigma_grid": (_check_sigma_grid, "a list of non-negative numbers (or .inf)"),
     "samples": (_check_positive_int, "a positive integer"),
 }
 
 _COMMON_KEYS = {"task", "seed", "trials"}
-_LOOP_KEYS = {"duration", "dt", "observation_std", "observation_multiplier",
-              "dynamics_sigma"}
-_TASK_KEYS = {
-    "track": _LOOP_KEYS | {"track_profile"},
-    "follow": _LOOP_KEYS | {"surface", "surface_radius", "follow_speed"},
-    "push_single": _LOOP_KEYS | {"object_alpha", "object_r0", "tall",
-                                 "start_y", "start_z", "target_y", "target_z",
-                                 "switch_off_radius", "termination_radius"},
-    "push_dual": _LOOP_KEYS | {"object_alpha", "object_r0", "tall",
-                               "start_y", "start_z", "target_y", "target_z",
-                               "switch_off_radius", "termination_radius"},
-    "filter_study": {"steps", "sigma_grid"},
-    "fusion_bench": set(),
-    "gen_dataset": {"samples"},
-}
+# Closed-loop keys without a default.
+_REQUIRED = [name for name, f in _SCENARIO_FIELDS.items()
+             if f.default is f.default_factory is dataclasses.MISSING]
+
+
+def _task_keys(task: str) -> set:
+    """Keys a task's config may carry besides the common ones."""
+    if task in _OFFLINE:
+        return set(_OFFLINE[task][1])
+    return {name for name, f in _SCENARIO_FIELDS.items()
+            if task in f.metadata["tasks"]}
 
 
 def _key_lines(path: Path, text: str) -> dict:
@@ -176,7 +128,7 @@ def load_config(path) -> dict:
     if not ok(task):
         raise ConfigError(f"{where('task')}: task must be {expect}, got {task!r}")
 
-    allowed = _COMMON_KEYS | _TASK_KEYS[task]
+    allowed = _COMMON_KEYS | _task_keys(task)
     for key, value in data.items():
         if key not in allowed:
             hint = ""
@@ -190,34 +142,37 @@ def load_config(path) -> dict:
         if not check(value):
             raise ConfigError(
                 f"{where(key)}: '{key}' must be {expect}, got {value!r}")
-    if task in _CLOSED_LOOP and "duration" not in data:
-        raise ConfigError(f"{path}:1: task '{task}' requires 'duration'")
+    missing = [key for key in _REQUIRED if key not in data]
+    if task in sim.TASKS and missing:
+        raise ConfigError(f"{path}:1: task '{task}' requires '{missing[0]}'")
     return data
 
 
 def _build_scenario(config: dict, seed: int, dt_override=None) -> sim.Scenario:
-    fields = {k: v for k, v in config.items()
-              if k not in ("trials", "seed", "steps", "sigma_grid", "samples")}
+    fields = {k: v for k, v in config.items() if k in _SCENARIO_FIELDS}
     fields["seed"] = seed
     if dt_override is not None:
         fields["dt"] = dt_override
-    if "observation_std" in fields:
-        fields["observation_std"] = np.asarray(fields["observation_std"], dtype=float)
     try:
         return sim.Scenario(**fields)
     except ValueError as e:
         raise ConfigError(str(e))
 
 
+def _offline_options(config: dict) -> dict:
+    """An offline task's own keys, defaults filled in."""
+    defaults = _OFFLINE[config["task"]][1]
+    return {k: config.get(k, v) for k, v in defaults.items()}
+
+
 # --------------------------------------------------------------------------
 # Offline routines
 
 
-def _run_filter_study(steps: int, sigma_grid, seed: int, out_dir: Path, quiet: bool):
+def _run_filter_study(steps: int, sigma_grid, seed: int, out: Path, quiet: bool):
     rng = np.random.default_rng(seed)
     pairs = sim.make_study_sequence(steps, rng)
     table = filtering.filter_study(pairs, sigma_grid, seed=seed)
-    out = out_dir / "filter_study.csv"
     filtering.write_study_csv(table, out)
     if not quiet:
         print(f"filter study: {steps} steps, seed {seed}")
@@ -241,17 +196,14 @@ def _random_concentrated_pair(rng):
             uncertainty.PoseGaussian(offset @ base, spd()))
 
 
-def _run_fusion_bench(trials: int, seed: int, out_dir: Path, quiet: bool):
+def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
     rng = np.random.default_rng(seed)
     pairs = [_random_concentrated_pair(rng) for _ in range(trials)]
-    t0 = time.perf_counter()
-    results = [uncertainty.fuse(a, b) for a, b in pairs]
-    elapsed = time.perf_counter() - t0
 
     # Convergence profile, measured from outside: the first iteration
     # budget whose fused mean matches the next one's to 1e-10.
     histogram = {str(k): 0 for k in range(1, 6)}
-    for (a, b), full in zip(pairs, results):
+    for a, b in pairs:
         needed = 5
         prev = None
         for k in range(1, 6):
@@ -263,25 +215,19 @@ def _run_fusion_bench(trials: int, seed: int, out_dir: Path, quiet: bool):
             prev = mean_k
         histogram[str(needed)] += 1
 
-    out = out_dir / "fusion_bench.json"
-    payload = {"trials": trials, "seed": seed, "iteration_histogram": histogram}
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    sim.write_metrics_json(
+        {"trials": trials, "seed": seed, "iteration_histogram": histogram}, out)
     if not quiet:
-        per = elapsed / max(trials, 1) * 1e6
-        print(f"fusion bench: {trials} fusions in {elapsed:.3f} s "
-              f"({per:.1f} us each)")
+        print(f"fusion bench: {trials} fusion pairs, seed {seed}")
         print("iterations to converge: "
               + ", ".join(f"{k}: {v}" for k, v in sorted(histogram.items())))
         print(f"wrote {out}")
     return 0
 
 
-def _run_gen_dataset(samples: int, seed: int, out_dir: Path, quiet: bool):
+def _run_gen_dataset(samples: int, seed: int, out: Path, quiet: bool):
     rng = np.random.default_rng(seed)
     spec = SampleSpec()
-    out = out_dir / "dataset.csv"
     with open(out, "w", newline="") as fh:
         fh.write("x,y,z,alpha,beta,gamma,xi_0,xi_1,xi_2,xi_3,xi_4,xi_5\n")
         for _ in range(samples):
@@ -306,7 +252,7 @@ def _aggregate(per_trial: list) -> dict:
         keys &= set(m)
     for key in sorted(keys):
         values = [m[key] for m in per_trial]
-        if all(_is_number(v) for v in values):
+        if all(sim.is_number(v) for v in values):
             arr = np.array(values, dtype=float)
             summary[key] = {"mean": float(arr.mean()), "std": float(arr.std())}
     return summary
@@ -316,17 +262,10 @@ def _run_trials(config: dict, stem: str, seed: int, trials: int,
                 dt_override, out_dir: Path, quiet: bool) -> int:
     scenarios = [_build_scenario(config, seed + i, dt_override)
                  for i in range(trials)]
-
-    def one(scn):
-        rng = np.random.Generator(np.random.PCG64(scn.seed))
-        return sim.run_scenario(scn, rng)
-
-    results = []
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(trials, os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(one, scn) for scn in scenarios]
-        for fut in futures:
-            results.append(fut.result())
+    # One after another: trials are pure-Python work bound by the
+    # interpreter lock, so threads would only contend for it.
+    results = [sim.run_scenario(scn, np.random.Generator(np.random.PCG64(scn.seed)))
+               for scn in scenarios]
 
     per_trial = []
     for i, (traj, metrics) in enumerate(results):
@@ -338,7 +277,7 @@ def _run_trials(config: dict, stem: str, seed: int, trials: int,
             shown = {k: v for k, v in metrics.items()
                      if k not in ("task", "trial") and v is not None}
             print(f"trial {i}: " + ", ".join(
-                f"{k}={v:.4g}" if _is_number(v) else f"{k}={v}"
+                f"{k}={v:.4g}" if sim.is_number(v) else f"{k}={v}"
                 for k, v in sorted(shown.items())))
 
     summary = {"task": config["task"], "trials": trials, "seed": seed,
@@ -379,15 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
 
     p_study = sub.add_parser("filter-study", help="dynamics-noise sweep")
-    p_study.add_argument("--steps", type=int, default=2000)
+    p_study.add_argument("--steps", type=int)
     _add_common(p_study)
 
-    p_bench = sub.add_parser("fusion-bench", help="fusion timing and convergence")
-    p_bench.add_argument("--trials", type=int, default=200)
+    p_bench = sub.add_parser("fusion-bench", help="fusion convergence histogram")
+    p_bench.add_argument("--trials", type=int)
     _add_common(p_bench)
 
     p_data = sub.add_parser("gen-dataset", help="sample contact poses to CSV")
-    p_data.add_argument("--samples", type=int, default=1000)
+    p_data.add_argument("--samples", type=int)
     _add_common(p_data)
 
     p_val = sub.add_parser("validate", help="check a config without running")
@@ -401,44 +340,26 @@ def _resolve_out_dir(arg) -> Path:
     return out
 
 
-_PRESETS_IN_PLAY = {
-    "track": ("tracking",),
-    "follow": ("surface_follow",),
-    "push_single": ("push_pid1", "push_pid2_single"),
-    "push_dual": ("push_pid1", "push_pid2_dual", "stabiliser"),
-}
-
-
 def _validate_cmd(config_path) -> int:
     config = load_config(config_path)
     task = config["task"]
     print(f"{config_path}: ok")
     print(f"task: {task} (units: mm, rad, s)")
-    if task in _CLOSED_LOOP:
+    if task in sim.TASKS:
         seed = config.get("seed", 0)
         scn = _build_scenario(config, seed)
-        presets = _PRESETS_IN_PLAY[task]
-        if task == "push_dual" and config.get("tall", False):
-            presets = ("push_tall", "push_pid2_dual", "stabiliser_tall")
         print(f"duration: {scn.duration} s at dt={scn.dt:.6g} s "
               f"({int(round(scn.duration / scn.dt))} steps)")
-        print(f"controller presets: {', '.join(presets)}")
-        if task.startswith("push"):
+        print(f"controller presets: {', '.join(sim.controller_presets(scn))}")
+        if "switch_off_radius" in _task_keys(task):
             print(f"alignment switch-off radius: {scn.switch_off_radius:g} mm, "
                   f"termination radius: {scn.termination_radius:g} mm")
         print(f"trials: {config.get('trials', 1)}, base seed: {seed}")
         print("would write: per-trial trajectory CSV, per-trial metrics JSON, "
               "summary JSON")
-    elif task == "filter_study":
-        print(f"steps: {config.get('steps', 2000)}, "
-              f"sigma grid: {config.get('sigma_grid', list(_DEFAULT_SIGMA_GRID))}")
-        print("would write: filter_study.csv")
-    elif task == "fusion_bench":
-        print(f"trials: {config.get('trials', 200)}")
-        print("would write: fusion_bench.json")
     else:
-        print(f"samples: {config.get('samples', 1000)}")
-        print("would write: dataset.csv")
+        print(", ".join(f"{k}: {v}" for k, v in _offline_options(config).items()))
+        print(f"would write: {_OFFLINE[task][0]}")
     return 0
 
 
@@ -449,33 +370,22 @@ def main(argv=None) -> int:
             return _validate_cmd(args.config)
 
         # For config-driven runs, validate before touching the filesystem.
-        config = None
+        # An offline subcommand is the config of its task, from its flags.
         if args.command == "run":
             config = load_config(args.config)
+        else:
+            config = {"task": args.command.replace("-", "_")}
+            config.update((k, v) for k, v in vars(args).items()
+                          if k in _OFFLINE[config["task"]][1] and v is not None)
         out_dir = _resolve_out_dir(args.out_dir)
         quiet = args.quiet
-        if args.command == "filter-study":
-            seed = args.seed if args.seed is not None else 0
-            return _run_filter_study(args.steps, _DEFAULT_SIGMA_GRID, seed,
-                                     out_dir, quiet)
-        if args.command == "fusion-bench":
-            seed = args.seed if args.seed is not None else 0
-            return _run_fusion_bench(args.trials, seed, out_dir, quiet)
-        if args.command == "gen-dataset":
-            seed = args.seed if args.seed is not None else 0
-            return _run_gen_dataset(args.samples, seed, out_dir, quiet)
-
-        # run
         task = config["task"]
         seed = args.seed if args.seed is not None else config.get("seed", 0)
-        if task == "filter_study":
-            return _run_filter_study(config.get("steps", 2000),
-                                     config.get("sigma_grid", _DEFAULT_SIGMA_GRID),
-                                     seed, out_dir, quiet)
-        if task == "fusion_bench":
-            return _run_fusion_bench(config.get("trials", 200), seed, out_dir, quiet)
-        if task == "gen_dataset":
-            return _run_gen_dataset(config.get("samples", 1000), seed, out_dir, quiet)
+        if task in _OFFLINE:
+            run = {"filter_study": _run_filter_study, "fusion_bench": _run_fusion_bench,
+                   "gen_dataset": _run_gen_dataset}[task]
+            return run(**_offline_options(config), seed=seed,
+                       out=out_dir / _OFFLINE[task][0], quiet=quiet)
         trials = args.trials if args.trials is not None else config.get("trials", 1)
         if trials < 1:
             raise ConfigError("trials must be at least 1")

@@ -88,14 +88,12 @@ class PidConfig:
 class PidState:
     integral: np.ndarray
     smoothed_error: np.ndarray
-    prev_smoothed_error: np.ndarray
     initialized: bool = False
 
     @classmethod
     def initial(cls, n: int = 6) -> "PidState":
         z = np.zeros(n)
-        return cls(integral=z, smoothed_error=z.copy(),
-                   prev_smoothed_error=z.copy(), initialized=False)
+        return cls(integral=z, smoothed_error=z.copy(), initialized=False)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,7 +159,6 @@ def _pid_core(cfg: PidConfig, state: PidState, feedforward: np.ndarray,
     out = feedforward + cfg.kp * error + cfg.ki * integral + cfg.kd * derivative
     out = _clip(out, cfg.output_clip)
     new_state = PidState(integral=integral, smoothed_error=smoothed,
-                         prev_smoothed_error=state.smoothed_error,
                          initialized=True)
     return out, new_state
 

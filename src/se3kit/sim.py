@@ -15,14 +15,17 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 
 import numpy as np
 
 from . import control, filtering
 from .errors import (
     ApproximationDomainError,
+    CovarianceError,
     DivergenceError,
     NoContactError,
+    PrincipalBranchError,
     SingularTargetError,
 )
 from .liegroup import Pose, Twist, exp, log
@@ -86,6 +89,10 @@ _SEGMENT_TWISTS = [
     np.array([0, 0, 0, 0, 0, math.radians(6)]),
 ]
 
+# Surface kinds and the radius (mm) each takes when none is given.
+_SURFACE_RADIUS = {"flat": None, "ramp": 300.0, "hemisphere": 60.0}
+SURFACES = tuple(_SURFACE_RADIUS)
+
 
 def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
@@ -96,6 +103,26 @@ def _unit(v: np.ndarray) -> np.ndarray:
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / n
+
+
+def is_number(v) -> bool:
+    """A real number other than a bool (YAML's true and false are bools)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def is_integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_positive(v) -> bool:
+    return is_number(v) and v > 0
+
+
+def _is_std6(v) -> bool:
+    if isinstance(v, np.ndarray) and v.ndim == 1:
+        v = v.tolist()
+    return (isinstance(v, (list, tuple)) and len(v) == 6
+            and all(_is_positive(x) for x in v))
 
 
 class SurfaceModel:
@@ -116,7 +143,7 @@ class SurfaceModel:
 
     def __init__(self, kind: str, pose: Pose | None = None,
                  radius: float | None = None, extent_deg: float = 60.0):
-        if kind not in ("flat", "ramp", "hemisphere"):
+        if kind not in SURFACES:
             raise ValueError(f"unknown surface kind {kind!r}")
         if kind != "flat":
             if radius is None or radius <= 0:
@@ -133,12 +160,13 @@ class SurfaceModel:
         return cls("flat", pose)
 
     @classmethod
-    def ramp(cls, radius: float = 300.0, extent_deg: float = 60.0,
+    def ramp(cls, radius: float = _SURFACE_RADIUS["ramp"], extent_deg: float = 60.0,
              pose: Pose | None = None) -> "SurfaceModel":
         return cls("ramp", pose, radius, extent_deg)
 
     @classmethod
-    def hemisphere(cls, radius: float = 60.0, pose: Pose | None = None) -> "SurfaceModel":
+    def hemisphere(cls, radius: float = _SURFACE_RADIUS["hemisphere"],
+                   pose: Pose | None = None) -> "SurfaceModel":
         return cls("hemisphere", pose, radius)
 
     def reset(self) -> None:
@@ -225,14 +253,11 @@ class ObservationModel:
     multiplier: float = 1.0
 
     def __post_init__(self):
-        std = np.asarray(self.std, dtype=float)
-        if std.shape != (6,):
-            raise ValueError("std must be a 6-vector")
-        if np.any(std <= 0):
-            raise ValueError("stds must be positive")
-        if self.multiplier <= 0:
+        if not _is_std6(self.std):
+            raise ValueError("std must be a 6-vector of positive numbers")
+        if not _is_positive(self.multiplier):
             raise ValueError("multiplier must be positive")
-        object.__setattr__(self, "std", std)
+        object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -379,53 +404,94 @@ def bearing_sensitivity(obj: PushedObject):
 
 
 # --------------------------------------------------------------------------
-# Scenario running
+# Scenario configuration
 
 
-_TASKS = ("track", "follow", "push_single", "push_dual")
+_PUSH_TASKS = ("push_single", "push_dual")
+TASKS = ("track", "follow") + _PUSH_TASKS
+
+
+def _segment_twist(t: float) -> np.ndarray:
+    seg = int(t // _SEGMENT_DURATION)
+    return _SEGMENT_TWISTS[seg] if seg < len(_SEGMENT_TWISTS) else np.zeros(6)
+
+
+# Track profile -> base-frame leader velocity at time t.
+_LEADER_PROFILES = {
+    "periodic": lambda t: leader_twist(t).vector,
+    "segments": _segment_twist,
+    "static": lambda t: np.zeros(6),
+}
+TRACK_PROFILES = tuple(_LEADER_PROFILES)
+
+
+def _either(names) -> str:
+    return ", ".join(names[:-1]) + ", or " + names[-1]
+
+
+def _key(check, expect, default=dataclasses.MISSING, tasks=TASKS,
+         factory=dataclasses.MISSING):
+    """A Scenario field with its config schema: `check` accepts a value,
+    `expect` names the accepted values in diagnostics, and `tasks` are the
+    tasks that read the field."""
+    return dataclasses.field(
+        default=default, default_factory=factory,
+        metadata={"check": check, "expect": expect, "tasks": tasks})
+
+
+_SECONDS = "a positive number of seconds"
+_RADIUS = "a positive radius in mm"
+_MM = "a number in mm"
 
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
-    """Resolved closed-loop scenario configuration."""
+    """Resolved closed-loop scenario configuration.
 
-    task: str
-    duration: float
-    dt: float = DEFAULT_DT
-    seed: int = 0
-    observation_std: np.ndarray = dataclasses.field(
-        default_factory=lambda: DEFAULT_OBSERVATION_STD.copy()
-    )
-    observation_multiplier: float = 1.0
-    dynamics_sigma: float = filtering.DEPLOYMENT_SIGMA
-    # track
-    track_profile: str = "periodic"  # periodic | segments | static
-    # follow
-    surface: str = "flat"  # flat | ramp | hemisphere
-    surface_radius: float | None = None
-    follow_speed: float = 10.0
-    # push
-    object_alpha: float = 0.7
-    object_r0: float = 40.0
-    tall: bool = False
-    start_y: float = -250.0
-    start_z: float = 100.0
-    target_y: float = 0.0
-    target_z: float = 375.0
-    switch_off_radius: float = control.DEFAULT_SWITCH_OFF_RADIUS
-    termination_radius: float = control.DEFAULT_TERMINATION_RADIUS
+    Every field carries its config schema (see _key); the constructor
+    enforces it, and the CLI derives its config validation from it, so
+    both reject the same values.  A field whose default is None may be
+    left None.
+    """
+
+    task: str = _key(lambda v: v in TASKS, f"one of {', '.join(TASKS)}")
+    duration: float = _key(_is_positive, _SECONDS)
+    dt: float = _key(_is_positive, _SECONDS, DEFAULT_DT)
+    seed: int = _key(lambda v: is_integer(v) and v >= 0, "a non-negative integer", 0)
+    observation_std: np.ndarray = _key(_is_std6, "a list of 6 positive numbers",
+                                       factory=DEFAULT_OBSERVATION_STD.copy)
+    observation_multiplier: float = _key(_is_positive, "a positive number", 1.0)
+    dynamics_sigma: float = _key(_is_positive, "a positive number",
+                                 filtering.DEPLOYMENT_SIGMA)
+    track_profile: str = _key(lambda v: v in TRACK_PROFILES, _either(TRACK_PROFILES),
+                              "periodic", ("track",))
+    surface: str = _key(lambda v: v in SURFACES, _either(SURFACES), "flat", ("follow",))
+    surface_radius: float | None = _key(_is_positive, _RADIUS, None, ("follow",))
+    follow_speed: float = _key(_is_positive, "a positive speed in mm/s", 10.0,
+                               ("follow",))
+    object_alpha: float = _key(lambda v: is_number(v) and 0 < v <= 1,
+                               "a number in (0, 1]", 0.7, _PUSH_TASKS)
+    object_r0: float = _key(_is_positive, "a positive distance in mm", 40.0,
+                            _PUSH_TASKS)
+    tall: bool = _key(lambda v: isinstance(v, bool), "true or false", False,
+                      _PUSH_TASKS)
+    start_y: float = _key(is_number, _MM, -250.0, _PUSH_TASKS)
+    start_z: float = _key(is_number, _MM, 100.0, _PUSH_TASKS)
+    target_y: float = _key(is_number, _MM, 0.0, _PUSH_TASKS)
+    target_z: float = _key(is_number, _MM, 375.0, _PUSH_TASKS)
+    switch_off_radius: float = _key(_is_positive, _RADIUS,
+                                    control.DEFAULT_SWITCH_OFF_RADIUS, _PUSH_TASKS)
+    termination_radius: float = _key(_is_positive, _RADIUS,
+                                     control.DEFAULT_TERMINATION_RADIUS, _PUSH_TASKS)
 
     def __post_init__(self):
-        if self.task not in _TASKS:
-            raise ValueError(f"task must be one of {_TASKS}, got {self.task!r}")
-        if self.duration <= 0 or self.dt <= 0:
-            raise ValueError("duration and dt must be positive")
-        if self.track_profile not in ("periodic", "segments", "static"):
-            raise ValueError(f"unknown track profile {self.track_profile!r}")
-        if self.surface not in ("flat", "ramp", "hemisphere"):
-            raise ValueError(f"unknown surface kind {self.surface!r}")
-        if self.follow_speed <= 0:
-            raise ValueError("follow_speed must be positive")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:
+                continue
+            if not f.metadata["check"](value):
+                raise ValueError(
+                    f"'{f.name}' must be {f.metadata['expect']}, got {value!r}")
         if not self.switch_off_radius > self.termination_radius > 0:
             raise ValueError(
                 "need switch_off_radius > termination_radius > 0")
@@ -435,6 +501,25 @@ class Scenario:
 
     def observation_model(self) -> ObservationModel:
         return ObservationModel(self.observation_std, self.observation_multiplier)
+
+
+def controller_presets(scenario: Scenario) -> tuple:
+    """Names of the control.preset configurations a scenario runs: the
+    servo, then for pushing the bearing loop, then for dual-arm pushing
+    the follower's stabiliser."""
+    if scenario.task == "track":
+        return ("tracking",)
+    if scenario.task == "follow":
+        return ("surface_follow",)
+    pusher = "push_tall" if scenario.tall else "push_pid1"
+    if scenario.task == "push_single":
+        return (pusher, "push_pid2_single")
+    return (pusher, "push_pid2_dual",
+            "stabiliser_tall" if scenario.tall else "stabiliser")
+
+
+# --------------------------------------------------------------------------
+# Scenario running
 
 
 class TrajectoryLog:
@@ -536,30 +621,79 @@ def _integrate_base_frame(pose: Pose, twist, dt: float, what: str) -> Pose:
     return _check_pose(new.renormalized(), what)
 
 
-class _PerceptionChannel:
-    """contact_pose -> observe -> filter for one sensor on one surface."""
+class _Arm:
+    """One sensor arm: its surface, pose, filter and PID state, and servo.
 
-    def __init__(self, surface: SurfaceModel, model: ObservationModel,
-                 noise: filtering.DynamicsNoise, rng: np.random.Generator):
+    A control cycle is built from four steps: sense (contact_pose ->
+    observe -> filter), servo, probe (true depth and normal angle at the
+    surface projection) and move (integrate a body-frame command).
+    """
+
+    def __init__(self, name: str, surface: SurfaceModel, pose: Pose,
+                 cfg: control.ServoConfig, scenario: Scenario,
+                 rng: np.random.Generator):
+        self.name = name
         self.surface = surface
-        self.model = model
-        self.noise = noise
+        self.pose = pose
+        self.cfg = cfg
+        self.dt = scenario.dt
+        self.model = scenario.observation_model()
+        self.noise = filtering.default_dynamics_noise(scenario.dynamics_sigma)
         self.rng = rng
-        self.state = None
+        self.filter = None
+        self.pid = control.PidState.initial(6)
 
-    def step(self, sensor_pose: Pose):
+    def sense(self):
         """Returns (true X_fs, belief PoseGaussian); raises NoContactError."""
-        true_fs = contact_pose(self.surface, sensor_pose)
+        true_fs = contact_pose(self.surface, self.pose)
         obs = observe(self.model, true_fs, self.rng)
-        if self.state is None:
-            self.state = filtering.init(obs, sensor_pose)
+        if self.filter is None:
+            self.filter = filtering.init(obs, self.pose)
         else:
-            self.state = filtering.step(self.state, obs, sensor_pose, self.noise)
-        return true_fs, self.state.belief
+            self.filter = filtering.step(self.filter, obs, self.pose, self.noise)
+        return true_fs, self.filter.belief
 
-    def reset(self):
-        self.state = None
-        self.surface.reset()
+    def servo(self, belief: PoseGaussian) -> Twist:
+        command, self.pid, _ = control.servo_step(self.cfg, self.pid, belief.mean,
+                                                  self.dt)
+        return command
+
+    def probe(self):
+        """(surface point, depth, angle in degrees between the sensor axis
+        and the surface normal) at the tip's boundary projection."""
+        q_w, n_w, depth = self.surface.probe(self.pose.translation)
+        cos = float(np.dot(self.pose.rotation[:, 2], n_w))
+        return q_w, depth, math.degrees(math.acos(min(1.0, max(-1.0, cos))))
+
+    def move(self, command: Twist) -> None:
+        self.pose = _integrate_body(self.pose, command.vector, self.dt, self.name)
+
+
+def _mean(values):
+    return float(np.mean(values)) if values else None
+
+
+def _column_means(rows, width: int) -> list:
+    """Mean of each column of equal-length tuples; None for no rows."""
+    return [_mean([row[i] for row in rows]) for i in range(width)]
+
+
+def _mm_deg(error: Twist):
+    """Translational (mm) and rotational (deg) size of a tangent error."""
+    v = error.vector
+    return float(np.linalg.norm(v[:3])), math.degrees(float(np.linalg.norm(v[3:])))
+
+
+def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
+             runtime_s: float, final_error=None, **extra) -> dict:
+    return dict(task=scenario.task, final_target_error_mm=final_error,
+                mean_depth_error_mm=depth_error, mean_normal_angle_deg=normal_angle,
+                settled=bool(settled), runtime_s=runtime_s, **extra)
+
+
+# Errors a control step can raise that end the run.
+_STEP_ERRORS = (DivergenceError, NoContactError, PrincipalBranchError,
+                CovarianceError, ApproximationDomainError)
 
 
 def run_scenario(scenario: Scenario, rng: np.random.Generator):
@@ -567,183 +701,116 @@ def run_scenario(scenario: Scenario, rng: np.random.Generator):
 
     Metrics always carry final_target_error_mm, mean_depth_error_mm,
     mean_normal_angle_deg, settled, and runtime_s (simulated seconds, so
-    repeated runs are bitwise identical), plus task-specific extras.
+    repeated runs are bitwise identical), plus task-specific extras.  A
+    step that leaves the workspace, loses contact it cannot recover, or
+    leaves a math domain raises DivergenceError naming the task and step.
     """
-    if scenario.task == "track":
-        return _run_track(scenario, rng)
-    if scenario.task == "follow":
-        return _run_follow(scenario, rng)
-    return _run_push(scenario, rng)
-
-
-def _steady_start(duration: float, fraction: float = 0.5, minimum: float = 5.0) -> float:
-    return min(max(minimum, fraction * duration), duration)
+    # Each runner is a generator that yields a step's index before running
+    # it and returns (log, metrics).
+    runner = {"track": _run_track, "follow": _run_follow}.get(scenario.task, _run_push)
+    run = runner(scenario, rng)
+    step = 0
+    try:
+        while True:
+            step = next(run)
+    except StopIteration as done:
+        return done.value
+    except _STEP_ERRORS as e:
+        raise DivergenceError(
+            f"{scenario.task} step {step}: {type(e).__name__}: {e}") from e
 
 
 def _run_track(scenario: Scenario, rng: np.random.Generator):
     dt = scenario.dt
     n_steps = int(round(scenario.duration / dt))
-    cfg = control.preset("tracking")
-    noise = filtering.default_dynamics_noise(scenario.dynamics_sigma)
-
+    leader_velocity = _LEADER_PROFILES[scenario.track_profile]
     leader = Pose.identity()
-    surface = SurfaceModel.flat(leader)
     # Reference depth is 6 mm, so the follower engages exactly at reference.
-    follower = Pose(np.eye(3), np.array([0.0, 0.0, 6.0]))
-    channel = _PerceptionChannel(surface, scenario.observation_model(), noise, rng)
-    pid = control.PidState.initial(6)
-    ref_inv = cfg.reference_contact_pose.inverse()
+    follower = _Arm("follower", SurfaceModel.flat(leader),
+                    Pose(np.eye(3), np.array([0.0, 0.0, 6.0])),
+                    control.preset(controller_presets(scenario)[0]), scenario, rng)
+    ref_inv = follower.cfg.reference_contact_pose.inverse()
 
     log_ = TrajectoryLog(("depth_mm", "track_error_mm", "track_error_deg",
                           "est_error_mm", "est_error_deg"))
-    steady_t = _steady_start(scenario.duration)
-    track_err = []
-    est_err = []
-    depth_err = []
-    angles = []
+    steady_t = min(max(5.0, 0.5 * scenario.duration), scenario.duration)
+    steady = []  # (|depth - 6|, normal angle, track mm, deg, estimate mm, deg)
 
     for k in range(n_steps):
+        yield k
         t = k * dt
-        if scenario.track_profile == "periodic":
-            v = leader_twist(t).vector
-        elif scenario.track_profile == "segments":
-            seg = int(t // _SEGMENT_DURATION)
-            v = _SEGMENT_TWISTS[seg] if seg < len(_SEGMENT_TWISTS) else np.zeros(6)
-        else:
-            v = np.zeros(6)
+        v = leader_velocity(t)
         leader = _integrate_base_frame(leader, v, dt, "leader")
-        surface.pose = leader
+        follower.surface.pose = leader
 
-        true_fs, belief = channel.step(follower)
-        command, pid, _ = control.servo_step(cfg, pid, belief.mean, dt)
+        true_fs, belief = follower.sense()
+        command = follower.servo(belief)
 
         true_sf = true_fs.inverse()
-        e_true = log(true_sf @ ref_inv).vector
-        e_est = log(belief.mean @ true_sf.inverse()).vector
-        te_mm = float(np.linalg.norm(e_true[:3]))
-        te_deg = math.degrees(float(np.linalg.norm(e_true[3:])))
-        ee_mm = float(np.linalg.norm(e_est[:3]))
-        ee_deg = math.degrees(float(np.linalg.norm(e_est[3:])))
-        _, n_w, depth = surface.probe(follower.translation)
-        angle = math.degrees(
-            math.acos(min(1.0, max(-1.0, float(np.dot(follower.rotation[:, 2], n_w)))))
-        )
+        track_err = _mm_deg(log(true_sf @ ref_inv))
+        est_err = _mm_deg(log(belief.mean @ true_sf.inverse()))
+        _, depth, angle = follower.probe()
         if t >= steady_t:
-            track_err.append((te_mm, te_deg))
-            est_err.append((ee_mm, ee_deg))
-            depth_err.append(abs(depth - 6.0))
-            angles.append(angle)
-        cov_trace = float(np.trace(belief.cov))
-        log_.add(t, "leader", leader, v, None,
-                 {"depth_mm": None, "track_error_mm": None, "track_error_deg": None,
-                  "est_error_mm": None, "est_error_deg": None})
-        log_.add(t, "follower", follower, command.vector, cov_trace,
-                 {"depth_mm": depth, "track_error_mm": te_mm,
-                  "track_error_deg": te_deg, "est_error_mm": ee_mm,
-                  "est_error_deg": ee_deg})
+            steady.append((abs(depth - 6.0), angle, *track_err, *est_err))
+        log_.add(t, "leader", leader, v, None, {})
+        log_.add(t, "follower", follower.pose, command.vector,
+                 float(np.trace(belief.cov)),
+                 dict(zip(log_.scalar_columns, (depth, *track_err, *est_err))))
+        follower.move(command)
 
-        follower = _integrate_body(follower, command.vector, dt, "follower")
-
-    track_arr = np.array(track_err) if track_err else np.zeros((0, 2))
-    est_arr = np.array(est_err) if est_err else np.zeros((0, 2))
-    mean_track_mm = float(np.mean(track_arr[:, 0])) if len(track_arr) else None
-    mean_track_deg = float(np.mean(track_arr[:, 1])) if len(track_arr) else None
-    metrics = {
-        "task": "track",
-        "final_target_error_mm": None,
-        "mean_depth_error_mm": float(np.mean(depth_err)) if depth_err else None,
-        "mean_normal_angle_deg": float(np.mean(angles)) if angles else None,
-        "track_error_mm": mean_track_mm,
-        "track_error_deg": mean_track_deg,
-        "est_error_mm": float(np.mean(est_arr[:, 0])) if len(est_arr) else None,
-        "est_error_deg": float(np.mean(est_arr[:, 1])) if len(est_arr) else None,
-        "settled": bool(mean_track_mm is not None and mean_track_mm < 5.0),
-        "runtime_s": n_steps * dt,
-    }
-    return log_, metrics
-
-
-def _follow_runs(scenario: Scenario):
-    """(surface factory, list of (feedforward, start pose), per-run time)."""
-    speed = scenario.follow_speed
-    if scenario.surface == "hemisphere":
-        radius = scenario.surface_radius or 60.0
-        runs = []
-        for i in range(8):
-            th = i * math.pi / 4.0
-            ff = np.array([speed * math.cos(th), speed * math.sin(th), 0, 0, 0, 0])
-            runs.append(ff)
-        per_run = scenario.duration / len(runs)
-        make = lambda: SurfaceModel.hemisphere(radius)
-        return make, runs, per_run
-    if scenario.surface == "ramp":
-        radius = scenario.surface_radius or 300.0
-        make = lambda: SurfaceModel.ramp(radius)
-    else:
-        make = SurfaceModel.flat
-    return make, [np.array([0, speed, 0, 0, 0, 0], dtype=float)], scenario.duration
+    depth_err, angle, track_mm, track_deg, est_mm, est_deg = _column_means(steady, 6)
+    return log_, _metrics(
+        scenario, depth_err, angle, track_mm is not None and track_mm < 5.0,
+        n_steps * dt, track_error_mm=track_mm, track_error_deg=track_deg,
+        est_error_mm=est_mm, est_error_deg=est_deg)
 
 
 def _run_follow(scenario: Scenario, rng: np.random.Generator):
     dt = scenario.dt
-    noise = filtering.default_dynamics_noise(scenario.dynamics_sigma)
-    make_surface, runs, per_run = _follow_runs(scenario)
-    n_steps = int(round(per_run / dt))
-    base = control.preset("surface_follow")
+    speed = scenario.follow_speed
+    if scenario.surface == "hemisphere":
+        # Eight radial passes from the apex, 45 degrees apart.
+        passes = [np.array([speed * math.cos(th), speed * math.sin(th), 0, 0, 0, 0])
+                  for th in (i * math.pi / 4.0 for i in range(8))]
+    else:
+        passes = [np.array([0, speed, 0, 0, 0, 0], dtype=float)]
+    radius = scenario.surface_radius or _SURFACE_RADIUS[scenario.surface]
+    n_steps = int(round(scenario.duration / len(passes) / dt))
+    base = control.preset(controller_presets(scenario)[0])
 
     log_ = TrajectoryLog(("run", "depth_mm", "normal_angle_deg"))
-    depth_eval = []
-    angle_eval = []
+    settled = []  # (|depth - 3|, normal angle) after each pass's transient
     transient = 2.0
 
     t = 0.0
-    for run_idx, ff in enumerate(runs):
+    for run_idx, ff in enumerate(passes):
         cfg = dataclasses.replace(base, feedforward_twist=Twist.from_vector(ff))
-        surface = make_surface()
-        sensor = Pose(np.eye(3), np.array([0.0, 0.0, 3.0]))
-        channel = _PerceptionChannel(surface, scenario.observation_model(), noise, rng)
-        pid = control.PidState.initial(6)
+        sensor = _Arm("sensor", SurfaceModel(scenario.surface, radius=radius),
+                      Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, rng)
         for k in range(n_steps):
-            _, belief = channel.step(sensor)
-            command, pid, _ = control.servo_step(cfg, pid, belief.mean, dt)
-            _, n_w, depth = surface.probe(sensor.translation)
-            angle = math.degrees(math.acos(min(1.0, max(-1.0, float(
-                np.dot(sensor.rotation[:, 2], n_w))))))
+            yield run_idx * n_steps + k
+            _, belief = sensor.sense()
+            command = sensor.servo(belief)
+            _, depth, angle = sensor.probe()
             if k * dt >= transient:
-                depth_eval.append(abs(depth - 3.0))
-                angle_eval.append(angle)
-            log_.add(t, "sensor", sensor, command.vector,
+                settled.append((abs(depth - 3.0), angle))
+            log_.add(t, "sensor", sensor.pose, command.vector,
                      float(np.trace(belief.cov)),
                      {"run": float(run_idx), "depth_mm": depth,
                       "normal_angle_deg": angle})
-            sensor = _integrate_body(sensor, command.vector, dt, "sensor")
+            sensor.move(command)
             t += dt
 
-    mean_depth = float(np.mean(depth_eval)) if depth_eval else None
-    mean_angle = float(np.mean(angle_eval)) if angle_eval else None
-    metrics = {
-        "task": "follow",
-        "surface": scenario.surface,
-        "final_target_error_mm": None,
-        "mean_depth_error_mm": mean_depth,
-        "mean_normal_angle_deg": mean_angle,
-        "settled": bool(mean_depth is not None and mean_depth < 1.0),
-        "runtime_s": len(runs) * n_steps * dt,
-    }
-    return log_, metrics
-
-
-def _rotation_about_axis_through(axis_w: np.ndarray, angle: float,
-                                 point_w: np.ndarray) -> Pose:
-    rot = exp(np.concatenate([np.zeros(3), axis_w * angle])).rotation
-    return Pose(rot, point_w - rot @ point_w)
+    depth_err, angle = _column_means(settled, 2)
+    return log_, _metrics(
+        scenario, depth_err, angle, depth_err is not None and depth_err < 1.0,
+        len(passes) * n_steps * dt, surface=scenario.surface)
 
 
 def _run_push(scenario: Scenario, rng: np.random.Generator):
     dt = scenario.dt
     dual = scenario.task == "push_dual"
-    noise = filtering.default_dynamics_noise(scenario.dynamics_sigma)
-    model = scenario.observation_model()
+    tall = scenario.tall
 
     # World: x up, pushing happens in the (y, z) plane.  The pushed face's
     # inward normal starts along +y (the initial push direction).
@@ -755,43 +822,34 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         np.array([0.0, 1.0, 0.0]),   # z: inward normal
     ])
     face = Pose(face_rot0, contact0)
-    surface = SurfaceModel.flat(face)
 
-    leader_name = "push_tall" if scenario.tall else "push_pid1"
-    servo_cfg = control.preset(leader_name)
-    bearing_cfg = control.preset("push_pid2_dual" if dual else "push_pid2_single")
+    presets = controller_presets(scenario)
     push_cfg = control.PushConfig(
-        servo=servo_cfg,
-        bearing_pid=bearing_cfg,
+        servo=control.preset(presets[0]),
+        bearing_pid=control.preset(presets[1]),
         target_pose_in_work=Pose(np.eye(3), target_w),
         switch_off_radius=scenario.switch_off_radius,
         termination_radius=scenario.termination_radius,
     )
-    pid = control.PidState.initial(6)
     bearing_state = control.PidState.initial(1)
-    channel = _PerceptionChannel(surface, model, noise, rng)
-
-    if dual:
-        # Leader starts engaged at the yield depth so the object moves from
-        # the first step; the follower starts at its 3 mm reference on the
-        # opposite face.
-        sensor = Pose(face.rotation, face.apply(np.array([0.0, 0.0, _YIELD_DEPTH])))
-    else:
-        # Single-arm protocol: approach from 45 mm off the face.
-        sensor = Pose(face.rotation, face.apply(np.array([0.0, 0.0, -45.0])))
+    # Dual-arm: the leader starts engaged at the yield depth so the object
+    # moves from the first step.  Single-arm protocol: approach from 45 mm
+    # off the face.
+    start_depth = _YIELD_DEPTH if dual else -45.0
+    leader = _Arm("leader", SurfaceModel.flat(face),
+                  Pose(face.rotation, face.apply(np.array([0.0, 0.0, start_depth]))),
+                  push_cfg.servo, scenario, rng)
 
     face2_offset = Pose(
         np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
         np.array([0.0, 0.0, _OBJECT_WIDTH]),
     )
     if dual:
-        surface2 = SurfaceModel.flat(face @ face2_offset)
-        follower_name = "stabiliser_tall" if scenario.tall else "stabiliser"
-        stab_cfg = control.preset(follower_name)
-        follower = Pose(surface2.pose.rotation,
-                        surface2.pose.apply(np.array([0.0, 0.0, 3.0])))
-        channel2 = _PerceptionChannel(surface2, model, noise, rng)
-        pid2 = control.PidState.initial(6)
+        # The follower starts at its 3 mm reference on the opposite face.
+        face2 = face @ face2_offset
+        follower = _Arm("follower", SurfaceModel.flat(face2),
+                        Pose(face2.rotation, face2.apply(np.array([0.0, 0.0, 3.0]))),
+                        control.preset(presets[2]), scenario, rng)
 
     alpha, r0 = scenario.object_alpha, scenario.object_r0
     prev_tip_face = None
@@ -801,11 +859,9 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     n_steps = int(round(scenario.duration / dt))
     steps_done = 0
 
-    scalars = ("bearing_rad", "target_distance_mm", "tip_distance_mm",
-               "depth_mm", "follower_depth_mm", "stability_margin")
-    log_ = TrajectoryLog(scalars)
-    depth_log = []
-    angle_log = []
+    log_ = TrajectoryLog(("bearing_rad", "target_distance_mm", "tip_distance_mm",
+                          "depth_mm", "follower_depth_mm", "stability_margin"))
+    contact_rows = []  # (|depth - yield depth|, normal angle) while in contact
     # The follower's engagement transient (the object's 10 mm/s recession
     # step) peaks near 2.8 mm and decays with the depth loop's slow pole;
     # depth maintenance is assessed after it has died out.
@@ -813,37 +869,37 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     follower_window = 8.0
 
     for k in range(n_steps):
+        yield k
         t = k * dt
         steps_done = k + 1
 
         # Leader perception and command.
-        in_contact = True
         try:
-            true_fs, belief = channel.step(sensor)
+            _, belief = leader.sense()
         except NoContactError:
-            in_contact = False
-        if in_contact:
-            command, (pid, bearing_state), _ = control.push_step(
-                push_cfg, pid, bearing_state, belief.mean, sensor, dt)
+            belief = None
+        if belief is not None:
+            command, (leader.pid, bearing_state), _ = control.push_step(
+                push_cfg, leader.pid, bearing_state, belief.mean, leader.pose, dt)
             cov_trace = float(np.trace(belief.cov))
         else:
-            command = servo_cfg.feedforward_twist  # press toward the face
+            command = push_cfg.servo.feedforward_twist  # press toward the face
             cov_trace = None
 
         # Follower perception and command.
         if dual:
             try:
-                _, belief2 = channel2.step(follower)
-                command2, pid2, _ = control.servo_step(stab_cfg, pid2, belief2.mean, dt)
+                _, belief2 = follower.sense()
+                command2 = follower.servo(belief2)
                 cov_trace2 = float(np.trace(belief2.cov))
-                _, _, fdepth = surface2.probe(follower.translation)
+                _, fdepth, _ = follower.probe()
             except NoContactError:
                 command2 = Twist.from_vector(np.array([0, 0, 5.0, 0, 0, 0]))
                 cov_trace2 = None
                 fdepth = None
             if t >= follower_window and fdepth is not None:
                 follower_depth_err.append(abs(fdepth - 3.0))
-            if scenario.tall:
+            if tall:
                 err = abs(fdepth - 3.0) if fdepth is not None else math.inf
                 if err > _STABILITY_TOLERANCE:
                     margin -= _STABILITY_DECAY * dt
@@ -852,14 +908,13 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
                 if margin <= 0.0:
                     toppled = True
 
-        # Move the arms.
-        new_sensor = _integrate_body(sensor, command.vector, dt, "leader sensor")
+        leader.move(command)
         if dual:
-            follower = _integrate_body(follower, command2.vector, dt, "follower sensor")
+            follower.move(command2)
 
         # Plant: the object yields past the yield depth and rotates about
         # its centre of friction in response to tangential contact motion.
-        tip_w = new_sensor.translation
+        tip_w = leader.pose.translation
         tip_face = face.inverse().apply(tip_w)
         depth_raw = tip_face[2]
         advance = max(0.0, depth_raw - _YIELD_DEPTH)
@@ -877,48 +932,40 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
             face = Pose(face.rotation, face.translation + advance * z_f_w)
             if dphi != 0.0:
                 q_w, _, _ = SurfaceModel.flat(face).probe(tip_w)
+                # Rotate the face by -dphi about the up axis through the
+                # centre of friction.
                 cof_w = q_w + r0 * z_f_w
-                m = _rotation_about_axis_through(x_f_w, -dphi, cof_w)
-                face = (m @ face).renormalized()
-            surface.pose = face
+                rot = exp(np.concatenate([np.zeros(3), x_f_w * -dphi])).rotation
+                face = (Pose(rot, cof_w - rot @ cof_w) @ face).renormalized()
+            leader.surface.pose = face
             if dual:
-                surface2.pose = face @ face2_offset
+                follower.surface.pose = face @ face2_offset
         prev_tip_face = face.inverse().apply(tip_w) if depth_raw >= 0.0 else None
-        sensor = new_sensor
 
         # Distances: the controller uses the contact point, the scenario
         # terminates on the tip centre (logged both).
+        sensor = leader.pose
         tip_centre = sensor.translation - _TIP_RADIUS * sensor.rotation[:, 2]
         tip_distance = float(np.linalg.norm(target_w - tip_centre))
         contact_distance = math.hypot(target_w[1] - sensor.translation[1],
                                       target_w[2] - sensor.translation[2])
-        if in_contact:
-            q_w, n_w, depth_now = surface.probe(sensor.translation)
-            angle = math.degrees(math.acos(min(1.0, max(-1.0, float(
-                np.dot(sensor.rotation[:, 2], n_w))))))
-            depth_log.append(depth_now)
-            angle_log.append(angle)
+        row = {"target_distance_mm": contact_distance,
+               "tip_distance_mm": tip_distance,
+               "stability_margin": margin if tall else None}
+        if belief is not None:
+            q_w, depth_now, angle = leader.probe()
+            contact_rows.append((abs(depth_now - _YIELD_DEPTH), angle))
             # Bearing of the target seen from the current contact point,
             # in face axes.
             d = target_w - q_w
-            bearing = math.atan2(float(np.dot(d, face.rotation[:, 1])),
-                                 float(np.dot(d, face.rotation[:, 2])))
-        else:
-            depth_now = None
-            angle = None
-            bearing = None
-
-        row = {"bearing_rad": bearing, "target_distance_mm": contact_distance,
-               "tip_distance_mm": tip_distance, "depth_mm": depth_now,
-               "follower_depth_mm": None,
-               "stability_margin": margin if scenario.tall else None}
+            row["bearing_rad"] = math.atan2(float(np.dot(d, face.rotation[:, 1])),
+                                            float(np.dot(d, face.rotation[:, 2])))
+            row["depth_mm"] = depth_now
         log_.add(t, "leader", sensor, command.vector, cov_trace, row)
         if dual:
-            log_.add(t, "follower", follower, command2.vector, cov_trace2,
-                     {"bearing_rad": None, "target_distance_mm": None,
-                      "tip_distance_mm": None, "depth_mm": None,
-                      "follower_depth_mm": fdepth,
-                      "stability_margin": margin if scenario.tall else None})
+            log_.add(t, "follower", follower.pose, command2.vector, cov_trace2,
+                     {"follower_depth_mm": fdepth,
+                      "stability_margin": margin if tall else None})
 
         if toppled:
             break
@@ -928,29 +975,18 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
 
     # Final target error: perpendicular distance from the target to the
     # line through the final contact point along the face normal.
-    q_w, n_w, _ = surface.probe(sensor.translation)
+    q_w, n_w, _ = leader.surface.probe(leader.pose.translation)
     to_target = target_w - q_w
     perp = to_target - np.dot(to_target, n_w) * n_w
-    final_err = float(np.linalg.norm(perp))
 
-    metrics = {
-        "task": scenario.task,
-        "tall": scenario.tall,
-        "terminated": terminated,
-        "final_target_error_mm": final_err,
-        "mean_depth_error_mm": (
-            float(np.mean(np.abs(np.array(depth_log) - _YIELD_DEPTH)))
-            if depth_log else None),
-        "mean_normal_angle_deg": float(np.mean(angle_log)) if angle_log else None,
-        "settled": bool(terminated and not toppled),
-        "runtime_s": steps_done * dt,
-    }
+    depth_err, angle = _column_means(contact_rows, 2)
+    metrics = _metrics(scenario, depth_err, angle, terminated and not toppled,
+                       steps_done * dt, final_error=float(np.linalg.norm(perp)),
+                       tall=tall, terminated=terminated)
     if dual:
-        metrics["follower_depth_worst_mm"] = (
-            float(np.max(follower_depth_err)) if follower_depth_err else None)
-        metrics["follower_depth_mean_mm"] = (
-            float(np.mean(follower_depth_err)) if follower_depth_err else None)
-    if scenario.tall:
+        metrics["follower_depth_worst_mm"] = max(follower_depth_err, default=None)
+        metrics["follower_depth_mean_mm"] = _mean(follower_depth_err)
+    if tall:
         metrics["toppled"] = toppled
         metrics["stability_margin_final"] = margin
     return log_, metrics

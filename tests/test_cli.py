@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from se3kit import control, sim
 from se3kit.cli import main
@@ -149,6 +150,61 @@ def test_unreadable_and_malformed_files(tmp_path, capsys):
     assert "not valid YAML" in capsys.readouterr().err
 
 
+# Values validate rejects, by the task whose config may carry the key.
+REJECTED = [
+    ("track", "observation_multiplier", 0),
+    ("push_single", "object_alpha", 1.5),
+    ("track", "dt", -0.1),
+    ("track", "observation_std", [1, 1, 1]),
+    ("track", "seed", -1),
+    ("follow", "surface_radius", 0),
+    ("push_dual", "tall", "yes"),
+]
+
+
+@pytest.mark.parametrize("task,key,value", REJECTED)
+def test_scenario_rejects_what_validate_rejects(tmp_path, capsys, task, key, value):
+    config = {"task": task, "duration": 5, key: value}
+    rc = main(["validate", write_config(tmp_path, yaml.safe_dump(config))])
+    err = capsys.readouterr().err
+    assert rc == 2
+    with pytest.raises(ValueError) as raised:
+        sim.Scenario(task=task, duration=5.0, **{key: value})
+    assert f"'{key}' must be" in str(raised.value)
+    assert str(raised.value) in err
+
+
+CONFIG_DIR = Path(sim.__file__).parent / "configs"
+CLOSED_LOOP_CONFIGS = [
+    pytest.param(path.read_text(), id=path.stem)
+    for path in sorted(CONFIG_DIR.glob("*.yaml"))
+    if yaml.safe_load(path.read_text())["task"] in sim.TASKS
+] + [pytest.param("task: push_single\ntall: true\nduration: 60\n",
+                  id="push_single_tall")]
+
+
+@pytest.mark.parametrize("text", CLOSED_LOOP_CONFIGS)
+def test_validate_echoes_the_presets_run_uses(tmp_path, capsys, monkeypatch, text):
+    assert main(["validate", write_config(tmp_path, text)]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("controller presets: "))
+    echoed = line.split(": ", 1)[1].split(", ")
+
+    used = []
+    preset = control.preset
+
+    def recording_preset(name):
+        used.append(name)
+        return preset(name)
+
+    monkeypatch.setattr(control, "preset", recording_preset)
+    # The preset choice does not depend on the length of the run.
+    short = dict(yaml.safe_load(text), duration=0.2, trials=1)
+    path = write_config(tmp_path, yaml.safe_dump(short), "short.yaml")
+    assert main(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
+    assert used == echoed
+
+
 # --------------------------------------------------------------------------
 # run
 
@@ -243,6 +299,20 @@ def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith("se3kit: diverged:")
+
+
+@pytest.mark.filterwarnings("ignore:fuse input")
+@pytest.mark.parametrize("text", [
+    pytest.param("task: track\nduration: 10\ndt: 0.5\n", id="coarse_dt"),
+    pytest.param("task: track\nduration: 5\nobservation_std: [5, 5, 5, 1, 1, 1]\n",
+                 id="noisy_observations"),
+])
+def test_lost_contact_maps_to_exit_3(tmp_path, capsys, text):
+    rc = main(["run", write_config(tmp_path, text), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("se3kit: diverged: track step ")
+    assert "NoContactError" in err
 
 
 # --------------------------------------------------------------------------
