@@ -9,14 +9,17 @@ Subcommands:
   validate      check a config and echo the resolved scenario, writing
                 nothing
 
-Exit codes: 0 success, 2 configuration error (nothing is written),
-3 divergence during simulation.  Output locations default to --out-dir,
-then the SE3KIT_OUT_DIR environment variable, then the working directory.
+Flags are config keys, checked by the same schema as the file's keys.
+Exit codes: 0 success, 2 configuration error (nothing is written, no
+directory is created), 3 divergence during simulation.  Output locations
+default to --out-dir, then the SE3KIT_OUT_DIR environment variable, then
+the working directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import difflib
 import math
@@ -31,139 +34,6 @@ from . import filtering, sim, uncertainty
 from .errors import ConfigError, DivergenceError
 from .gdnmath import SampleSpec, label_pipeline, sample_contact_pose
 from .liegroup import exp, log
-
-# Offline task -> (the file it writes, the keys it reads besides the
-# common ones with their defaults).
-_OFFLINE = {
-    "filter_study": ("filter_study.csv",
-                     {"steps": 2000, "sigma_grid": [10.0, 1.0, 0.1, 0.01, math.inf]}),
-    "fusion_bench": ("fusion_bench.json", {"trials": 200}),
-    "gen_dataset": ("dataset.csv", {"samples": 1000}),
-}
-_ALL_TASKS = sim.TASKS + tuple(_OFFLINE)
-
-
-# --------------------------------------------------------------------------
-# Config loading and validation
-
-
-def _check_positive_int(v):
-    return sim.is_integer(v) and v >= 1
-
-
-def _check_sigma_grid(v):
-    return (isinstance(v, list) and len(v) >= 1
-            and all(sim.is_number(x) and (x >= 0 or math.isinf(x)) for x in v))
-
-
-# The closed-loop schema is declared on sim.Scenario's fields.
-_SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(sim.Scenario)}
-
-# key -> (validator, human description of the expected value)
-_KEY_SPECS = {
-    **{name: (f.metadata["check"], f.metadata["expect"])
-       for name, f in _SCENARIO_FIELDS.items()},
-    "task": (lambda v: v in _ALL_TASKS, f"one of {', '.join(_ALL_TASKS)}"),
-    "trials": (_check_positive_int, "a positive integer"),
-    "steps": (_check_positive_int, "a positive integer"),
-    "sigma_grid": (_check_sigma_grid, "a list of non-negative numbers (or .inf)"),
-    "samples": (_check_positive_int, "a positive integer"),
-}
-
-_COMMON_KEYS = {"task", "seed", "trials"}
-# Closed-loop keys without a default.
-_REQUIRED = [name for name, f in _SCENARIO_FIELDS.items()
-             if f.default is f.default_factory is dataclasses.MISSING]
-
-
-def _task_keys(task: str) -> set:
-    """Keys a task's config may carry besides the common ones."""
-    if task in _OFFLINE:
-        return set(_OFFLINE[task][1])
-    return {name for name, f in _SCENARIO_FIELDS.items()
-            if task in f.metadata["tasks"]}
-
-
-def _key_lines(path: Path, text: str) -> dict:
-    """Top-level key -> 1-based line number, via the YAML node tree."""
-    try:
-        root = yaml.compose(text)
-    except yaml.YAMLError as e:
-        mark = getattr(e, "problem_mark", None)
-        line = f":{mark.line + 1}" if mark is not None else ""
-        raise ConfigError(f"{path}{line}: not valid YAML ({e.__class__.__name__})")
-    if root is None:
-        raise ConfigError(f"{path}: config is empty")
-    if not isinstance(root, yaml.MappingNode):
-        raise ConfigError(f"{path}:1: config must be a mapping of keys to values")
-    lines = {}
-    for key_node, _ in root.value:
-        lines[key_node.value] = key_node.start_mark.line + 1
-    return lines
-
-
-def load_config(path) -> dict:
-    """Parse and validate a scenario config; raises ConfigError.
-
-    The returned dict is exactly the file's content (no defaults filled
-    in); resolution against defaults happens when the scenario is built.
-    """
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ConfigError(f"{path}: cannot read config ({e.strerror})")
-    lines = _key_lines(path, text)
-    data = yaml.safe_load(text)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}:1: config must be a mapping of keys to values")
-
-    def where(key):
-        return f"{path}:{lines.get(key, 1)}"
-
-    task = data.get("task")
-    if task is None:
-        raise ConfigError(f"{path}:1: missing required key 'task'")
-    ok, expect = _KEY_SPECS["task"]
-    if not ok(task):
-        raise ConfigError(f"{where('task')}: task must be {expect}, got {task!r}")
-
-    allowed = _COMMON_KEYS | _task_keys(task)
-    for key, value in data.items():
-        if key not in allowed:
-            hint = ""
-            near = difflib.get_close_matches(key, sorted(allowed), n=1)
-            if near:
-                hint = f" (did you mean '{near[0]}'?)"
-            elif key in _KEY_SPECS:
-                hint = f" (not valid for task '{task}')"
-            raise ConfigError(f"{where(key)}: unknown key '{key}'{hint}")
-        check, expect = _KEY_SPECS[key]
-        if not check(value):
-            raise ConfigError(
-                f"{where(key)}: '{key}' must be {expect}, got {value!r}")
-    missing = [key for key in _REQUIRED if key not in data]
-    if task in sim.TASKS and missing:
-        raise ConfigError(f"{path}:1: task '{task}' requires '{missing[0]}'")
-    return data
-
-
-def _build_scenario(config: dict, seed: int, dt_override=None) -> sim.Scenario:
-    fields = {k: v for k, v in config.items() if k in _SCENARIO_FIELDS}
-    fields["seed"] = seed
-    if dt_override is not None:
-        fields["dt"] = dt_override
-    try:
-        return sim.Scenario(**fields)
-    except ValueError as e:
-        raise ConfigError(str(e))
-
-
-def _offline_options(config: dict) -> dict:
-    """An offline task's own keys, defaults filled in."""
-    defaults = _OFFLINE[config["task"]][1]
-    return {k: config.get(k, v) for k, v in defaults.items()}
-
 
 # --------------------------------------------------------------------------
 # Offline routines
@@ -240,6 +110,156 @@ def _run_gen_dataset(samples: int, seed: int, out: Path, quiet: bool):
     return 0
 
 
+# An offline task: its routine, its output file, its own keys with their
+# defaults, and its subcommand's help; the integer keys are also flags.
+_Offline = collections.namedtuple("_Offline", "run out defaults help")
+_OFFLINE = {
+    "filter_study": _Offline(_run_filter_study, "filter_study.csv", {
+        "steps": 2000, "sigma_grid": [10.0, 1.0, 0.1, 0.01, math.inf]},
+        "dynamics-noise sweep"),
+    "fusion_bench": _Offline(_run_fusion_bench, "fusion_bench.json", {"trials": 200},
+                             "fusion convergence histogram"),
+    "gen_dataset": _Offline(_run_gen_dataset, "dataset.csv", {"samples": 1000},
+                            "sample contact poses to CSV"),
+}
+_ALL_TASKS = sim.TASKS + tuple(_OFFLINE)
+
+
+# --------------------------------------------------------------------------
+# Config loading and validation
+
+
+def _check_positive_int(v):
+    return sim.is_integer(v) and v >= 1
+
+
+def _check_sigma_grid(v):
+    return (isinstance(v, list) and len(v) >= 1
+            and all(sim.is_number(x) and x > 0 for x in v))
+
+
+# The closed-loop schema is declared on sim.Scenario's fields.
+_SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(sim.Scenario)}
+
+# key -> (validator, human description of the expected value)
+_KEY_SPECS = {
+    **{name: (f.metadata["check"], f.metadata["expect"])
+       for name, f in _SCENARIO_FIELDS.items()},
+    "task": (lambda v: v in _ALL_TASKS, f"one of {', '.join(_ALL_TASKS)}"),
+    "trials": (_check_positive_int, "a positive integer"),
+    "steps": (lambda v: sim.is_integer(v) and v >= 2, "an integer of at least 2"),
+    "sigma_grid": (_check_sigma_grid, "a list of positive numbers (or .inf)"),
+    "samples": (_check_positive_int, "a positive integer"),
+}
+
+_COMMON_KEYS = {"task", "seed"}
+# Closed-loop keys without a default.
+_REQUIRED = [name for name, f in _SCENARIO_FIELDS.items()
+             if f.default is f.default_factory is dataclasses.MISSING]
+
+
+def _task_keys(task: str) -> set:
+    """Keys a task's config may carry besides the common ones."""
+    if task in _OFFLINE:
+        return set(_OFFLINE[task].defaults)
+    return {"trials"} | {name for name, f in _SCENARIO_FIELDS.items()
+                         if task in f.metadata["tasks"]}
+
+
+def _check_keys(task: str, items, where) -> None:
+    """Check (key, value) pairs against the schema of `task`; `where(key)`
+    locates a key in the diagnostic (a file line or a flag)."""
+    allowed = _COMMON_KEYS | _task_keys(task)
+    for key, value in items:
+        if key not in allowed:
+            if key in _KEY_SPECS:
+                hint = f" (not valid for task '{task}')"
+            else:
+                near = difflib.get_close_matches(str(key), sorted(allowed), n=1)
+                hint = f" (did you mean '{near[0]}'?)" if near else ""
+            raise ConfigError(f"{where(key)}: unknown key '{key}'{hint}")
+        check, expect = _KEY_SPECS[key]
+        if not check(value):
+            raise ConfigError(
+                f"{where(key)}: '{key}' must be {expect}, got {value!r}")
+
+
+def _key_lines(path: Path, text: str) -> dict:
+    """Top-level key -> 1-based line number, via the YAML node tree."""
+    try:
+        root = yaml.compose(text)
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        line = f":{mark.line + 1}" if mark is not None else ""
+        raise ConfigError(f"{path}{line}: not valid YAML ({e.__class__.__name__})")
+    if root is None:
+        raise ConfigError(f"{path}: config is empty")
+    if not isinstance(root, yaml.MappingNode):
+        raise ConfigError(f"{path}:1: config must be a mapping of keys to values")
+    lines = {}
+    for key_node, _ in root.value:
+        lines[key_node.value] = key_node.start_mark.line + 1
+    return lines
+
+
+def load_config(path) -> dict:
+    """Parse and validate a scenario config; raises ConfigError.
+
+    The returned dict is exactly the file's content (no defaults filled
+    in); resolution against defaults happens when the scenario is built.
+    """
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read config ({e.strerror})")
+    lines = _key_lines(path, text)
+    data = yaml.safe_load(text)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}:1: config must be a mapping of keys to values")
+
+    def where(key):
+        return f"{path}:{lines.get(str(key), 1)}"
+
+    task = data.get("task")
+    if task is None:
+        raise ConfigError(f"{path}:1: missing required key 'task'")
+    ok, expect = _KEY_SPECS["task"]
+    if not ok(task):
+        raise ConfigError(f"{where('task')}: task must be {expect}, got {task!r}")
+    _check_keys(task, data.items(), where)
+    missing = [key for key in _REQUIRED if key not in data]
+    if task in sim.TASKS and missing:
+        raise ConfigError(f"{path}:1: task '{task}' requires '{missing[0]}'")
+    return data
+
+
+def _build_scenario(config: dict, seed: int) -> sim.Scenario:
+    fields = {k: v for k, v in config.items() if k in _SCENARIO_FIELDS}
+    try:
+        return sim.Scenario(**fields | {"seed": seed})
+    except ValueError as e:
+        raise ConfigError(str(e))
+
+
+def _resolve(args) -> tuple:
+    """(config, scenarios): the file's keys, or an offline subcommand's task,
+    with the flags laid over them (and an offline task's defaults under
+    them), all checked; and one Scenario per closed-loop trial."""
+    if args.command in ("run", "validate"):
+        config = load_config(args.config)
+    else:
+        config = {"task": args.command.replace("-", "_")}
+    flags = {k: v for k, v in vars(args).items() if k in _KEY_SPECS and v is not None}
+    _check_keys(config["task"], flags.items(), lambda key: f"--{key}")
+    config.update(flags)
+    if config["task"] in _OFFLINE:
+        return _OFFLINE[config["task"]].defaults | config, []
+    seed = config.get("seed", 0)
+    return config, [_build_scenario(config, seed + i)
+                    for i in range(config.get("trials", 1))]
+
+
 # --------------------------------------------------------------------------
 # Scenario trials
 
@@ -258,19 +278,16 @@ def _aggregate(per_trial: list) -> dict:
     return summary
 
 
-def _run_trials(config: dict, stem: str, seed: int, trials: int,
-                dt_override, out_dir: Path, quiet: bool) -> int:
-    scenarios = [_build_scenario(config, seed + i, dt_override)
-                 for i in range(trials)]
+def _run_trials(scenarios: list, stem: str, out_dir: Path, quiet: bool) -> int:
     # One after another: trials are pure-Python work bound by the
     # interpreter lock, so threads would only contend for it.
     results = [sim.run_scenario(scn, np.random.Generator(np.random.PCG64(scn.seed)))
                for scn in scenarios]
 
     per_trial = []
-    for i, (traj, metrics) in enumerate(results):
+    for i, ((traj, metrics), scn) in enumerate(zip(results, scenarios)):
         traj.write_csv(out_dir / f"{stem}_trial{i}.csv")
-        metrics = dict(metrics, trial=i, seed=seed + i)
+        metrics = dict(metrics, trial=i, seed=scn.seed)
         sim.write_metrics_json(metrics, out_dir / f"{stem}_trial{i}_metrics.json")
         per_trial.append(metrics)
         if not quiet:
@@ -280,13 +297,13 @@ def _run_trials(config: dict, stem: str, seed: int, trials: int,
                 f"{k}={v:.4g}" if sim.is_number(v) else f"{k}={v}"
                 for k, v in sorted(shown.items())))
 
-    summary = {"task": config["task"], "trials": trials, "seed": seed,
-               "metrics": _aggregate(per_trial)}
+    summary = {"task": scenarios[0].task, "trials": len(scenarios),
+               "seed": scenarios[0].seed, "metrics": _aggregate(per_trial)}
     sim.write_metrics_json(summary, out_dir / f"{stem}_summary.json")
     if not quiet:
         for key, stats in summary["metrics"].items():
             print(f"{key}: {stats['mean']:.6g} +/- {stats['std']:.6g}")
-        print(f"wrote {trials} trial logs and {stem}_summary.json to {out_dir}")
+        print(f"wrote {len(scenarios)} trial logs and {stem}_summary.json to {out_dir}")
     return 0
 
 
@@ -317,17 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the control period in seconds")
     _add_common(p_run)
 
-    p_study = sub.add_parser("filter-study", help="dynamics-noise sweep")
-    p_study.add_argument("--steps", type=int)
-    _add_common(p_study)
-
-    p_bench = sub.add_parser("fusion-bench", help="fusion convergence histogram")
-    p_bench.add_argument("--trials", type=int)
-    _add_common(p_bench)
-
-    p_data = sub.add_parser("gen-dataset", help="sample contact poses to CSV")
-    p_data.add_argument("--samples", type=int)
-    _add_common(p_data)
+    for task, offline in _OFFLINE.items():
+        p = sub.add_parser(task.replace("_", "-"), help=offline.help)
+        for key, default in offline.defaults.items():
+            if sim.is_integer(default):
+                p.add_argument(f"--{key}", type=int, help=f"default {default}")
+        _add_common(p)
 
     p_val = sub.add_parser("validate", help="check a config without running")
     p_val.add_argument("config", help="scenario config file")
@@ -340,57 +352,40 @@ def _resolve_out_dir(arg) -> Path:
     return out
 
 
-def _validate_cmd(config_path) -> int:
-    config = load_config(config_path)
+def _validate_cmd(config_path, config: dict, scenarios: list) -> int:
     task = config["task"]
     print(f"{config_path}: ok")
     print(f"task: {task} (units: mm, rad, s)")
-    if task in sim.TASKS:
-        seed = config.get("seed", 0)
-        scn = _build_scenario(config, seed)
+    if scenarios:
+        scn = scenarios[0]
         print(f"duration: {scn.duration} s at dt={scn.dt:.6g} s "
               f"({int(round(scn.duration / scn.dt))} steps)")
         print(f"controller presets: {', '.join(sim.controller_presets(scn))}")
         if "switch_off_radius" in _task_keys(task):
             print(f"alignment switch-off radius: {scn.switch_off_radius:g} mm, "
                   f"termination radius: {scn.termination_radius:g} mm")
-        print(f"trials: {config.get('trials', 1)}, base seed: {seed}")
+        print(f"trials: {len(scenarios)}, base seed: {scn.seed}")
         print("would write: per-trial trajectory CSV, per-trial metrics JSON, "
               "summary JSON")
     else:
-        print(", ".join(f"{k}: {v}" for k, v in _offline_options(config).items()))
-        print(f"would write: {_OFFLINE[task][0]}")
+        print(", ".join(f"{k}: {config[k]}" for k in _OFFLINE[task].defaults))
+        print(f"would write: {_OFFLINE[task].out}")
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        config, scenarios = _resolve(args)
         if args.command == "validate":
-            return _validate_cmd(args.config)
-
-        # For config-driven runs, validate before touching the filesystem.
-        # An offline subcommand is the config of its task, from its flags.
-        if args.command == "run":
-            config = load_config(args.config)
-        else:
-            config = {"task": args.command.replace("-", "_")}
-            config.update((k, v) for k, v in vars(args).items()
-                          if k in _OFFLINE[config["task"]][1] and v is not None)
+            return _validate_cmd(args.config, config, scenarios)
         out_dir = _resolve_out_dir(args.out_dir)
-        quiet = args.quiet
-        task = config["task"]
-        seed = args.seed if args.seed is not None else config.get("seed", 0)
-        if task in _OFFLINE:
-            run = {"filter_study": _run_filter_study, "fusion_bench": _run_fusion_bench,
-                   "gen_dataset": _run_gen_dataset}[task]
-            return run(**_offline_options(config), seed=seed,
-                       out=out_dir / _OFFLINE[task][0], quiet=quiet)
-        trials = args.trials if args.trials is not None else config.get("trials", 1)
-        if trials < 1:
-            raise ConfigError("trials must be at least 1")
-        stem = Path(args.config).stem
-        return _run_trials(config, stem, seed, trials, args.dt, out_dir, quiet)
+        if scenarios:
+            return _run_trials(scenarios, Path(args.config).stem, out_dir, args.quiet)
+        offline = _OFFLINE[config["task"]]
+        return offline.run(**{k: config[k] for k in offline.defaults},
+                           seed=config.get("seed", 0), out=out_dir / offline.out,
+                           quiet=args.quiet)
     except ConfigError as e:
         print(f"se3kit: config error: {e}", file=sys.stderr)
         return 2

@@ -24,6 +24,12 @@ DEFAULT_SWITCH_OFF_RADIUS = 120.0
 DEFAULT_TERMINATION_RADIUS = 20.0
 
 
+def check_radii(switch_off_radius: float, termination_radius: float) -> None:
+    if not switch_off_radius > termination_radius > 0:
+        raise ValueError("need switch_off_radius > termination_radius > 0, got "
+                         f"{switch_off_radius!r} and {termination_radius!r}")
+
+
 def _as_gain(g) -> np.ndarray:
     """Accept a scalar, a diagonal vector, or a diagonal matrix."""
     g = np.asarray(g, dtype=float)
@@ -115,8 +121,7 @@ class PushConfig:
     termination_radius: float = DEFAULT_TERMINATION_RADIUS
 
     def __post_init__(self):
-        if not self.switch_off_radius > self.termination_radius > 0:
-            raise ValueError("need switch_off_radius > termination_radius > 0")
+        check_radii(self.switch_off_radius, self.termination_radius)
 
 
 def pose_error_local(x: Pose, x_ref: Pose) -> Pose:

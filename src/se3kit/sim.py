@@ -492,9 +492,7 @@ class Scenario:
             if not f.metadata["check"](value):
                 raise ValueError(
                     f"'{f.name}' must be {f.metadata['expect']}, got {value!r}")
-        if not self.switch_off_radius > self.termination_radius > 0:
-            raise ValueError(
-                "need switch_off_radius > termination_radius > 0")
+        control.check_radii(self.switch_off_radius, self.termination_radius)
         object.__setattr__(
             self, "observation_std", np.asarray(self.observation_std, dtype=float)
         )

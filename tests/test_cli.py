@@ -270,7 +270,8 @@ def test_run_rejects_zero_trials(tmp_path, capsys):
     path = write_config(tmp_path, TRACK_STATIC)
     rc = main(["run", path, "--out-dir", str(tmp_path / "o"), "--trials", "0"])
     assert rc == 2
-    assert "trials must be at least 1" in capsys.readouterr().err
+    assert "'trials' must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_quiet_suppresses_stdout(tmp_path, capsys):
@@ -373,6 +374,81 @@ def test_fusion_bench_histogram(tmp_path, capsys):
     hist = payload["iteration_histogram"]
     assert set(hist) == {"1", "2", "3", "4", "5"}
     assert sum(hist.values()) == 4
+
+
+# --------------------------------------------------------------------------
+# flags are config keys: one schema for the file and the command line
+
+
+def shipped(name):
+    return str(CONFIG_DIR / name)
+
+
+# (argv before --out-dir, config text or None, the start of the message:
+# the located key).  A config text is written to scenario.yaml, which
+# takes the place of "{cfg}" and prefixes a ":line:" location.
+NOT_FOR_DATASET = "unknown key 'trials' (not valid for task 'gen_dataset')"
+REJECTED_INPUTS = [
+    pytest.param(["filter-study", "--steps", "0"], None, "--steps: 'steps' must be",
+                 id="filter_study_steps_0"),
+    pytest.param(["gen-dataset", "--seed", "-1"], None, "--seed: 'seed' must be",
+                 id="gen_dataset_seed_negative"),
+    pytest.param(["fusion-bench", "--trials", "0"], None, "--trials: 'trials' must be",
+                 id="fusion_bench_trials_0"),
+    pytest.param(["gen-dataset", "--samples", "-3"], None,
+                 "--samples: 'samples' must be", id="gen_dataset_samples_negative"),
+    pytest.param(["run", shipped("track_periodic.yaml"), "--trials", "0"], None,
+                 "--trials: 'trials' must be", id="run_trials_0"),
+    pytest.param(["run", shipped("track_periodic.yaml"), "--dt", "-1"], None,
+                 "--dt: 'dt' must be", id="run_dt_negative"),
+    pytest.param(["run", shipped("dataset.yaml"), "--trials", "3", "--dt", "0.1"],
+                 None, f"--trials: {NOT_FOR_DATASET}",
+                 id="run_offline_closed_loop_flags"),
+    pytest.param(["run", shipped("filter_study.yaml"), "--seed", "-1"], None,
+                 "--seed: 'seed' must be", id="run_offline_seed_negative"),
+    pytest.param(["run", "{cfg}"], "task: gen_dataset\ntrials: 3\n",
+                 f":2: {NOT_FOR_DATASET}", id="gen_dataset_trials_key"),
+    pytest.param(["run", "{cfg}"], "task: filter_study\nsteps: 1\n",
+                 ":2: 'steps' must be", id="filter_study_steps_1"),
+    pytest.param(["run", "{cfg}"], "task: filter_study\nsigma_grid: [0, .inf]\n",
+                 ":2: 'sigma_grid' must be", id="filter_study_sigma_0"),
+    pytest.param(["run", "{cfg}"], "task: track\nduration: 1\n1: 2\n",
+                 ":3: unknown key '1'", id="non_string_key"),
+]
+
+
+@pytest.mark.parametrize("argv,text,message", REJECTED_INPUTS)
+def test_rejected_inputs_exit_2_and_create_nothing(tmp_path, capsys, argv, text,
+                                                    message):
+    if text is not None:
+        argv = [a.replace("{cfg}", write_config(tmp_path, text)) for a in argv]
+        message = str(tmp_path / "scenario.yaml") + message
+    out_dir = tmp_path / "never"
+    rc = main(argv + ["--out-dir", str(out_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"se3kit: config error: {message}")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+# The smallest offline inputs the routines accept, and the largest they refuse.
+@pytest.mark.filterwarnings("ignore:fuse input")
+@pytest.mark.parametrize("text,rc", [
+    pytest.param("task: filter_study\nsteps: 2\n", 0, id="steps_2"),
+    pytest.param("task: filter_study\nsteps: 20\nsigma_grid: [0.01, .inf]\n", 0,
+                 id="sigma_0.01"),
+    pytest.param("task: filter_study\nsteps: 1\n", 2, id="steps_1"),
+    pytest.param("task: filter_study\nsteps: 20\nsigma_grid: [0, .inf]\n", 2,
+                 id="sigma_0"),
+])
+def test_offline_boundary_agrees_in_validate_and_run(tmp_path, capsys, text, rc):
+    path = write_config(tmp_path, text)
+    assert main(["validate", path]) == rc
+    out_dir = tmp_path / "o"
+    assert main(["run", path, "--out-dir", str(out_dir), "--quiet"]) == rc
+    assert (out_dir / "filter_study.csv").exists() == (rc == 0)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
