@@ -19,7 +19,6 @@ from .errors import (
 )
 from .liegroup import (
     Pose,
-    Twist,
     ad,
     adjoint,
     bch_compose,
@@ -109,7 +108,7 @@ __all__ = [
     "ApproximationDomainError", "ConfigError", "CovarianceError",
     "DivergenceError", "GimbalLockError", "NoContactError",
     "PrincipalBranchError", "SingularTargetError", "StructureError",
-    "Pose", "Twist", "ad", "adjoint", "bch_compose", "euler_to_pose",
+    "Pose", "ad", "adjoint", "bch_compose", "euler_to_pose",
     "exp", "hat", "hat3", "inv_left_jacobian", "left_jacobian", "log",
     "pose_to_euler", "vee", "vee3",
     "EuclideanGaussian", "PoseGaussian", "density", "from_global_tangent",

@@ -78,8 +78,7 @@ def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
         prev = None
         for k in range(1, 6):
             mean_k = uncertainty.fuse(a, b, iterations=k).mean
-            if prev is not None and np.linalg.norm(
-                    log(mean_k @ prev.inverse()).vector) < 1e-10:
+            if prev is not None and np.linalg.norm(log(mean_k @ prev.inverse())) < 1e-10:
                 needed = k - 1
                 break
             prev = mean_k
@@ -102,8 +101,7 @@ def _run_gen_dataset(samples: int, seed: int, out: Path, quiet: bool):
         fh.write("x,y,z,alpha,beta,gamma,xi_0,xi_1,xi_2,xi_3,xi_4,xi_5\n")
         for _ in range(samples):
             euler = sample_contact_pose(spec, rng)
-            xi = label_pipeline(euler).vector
-            row = list(euler) + list(xi)
+            row = list(euler) + list(label_pipeline(euler))
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     if not quiet:
         print(f"wrote {samples} samples to {out}")
@@ -133,13 +131,16 @@ def _check_positive_int(v):
     return sim.is_integer(v) and v >= 1
 
 
-def _check_sigma_grid(v):
-    return (isinstance(v, list) and len(v) >= 1
-            and all(sim.is_number(x) and x > 0 for x in v))
-
-
 # The closed-loop schema is declared on sim.Scenario's fields.
 _SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(sim.Scenario)}
+
+
+def _check_sigma_grid(v):
+    # Each finite row is a dynamics noise level, checked like dynamics_sigma.
+    is_sigma = _SCENARIO_FIELDS["dynamics_sigma"].metadata["check"]
+    return (isinstance(v, list) and len(v) >= 1
+            and all(x == math.inf or is_sigma(x) for x in v))
+
 
 # key -> (validator, human description of the expected value)
 _KEY_SPECS = {
@@ -148,7 +149,8 @@ _KEY_SPECS = {
     "task": (lambda v: v in _ALL_TASKS, f"one of {', '.join(_ALL_TASKS)}"),
     "trials": (_check_positive_int, "a positive integer"),
     "steps": (lambda v: sim.is_integer(v) and v >= 2, "an integer of at least 2"),
-    "sigma_grid": (_check_sigma_grid, "a list of positive numbers (or .inf)"),
+    "sigma_grid": (_check_sigma_grid,
+                   "a list of positive numbers whose squares are finite (or .inf)"),
     "samples": (_check_positive_int, "a positive integer"),
 }
 
@@ -359,7 +361,7 @@ def _validate_cmd(config_path, config: dict, scenarios: list) -> int:
     if scenarios:
         scn = scenarios[0]
         print(f"duration: {scn.duration} s at dt={scn.dt:.6g} s "
-              f"({int(round(scn.duration / scn.dt))} steps)")
+              f"({scn.n_steps} steps)")
         print(f"controller presets: {', '.join(sim.controller_presets(scn))}")
         if "switch_off_radius" in _task_keys(task):
             print(f"alignment switch-off radius: {scn.switch_off_radius:g} mm, "

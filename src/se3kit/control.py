@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .liegroup import Pose, Twist, adjoint, euler_to_pose, log
+from .liegroup import Pose, adjoint, euler_to_pose, log
 
 # Alignment switch-off and termination radii of the pushing controller, mm.
 DEFAULT_SWITCH_OFF_RADIUS = 120.0
@@ -105,11 +105,17 @@ class PidState:
 @dataclasses.dataclass(frozen=True)
 class ServoConfig:
     """Reference contact pose (feature in the reference sensor frame),
-    feedforward twist, and the feedback PID."""
+    feedforward twist (a 6-vector), and the feedback PID."""
 
     reference_contact_pose: Pose
-    feedforward_twist: Twist
+    feedforward_twist: np.ndarray
     pid: PidConfig
+
+    def __post_init__(self):
+        ff = np.asarray(self.feedforward_twist, dtype=float)
+        if ff.shape != (6,):
+            raise ValueError(f"feedforward_twist must have shape (6,), got {ff.shape}")
+        object.__setattr__(self, "feedforward_twist", ff)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,11 +140,11 @@ def pose_error_global(x: Pose, x_ref: Pose) -> Pose:
     return x_ref @ x.inverse()
 
 
-def tangent_error_local(x: Pose, x_ref: Pose) -> Twist:
+def tangent_error_local(x: Pose, x_ref: Pose) -> np.ndarray:
     return log(pose_error_local(x, x_ref))
 
 
-def tangent_error_global(x: Pose, x_ref: Pose) -> Twist:
+def tangent_error_global(x: Pose, x_ref: Pose) -> np.ndarray:
     return log(pose_error_global(x, x_ref))
 
 
@@ -175,8 +181,7 @@ def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt: float):
     the error (decay * previous + (1-decay) * current), zero on the first
     call; output = clip(v + Kp e + Ki integral + Kd derivative).
 
-    Returns (command, new state); 6-channel commands come back as a Twist,
-    other widths as plain arrays.
+    Returns (command, new state); the command is an array of width cfg.n.
     """
     error = np.asarray(error, dtype=float)
     feedforward = np.asarray(feedforward, dtype=float)
@@ -185,10 +190,7 @@ def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt: float):
             f"error and feedforward must have shape ({cfg.n},), got "
             f"{error.shape} and {feedforward.shape}"
         )
-    out, new_state = _pid_core(cfg, state, feedforward, error, dt)
-    if out.shape == (6,):
-        return Twist.from_vector(out), new_state
-    return out, new_state
+    return _pid_core(cfg, state, feedforward, error, dt)
 
 
 def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt: float):
@@ -203,10 +205,9 @@ def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt: floa
     Returns (command twist, new PID state, error pose).
     """
     error_pose = observed_contact @ cfg.reference_contact_pose.inverse()
-    error = log(error_pose)
-    fb, new_pid = _pid_core(cfg.pid, pid, np.zeros(6), error.vector, dt)
-    command = fb + adjoint(error_pose) @ cfg.feedforward_twist.vector
-    return Twist.from_vector(command), new_pid, error_pose
+    fb, new_pid = _pid_core(cfg.pid, pid, np.zeros(6), log(error_pose), dt)
+    command = fb + adjoint(error_pose) @ cfg.feedforward_twist
+    return command, new_pid, error_pose
 
 
 def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
@@ -238,7 +239,7 @@ def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
                                      np.zeros(1), np.array([-theta]), dt)
         align = np.zeros(6)
         align[1] = out[0]
-        command = Twist.from_vector(command.vector + adjoint(error_pose) @ align)
+        command = command + adjoint(error_pose) @ align
     status = "terminated" if r < cfg.termination_radius else "running"
     return command, (new_pid, new_bearing), status
 
@@ -249,7 +250,7 @@ def _servo(euler, feedforward, pid: PidConfig) -> ServoConfig:
     # (sensor-side) pose, same as the observation pipeline.
     return ServoConfig(
         reference_contact_pose=euler_to_pose(*euler).inverse(),
-        feedforward_twist=Twist.from_vector(np.asarray(feedforward, dtype=float)),
+        feedforward_twist=feedforward,
         pid=pid,
     )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import sys
 
 import numpy as np
 
@@ -57,9 +58,9 @@ class FilterState:
 def default_dynamics_noise(sigma: float) -> DynamicsNoise:
     """Isotropic-per-block dynamics noise: sigma^2 on translation entries,
     (sigma * pi/180)^2 on rotation entries."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
     t = sigma * sigma
+    if not (sigma > 0 and t <= sys.float_info.max):
+        raise ValueError(f"sigma must be positive with a finite square, got {sigma}")
     r = t * _DEG * _DEG
     return DynamicsNoise(np.diag([t, t, t, r, r, r]))
 
@@ -126,7 +127,7 @@ def filter_study(pairs, sigma_grid, seed: int = 0) -> dict:
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ValueError("filter_study needs at least two (pose, observation) pairs")
-    true_logs = [log(x).vector for x, _ in pairs]
+    true_logs = [log(x) for x, _ in pairs]
 
     table: dict = {}
     for sigma_psi in sigma_grid:
@@ -134,17 +135,17 @@ def filter_study(pairs, sigma_grid, seed: int = 0) -> dict:
         abs_err = np.zeros(6)
         if math.isinf(sigma_psi):
             for (_, obs), true_log in zip(pairs, true_logs):
-                abs_err += np.abs(log(obs.mean).vector - true_log)
+                abs_err += np.abs(log(obs.mean) - true_log)
             table[sigma_psi] = abs_err / len(pairs)
             continue
         noise = default_dynamics_noise(sigma_psi)
         belief = pairs[0][1]
-        abs_err += np.abs(log(belief.mean).vector - true_logs[0])
+        abs_err += np.abs(log(belief.mean) - true_logs[0])
         prev_true = pairs[0][0]
         for (x_true, obs), true_log in zip(pairs[1:], true_logs[1:]):
             transition = synthetic_transition(prev_true, x_true, sigma_psi, rng)
             belief = _predict_correct(belief, obs, transition, noise)
-            abs_err += np.abs(log(belief.mean).vector - true_log)
+            abs_err += np.abs(log(belief.mean) - true_log)
             prev_true = x_true
         table[sigma_psi] = abs_err / len(pairs)
     return table

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .liegroup import Twist, euler_to_pose, log
+from .liegroup import euler_to_pose, log
 
 # Inverse standard deviations a heteroscedastic head may emit.  Outside this
 # range the NLL gradient saturates or the quadratic term overflows.
@@ -194,7 +194,7 @@ def sample_contact_pose(spec: SampleSpec, rng: np.random.Generator) -> np.ndarra
     return np.array([x, y, z, alpha, beta, gamma])
 
 
-def label_pipeline(euler) -> Twist:
+def label_pipeline(euler) -> np.ndarray:
     """Euler contact pose to regression label: invert, then take the log.
 
     The sampled pose describes the feature seen from the surface-side

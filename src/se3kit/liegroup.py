@@ -11,7 +11,6 @@ Units are mm and rad throughout the package.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -48,40 +47,6 @@ _BCH_MAX_SMALL_NORM = 0.5
 # 1e-15, so composition error is dominated by the genuine BCH truncation
 # instead of Jacobian truncation.
 _BCH_JACOBIAN_ORDER = 16
-
-
-@dataclasses.dataclass(frozen=True)
-class Twist:
-    """Tangent-space element: translational part first, rotational second."""
-
-    rho: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        if rho.shape != (3,) or phi.shape != (3,):
-            raise ValueError("rho and phi must be 3-vectors")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "phi", phi)
-
-    @classmethod
-    def from_vector(cls, v) -> "Twist":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (6,):
-            raise ValueError(f"twist vector must have shape (6,), got {v.shape}")
-        return cls(v[:3], v[3:])
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.rho, self.phi])
-
-    def __array__(self, dtype=None, copy=None):
-        vec = self.vector
-        return vec.astype(dtype) if dtype is not None else vec
-
-    def __neg__(self) -> "Twist":
-        return Twist(-self.rho, -self.phi)
 
 
 class Pose:
@@ -170,22 +135,24 @@ def vee3(m) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _as_twist(xi) -> Twist:
-    if isinstance(xi, Twist):
-        return xi
-    return Twist.from_vector(xi)
+def _twist(xi) -> np.ndarray:
+    """The one entry check for twist arguments: a float 6-vector."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (6,):
+        raise ValueError(f"twist must have shape (6,), got {xi.shape}")
+    return xi
 
 
 def hat(xi) -> np.ndarray:
-    """Twist to 4x4 Lie-algebra matrix: skew(phi) block plus rho column."""
-    xi = _as_twist(xi)
+    """6-vector twist to 4x4 algebra matrix: skew(phi) block plus rho column."""
+    xi = _twist(xi)
     m = np.zeros((4, 4))
-    m[:3, :3] = hat3(xi.phi)
-    m[:3, 3] = xi.rho
+    m[:3, :3] = hat3(xi[3:])
+    m[:3, 3] = xi[:3]
     return m
 
 
-def vee(m) -> Twist:
+def vee(m) -> np.ndarray:
     """4x4 algebra matrix back to a twist.
 
     Raises StructureError when the top-left block is not skew or the bottom
@@ -198,7 +165,7 @@ def vee(m) -> Twist:
     sym = m[:3, :3] + m[:3, :3].T
     if np.max(np.abs(sym)) > _HAT_STRUCTURE_TOL or np.max(np.abs(m[3, :])) > _HAT_STRUCTURE_TOL:
         raise StructureError("matrix does not have hat structure (skew block, zero bottom row)")
-    return Twist(m[:3, 3].copy(), vee3(m[:3, :3]))
+    return np.concatenate([m[:3, 3], vee3(m[:3, :3])])
 
 
 def _so3_coefficients(angle: float):
@@ -222,18 +189,21 @@ def exp(xi) -> Pose:
 
     Rotation by the Rodrigues formula; translation through the SO(3) left
     Jacobian V so that exp is exact for any angle (no series truncation).
+    Raises ApproximationDomainError when the rotation angle is not finite.
     """
-    xi = _as_twist(xi)
-    angle = float(np.linalg.norm(xi.phi))
+    xi = _twist(xi)
+    angle = float(np.linalg.norm(xi[3:]))
+    if not math.isfinite(angle):
+        raise ApproximationDomainError(f"rotation angle {angle} is not finite")
     a, b, c = _so3_coefficients(angle)
-    k = hat3(xi.phi)
+    k = hat3(xi[3:])
     k2 = k @ k
     rot = np.eye(3) + a * k + b * k2
     v = np.eye(3) + b * k + c * k2
-    return Pose(rot, v @ xi.rho)
+    return Pose(rot, v @ xi[:3])
 
 
-def log(p: Pose) -> Twist:
+def log(p: Pose) -> np.ndarray:
     """Logarithmic map SE(3) -> se(3), principal branch (|phi| <= pi).
 
     Raises PrincipalBranchError when the rotation angle is within 1e-6 of
@@ -260,7 +230,7 @@ def log(p: Pose) -> Twist:
         a, b, _ = _so3_coefficients(angle)
         coeff = (1.0 - 0.5 * a / b) / (angle * angle)
     v_inv = np.eye(3) - 0.5 * k + coeff * k2
-    return Twist(v_inv @ p.translation, phi)
+    return np.concatenate([v_inv @ p.translation, phi])
 
 
 def adjoint(p: Pose) -> np.ndarray:
@@ -276,11 +246,11 @@ def adjoint(p: Pose) -> np.ndarray:
 
 def ad(xi) -> np.ndarray:
     """Algebra adjoint (curly hat): block [[phi^, rho^], [0, phi^]]."""
-    xi = _as_twist(xi)
-    pk = hat3(xi.phi)
+    xi = _twist(xi)
+    pk = hat3(xi[3:])
     out = np.zeros((6, 6))
     out[:3, :3] = pk
-    out[:3, 3:] = hat3(xi.rho)
+    out[:3, 3:] = hat3(xi[:3])
     out[3:, 3:] = pk
     return out
 
@@ -308,7 +278,7 @@ def inv_left_jacobian(xi) -> np.ndarray:
     return np.eye(6) - 0.5 * x + (x @ x) / 12.0
 
 
-def bch_compose(xi1, xi2, small: str = "first") -> Twist:
+def bch_compose(xi1, xi2, small: str = "first") -> np.ndarray:
     """First-order BCH combination of log(exp(xi1) exp(xi2)).
 
     `small` flags which argument is the perturbation: "first" returns
@@ -316,12 +286,12 @@ def bch_compose(xi1, xi2, small: str = "first") -> Twist:
     argument must have norm <= 0.5; beyond that the dropped O(|small|^2)
     terms are no longer negligible and the call raises.
     """
-    xi1 = _as_twist(xi1)
-    xi2 = _as_twist(xi2)
+    xi1 = _twist(xi1)
+    xi2 = _twist(xi2)
     if small not in ("first", "second"):
         raise ValueError('small must be "first" or "second"')
     flagged = xi1 if small == "first" else xi2
-    norm = float(np.linalg.norm(flagged.vector))
+    norm = float(np.linalg.norm(flagged))
     if norm > _BCH_MAX_SMALL_NORM:
         raise ApproximationDomainError(
             f"flagged argument norm {norm:.4g} exceeds {_BCH_MAX_SMALL_NORM}; "
@@ -329,9 +299,9 @@ def bch_compose(xi1, xi2, small: str = "first") -> Twist:
         )
     if small == "first":
         j = left_jacobian(xi2, order=_BCH_JACOBIAN_ORDER)
-        return Twist.from_vector(np.linalg.solve(j, xi1.vector) + xi2.vector)
+        return np.linalg.solve(j, xi1) + xi2
     j = left_jacobian(-xi1, order=_BCH_JACOBIAN_ORDER)
-    return Twist.from_vector(xi1.vector + np.linalg.solve(j, xi2.vector))
+    return xi1 + np.linalg.solve(j, xi2)
 
 
 def _rot_x(a: float) -> np.ndarray:

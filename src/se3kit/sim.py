@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .errors import (
     PrincipalBranchError,
     SingularTargetError,
 )
-from .liegroup import Pose, Twist, exp, log
+from .gdnmath import SampleSpec, sample_contact_pose
+from .liegroup import Pose, euler_to_pose, exp, log
 from .uncertainty import PoseGaussian
 
 DEFAULT_DT = 1.0 / 30.0
@@ -56,6 +58,10 @@ _OBJECT_WIDTH = 80.0
 
 # Divergence guard: a desk-scale scenario has no business this far out.
 _WORKSPACE_LIMIT = 1e4
+
+# Longest run a scenario may ask for, in control steps (duration / dt);
+# the shipped configs use at most 3600 per trial.
+_MAX_STEPS = 1_000_000
 
 # Tall-object stability: the margin decays while the follower's depth
 # error exceeds this, recovers (slower) while within it, topples at zero.
@@ -116,6 +122,10 @@ def is_integer(v) -> bool:
 
 def _is_positive(v) -> bool:
     return is_number(v) and v > 0
+
+
+def _is_sigma(v) -> bool:
+    return _is_positive(v) and v * v <= sys.float_info.max  # a finite variance
 
 
 def _is_std6(v) -> bool:
@@ -363,14 +373,14 @@ def observe(model: ObservationModel, true_contact: Pose,
     return PoseGaussian(mean, cov)
 
 
-def leader_twist(t: float, amplitude=None, phase=None, period: float = PERIODIC_PERIOD) -> Twist:
+def leader_twist(t: float, amplitude=None, phase=None,
+                 period: float = PERIODIC_PERIOD) -> np.ndarray:
     """Sinusoidal leader velocity: (2 pi b / T) cos(2 pi t / T + phase)."""
     if period <= 0:
         raise ValueError("period must be positive")
     b = PERIODIC_AMPLITUDE if amplitude is None else np.asarray(amplitude, dtype=float)
     ph = PERIODIC_PHASE if phase is None else np.asarray(phase, dtype=float)
-    v = (2.0 * math.pi * b / period) * np.cos(2.0 * math.pi * t / period + ph)
-    return Twist.from_vector(v)
+    return (2.0 * math.pi * b / period) * np.cos(2.0 * math.pi * t / period + ph)
 
 
 def push_object_step(obj: PushedObject, pusher_delta) -> PushedObject:
@@ -418,7 +428,7 @@ def _segment_twist(t: float) -> np.ndarray:
 
 # Track profile -> base-frame leader velocity at time t.
 _LEADER_PROFILES = {
-    "periodic": lambda t: leader_twist(t).vector,
+    "periodic": leader_twist,
     "segments": _segment_twist,
     "static": lambda t: np.zeros(6),
 }
@@ -461,7 +471,7 @@ class Scenario:
     observation_std: np.ndarray = _key(_is_std6, "a list of 6 positive numbers",
                                        factory=DEFAULT_OBSERVATION_STD.copy)
     observation_multiplier: float = _key(_is_positive, "a positive number", 1.0)
-    dynamics_sigma: float = _key(_is_positive, "a positive number",
+    dynamics_sigma: float = _key(_is_sigma, "a positive number whose square is finite",
                                  filtering.DEPLOYMENT_SIGMA)
     track_profile: str = _key(lambda v: v in TRACK_PROFILES, _either(TRACK_PROFILES),
                               "periodic", ("track",))
@@ -492,10 +502,18 @@ class Scenario:
             if not f.metadata["check"](value):
                 raise ValueError(
                     f"'{f.name}' must be {f.metadata['expect']}, got {value!r}")
+        if not self.duration / self.dt <= _MAX_STEPS:
+            raise ValueError(f"'dt' must be at least duration / {_MAX_STEPS} "
+                             f"(at most {_MAX_STEPS} steps), got {self.dt!r}")
         control.check_radii(self.switch_off_radius, self.termination_radius)
         object.__setattr__(
             self, "observation_std", np.asarray(self.observation_std, dtype=float)
         )
+
+    @property
+    def n_steps(self) -> int:
+        """Control steps in one run: duration / dt, rounded."""
+        return int(round(self.duration / self.dt))
 
     def observation_model(self) -> ObservationModel:
         return ObservationModel(self.observation_std, self.observation_multiplier)
@@ -546,7 +564,6 @@ class TrajectoryLog:
         if unknown:
             raise ValueError(f"unknown scalar columns {sorted(unknown)}")
         q = _quaternion_from_rotation(pose.rotation)
-        twist = np.zeros(6) if twist is None else np.asarray(twist, dtype=float)
         row = [t, arm, *pose.translation, *q, *twist, cov_trace]
         row.extend(scalars.get(k) for k in self.scalar_columns)
         self.rows.append(row)
@@ -605,15 +622,13 @@ def _check_pose(pose: Pose, what: str) -> Pose:
     return pose
 
 
-def _integrate_body(pose: Pose, twist, dt: float, what: str) -> Pose:
-    step = np.asarray(twist, dtype=float) * dt
-    return _check_pose((pose @ exp(step)).renormalized(), what)
+def _integrate_body(pose: Pose, twist: np.ndarray, dt: float, what: str) -> Pose:
+    return _check_pose((pose @ exp(twist * dt)).renormalized(), what)
 
 
-def _integrate_base_frame(pose: Pose, twist, dt: float, what: str) -> Pose:
+def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Pose:
     """Base-frame Cartesian velocity: translation in world axes, rotation
     about the end-effector's own origin (world axes)."""
-    v = np.asarray(twist, dtype=float)
     rot = exp(np.concatenate([np.zeros(3), v[3:] * dt])).rotation
     new = Pose(rot @ pose.rotation, pose.translation + v[:3] * dt)
     return _check_pose(new.renormalized(), what)
@@ -651,7 +666,7 @@ class _Arm:
             self.filter = filtering.step(self.filter, obs, self.pose, self.noise)
         return true_fs, self.filter.belief
 
-    def servo(self, belief: PoseGaussian) -> Twist:
+    def servo(self, belief: PoseGaussian) -> np.ndarray:
         command, self.pid, _ = control.servo_step(self.cfg, self.pid, belief.mean,
                                                   self.dt)
         return command
@@ -663,8 +678,8 @@ class _Arm:
         cos = float(np.dot(self.pose.rotation[:, 2], n_w))
         return q_w, depth, math.degrees(math.acos(min(1.0, max(-1.0, cos))))
 
-    def move(self, command: Twist) -> None:
-        self.pose = _integrate_body(self.pose, command.vector, self.dt, self.name)
+    def move(self, command: np.ndarray) -> None:
+        self.pose = _integrate_body(self.pose, command, self.dt, self.name)
 
 
 def _mean(values):
@@ -676,9 +691,8 @@ def _column_means(rows, width: int) -> list:
     return [_mean([row[i] for row in rows]) for i in range(width)]
 
 
-def _mm_deg(error: Twist):
+def _mm_deg(v: np.ndarray):
     """Translational (mm) and rotational (deg) size of a tangent error."""
-    v = error.vector
     return float(np.linalg.norm(v[:3])), math.degrees(float(np.linalg.norm(v[3:])))
 
 
@@ -720,7 +734,6 @@ def run_scenario(scenario: Scenario, rng: np.random.Generator):
 
 def _run_track(scenario: Scenario, rng: np.random.Generator):
     dt = scenario.dt
-    n_steps = int(round(scenario.duration / dt))
     leader_velocity = _LEADER_PROFILES[scenario.track_profile]
     leader = Pose.identity()
     # Reference depth is 6 mm, so the follower engages exactly at reference.
@@ -734,7 +747,7 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
     steady_t = min(max(5.0, 0.5 * scenario.duration), scenario.duration)
     steady = []  # (|depth - 6|, normal angle, track mm, deg, estimate mm, deg)
 
-    for k in range(n_steps):
+    for k in range(scenario.n_steps):
         yield k
         t = k * dt
         v = leader_velocity(t)
@@ -751,7 +764,7 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
         if t >= steady_t:
             steady.append((abs(depth - 6.0), angle, *track_err, *est_err))
         log_.add(t, "leader", leader, v, None, {})
-        log_.add(t, "follower", follower.pose, command.vector,
+        log_.add(t, "follower", follower.pose, command,
                  float(np.trace(belief.cov)),
                  dict(zip(log_.scalar_columns, (depth, *track_err, *est_err))))
         follower.move(command)
@@ -759,7 +772,7 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
     depth_err, angle, track_mm, track_deg, est_mm, est_deg = _column_means(steady, 6)
     return log_, _metrics(
         scenario, depth_err, angle, track_mm is not None and track_mm < 5.0,
-        n_steps * dt, track_error_mm=track_mm, track_error_deg=track_deg,
+        scenario.n_steps * dt, track_error_mm=track_mm, track_error_deg=track_deg,
         est_error_mm=est_mm, est_error_deg=est_deg)
 
 
@@ -782,7 +795,7 @@ def _run_follow(scenario: Scenario, rng: np.random.Generator):
 
     t = 0.0
     for run_idx, ff in enumerate(passes):
-        cfg = dataclasses.replace(base, feedforward_twist=Twist.from_vector(ff))
+        cfg = dataclasses.replace(base, feedforward_twist=ff)
         sensor = _Arm("sensor", SurfaceModel(scenario.surface, radius=radius),
                       Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, rng)
         for k in range(n_steps):
@@ -792,7 +805,7 @@ def _run_follow(scenario: Scenario, rng: np.random.Generator):
             _, depth, angle = sensor.probe()
             if k * dt >= transient:
                 settled.append((abs(depth - 3.0), angle))
-            log_.add(t, "sensor", sensor.pose, command.vector,
+            log_.add(t, "sensor", sensor.pose, command,
                      float(np.trace(belief.cov)),
                      {"run": float(run_idx), "depth_mm": depth,
                       "normal_angle_deg": angle})
@@ -854,7 +867,6 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     terminated = False
     toppled = False
     margin = 1.0
-    n_steps = int(round(scenario.duration / dt))
     steps_done = 0
 
     log_ = TrajectoryLog(("bearing_rad", "target_distance_mm", "tip_distance_mm",
@@ -866,7 +878,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     follower_depth_err = []
     follower_window = 8.0
 
-    for k in range(n_steps):
+    for k in range(scenario.n_steps):
         yield k
         t = k * dt
         steps_done = k + 1
@@ -892,7 +904,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
                 cov_trace2 = float(np.trace(belief2.cov))
                 _, fdepth, _ = follower.probe()
             except NoContactError:
-                command2 = Twist.from_vector(np.array([0, 0, 5.0, 0, 0, 0]))
+                command2 = np.array([0, 0, 5.0, 0, 0, 0])
                 cov_trace2 = None
                 fdepth = None
             if t >= follower_window and fdepth is not None:
@@ -959,9 +971,9 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
             row["bearing_rad"] = math.atan2(float(np.dot(d, face.rotation[:, 1])),
                                             float(np.dot(d, face.rotation[:, 2])))
             row["depth_mm"] = depth_now
-        log_.add(t, "leader", sensor, command.vector, cov_trace, row)
+        log_.add(t, "leader", sensor, command, cov_trace, row)
         if dual:
-            log_.add(t, "follower", follower.pose, command2.vector, cov_trace2,
+            log_.add(t, "follower", follower.pose, command2, cov_trace2,
                      {"follower_depth_mm": fdepth,
                       "stability_margin": margin if tall else None})
 
@@ -996,16 +1008,11 @@ def write_metrics_json(metrics: dict, path) -> None:
         fh.write("\n")
 
 
-def make_study_sequence(n_steps: int, rng: np.random.Generator,
-                        model: ObservationModel | None = None,
-                        spec=None):
+def make_study_sequence(n_steps: int, rng: np.random.Generator):
     """Independent random contact poses with noisy observations, as
     (true sensor-side pose, observation) pairs for filter_study."""
-    from .gdnmath import SampleSpec, sample_contact_pose
-    from .liegroup import euler_to_pose
-
-    model = model if model is not None else ObservationModel()
-    spec = spec if spec is not None else SampleSpec()
+    model = ObservationModel()
+    spec = SampleSpec()
     pairs = []
     for _ in range(n_steps):
         euler = sample_contact_pose(spec, rng)

@@ -97,7 +97,7 @@ def density(pg: PoseGaussian, x: Pose) -> float:
     the distribution integrate to one over the group rather than the chart.
     """
     chol = _cholesky(pg.cov, "covariance")
-    eps = log(x @ pg.mean.inverse()).vector
+    eps = log(x @ pg.mean.inverse())
     # Mahalanobis via triangular solve; avoids forming Sigma^-1.
     w = np.linalg.solve(chol, eps)
     quad = float(w @ w)
@@ -121,7 +121,7 @@ def to_global_tangent(pg: PoseGaussian) -> EuclideanGaussian:
     mu = log(mean); the left perturbation covariance maps through the
     inverse left Jacobian: cov_hat = J^-1(mu) cov J^-T(mu).
     """
-    mu = log(pg.mean).vector
+    mu = log(pg.mean)
     jac = left_jacobian(mu, order=2)
     half = np.linalg.solve(jac, pg.cov)
     cov_hat = np.linalg.solve(jac, half.T).T
@@ -134,8 +134,6 @@ def from_global_tangent(eg: EuclideanGaussian) -> PoseGaussian:
     Uses the same truncated Jacobian as to_global_tangent so the pair
     roundtrips to machine precision rather than to truncation error.
     """
-    if eg.mean.shape != (6,):
-        raise ValueError("tangent-chart conversion needs a 6-D Gaussian")
     jac = left_jacobian(eg.mean, order=2)
     cov = jac @ eg.cov @ jac.T
     return PoseGaussian(exp(eg.mean), _symmetrize(cov))
@@ -154,16 +152,15 @@ def transform(pg: PoseGaussian, t: Pose, noise_cov=None) -> PoseGaussian:
     return PoseGaussian(t @ pg.mean, _symmetrize(cov))
 
 
-def fuse(a: PoseGaussian, b: PoseGaussian, iterations: int = _FUSE_ITERATIONS,
-         tol: float | None = None) -> PoseGaussian:
+def fuse(a: PoseGaussian, b: PoseGaussian,
+         iterations: int = _FUSE_ITERATIONS) -> PoseGaussian:
     """Merge two concentrated Gaussians by fixed-point iteration.
 
     Starting from X̄ = a.mean, each pass linearizes both factors about the
     trial solution (xi_k = log(X̄ X̄_k^-1), J_k^-1 truncated at second
     order), solves the resulting weighted least-squares problem for the
     correction mu, and re-anchors X̄ = exp(mu^) X̄.  Runs a fixed number of
-    iterations; pass `tol` to stop early once |mu| drops below it.  The
-    returned covariance is the one computed at the last executed pass.
+    iterations and returns the covariance computed at the last one.
 
     Warns when either input covariance has a top eigenvalue above 1.0:
     the concentrated assumption starts to break down there.
@@ -196,7 +193,7 @@ def fuse(a: PoseGaussian, b: PoseGaussian, iterations: int = _FUSE_ITERATIONS,
         h = np.zeros((6, 6))
         rhs = np.zeros(6)
         for inv_mean, prec in ((inv_a_mean, prec_a), (inv_b_mean, prec_b)):
-            xi = log(mean @ inv_mean).vector
+            xi = log(mean @ inv_mean)
             j_inv = inv_left_jacobian(xi)
             w = j_inv.T @ prec
             h = h + w @ j_inv
@@ -208,8 +205,6 @@ def fuse(a: PoseGaussian, b: PoseGaussian, iterations: int = _FUSE_ITERATIONS,
         cov = _symmetrize(cov)
         mu = -(cov @ rhs)
         mean = exp(mu) @ mean
-        if tol is not None and float(np.linalg.norm(mu)) < tol:
-            break
     return PoseGaussian(mean, cov)
 
 

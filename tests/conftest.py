@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from se3kit.liegroup import Twist, Pose, exp
+from se3kit.liegroup import Pose, exp
 
 # Rotation magnitudes stay inside the principal branch with margin so
 # roundtrip tests never trip the near-pi guard.
@@ -18,7 +18,7 @@ def random_twist(rng, rho_scale=5.0, phi_cap=ROT_CAP):
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     phi = axis * rng.uniform(0.0, phi_cap)
-    return Twist.from_vector(np.concatenate([rho, phi]))
+    return np.concatenate([rho, phi])
 
 
 def random_pose(rng, rho_scale=5.0, phi_cap=ROT_CAP) -> Pose:

@@ -22,7 +22,7 @@ def product_mode_oracle(a: PoseGaussian, b: PoseGaussian,
     with per-axis step halving needs nothing from the fusion code under
     test beyond density evaluation.
     """
-    delta_b = log(b.mean @ a.mean.inverse()).vector
+    delta_b = log(b.mean @ a.mean.inverse())
 
     def objective(d):
         x = exp(d) @ a.mean
@@ -55,4 +55,4 @@ def product_mode_oracle(a: PoseGaussian, b: PoseGaussian,
 
 def mean_discrepancy(x, y) -> float:
     """Tangent-space distance between two poses."""
-    return float(np.linalg.norm(log(x @ y.inverse()).vector))
+    return float(np.linalg.norm(log(x @ y.inverse())))

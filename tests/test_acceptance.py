@@ -62,7 +62,7 @@ def test_criterion_1_lie_group_suite():
     worst_rt = 0.0
     for i in range(n):
         xi = np.concatenate([rhos[i], angles[i] * axes[i]])
-        err = float(np.linalg.norm(log(exp(xi)).vector - xi))
+        err = float(np.linalg.norm(log(exp(xi)) - xi))
         if err > worst_rt:
             worst_rt = err
 
@@ -85,8 +85,8 @@ def test_criterion_1_lie_group_suite():
             unit = rng.standard_normal(6)
             unit /= np.linalg.norm(unit)
             xi2 = eps * unit
-            approx = bch_compose(xi1, xi2, small="second").vector
-            exact = log(exp(xi1) @ exp(xi2)).vector
+            approx = bch_compose(xi1, xi2, small="second")
+            exact = log(exp(xi1) @ exp(xi2))
             errs.append(np.linalg.norm(approx - exact))
         mean_errs.append(np.mean(errs))
     slope = float(np.polyfit(np.log(eps_grid), np.log(mean_errs), 1)[0])
@@ -152,7 +152,7 @@ def test_criterion_3_euclidean_limit():
             b = PoseGaussian(exp(r * v), s * sb)
             fused = fuse(a, b)
             prod = gaussian_product(to_global_tangent(a), to_global_tangent(b))
-            ds.append(np.linalg.norm(log(fused.mean).vector - prod.mean))
+            ds.append(np.linalg.norm(log(fused.mean) - prod.mean))
         mean_disc.append(float(np.mean(ds)))
 
     slope = float(np.polyfit(np.log(scales), np.log(mean_disc), 1)[0])
@@ -202,10 +202,10 @@ def test_criterion_5_controller_suite():
     cfg = preset("tracking")
     ff = np.array([0.3, -1.2, 4.0, 0.01, -0.02, 0.05])
     out, _ = pid_step(cfg.pid, PidState.initial(6), ff, np.zeros(6), dt)
-    passthrough = bool(np.array_equal(out.vector, ff))
+    passthrough = bool(np.array_equal(out, ff))
     twist_cmd, _, _ = servo_step(cfg, PidState.initial(6),
                                  cfg.reference_contact_pose, dt)
-    servo_zero = bool(np.allclose(twist_cmd.vector, cfg.feedforward_twist.vector,
+    servo_zero = bool(np.allclose(twist_cmd, cfg.feedforward_twist,
                                   atol=1e-12))
 
     # Proportional linearity before clipping.
@@ -214,7 +214,7 @@ def test_criterion_5_controller_suite():
     e = np.array([0.4, -0.2, 1.0, 0.05, -0.1, 0.3])
     one, _ = pid_step(lin_pid, PidState.initial(6), np.zeros(6), e, dt)
     scaled, _ = pid_step(lin_pid, PidState.initial(6), np.zeros(6), 3.7 * e, dt)
-    linear = bool(np.allclose(scaled.vector, 3.7 * one.vector, rtol=1e-12))
+    linear = bool(np.allclose(scaled, 3.7 * one, rtol=1e-12))
 
     # Anti-windup: the integral never leaves its clip interval.
     aw_pid = control.PidConfig(kp=np.zeros(6), ki=np.full(6, 0.5),
@@ -236,7 +236,7 @@ def test_criterion_5_controller_suite():
                       np.zeros(6), e1, dt)
     want = (np.array([5, 5, 5, 2, 2, 0]) * e1
             + np.array([0.5, 0.5, 0.5, 0.2, 0.2, 0.2]) * e1 * dt)
-    presets_ok = bool(np.allclose(got.vector, want, rtol=1e-12))
+    presets_ok = bool(np.allclose(got, want, rtol=1e-12))
     scalar = preset("push_pid2_single")
     got_s, _ = pid_step(scalar, PidState.initial(1), np.zeros(1),
                         np.array([2.0]), 0.5)
@@ -330,7 +330,7 @@ def test_criterion_7_track(monkeypatch):
 
     def recording_servo_step(cfg, pid, observed_contact, dt):
         out = servo_step_(cfg, pid, observed_contact, dt)
-        servo_errors.append(log(out[2]).vector)
+        servo_errors.append(log(out[2]))
         return out
 
     monkeypatch.setattr(control, "servo_step", recording_servo_step)

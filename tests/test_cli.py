@@ -159,6 +159,8 @@ REJECTED = [
     ("track", "seed", -1),
     ("follow", "surface_radius", 0),
     ("push_dual", "tall", "yes"),
+    ("track", "dt", 1.0e-300),
+    ("track", "dynamics_sigma", 1.0e+300),
 ]
 
 
@@ -303,17 +305,22 @@ def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:fuse input")
-@pytest.mark.parametrize("text", [
-    pytest.param("task: track\nduration: 10\ndt: 0.5\n", id="coarse_dt"),
+@pytest.mark.parametrize("text,task,cause", [
+    pytest.param("task: track\nduration: 10\ndt: 0.5\n", "track", "NoContactError",
+                 id="coarse_dt"),
     pytest.param("task: track\nduration: 5\nobservation_std: [5, 5, 5, 1, 1, 1]\n",
-                 id="noisy_observations"),
+                 "track", "NoContactError", id="noisy_observations"),
+    pytest.param("task: track\nduration: 1.0e+300\ndt: 1.0e+299\n", "track",
+                 "ApproximationDomainError", id="huge_leader_step"),
+    pytest.param("task: push_dual\nduration: 5\nobject_r0: 1.0e-300\n", "push_dual",
+                 "ApproximationDomainError", id="tiny_object_r0"),
 ])
-def test_lost_contact_maps_to_exit_3(tmp_path, capsys, text):
+def test_lost_contact_maps_to_exit_3(tmp_path, capsys, text, task, cause):
     rc = main(["run", write_config(tmp_path, text), "--out-dir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
-    assert err.startswith("se3kit: diverged: track step ")
-    assert "NoContactError" in err
+    assert err.startswith(f"se3kit: diverged: {task} step ")
+    assert cause in err
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +340,7 @@ def test_filter_study_csv_layout_and_inf_row(tmp_path, capsys):
 
     # the inf row bypasses the filter: raw observation MAE, bit for bit
     pairs = sim.make_study_sequence(40, np.random.default_rng(0))
-    raw = np.mean([np.abs(log(obs.mean).vector - log(true).vector)
+    raw = np.mean([np.abs(log(obs.mean) - log(true))
                    for true, obs in pairs], axis=0)
     written = np.array([float(v) for v in inf_rows[0].split(",")[1:]])
     assert np.array_equal(written, raw)
@@ -412,6 +419,8 @@ REJECTED_INPUTS = [
                  ":2: 'steps' must be", id="filter_study_steps_1"),
     pytest.param(["run", "{cfg}"], "task: filter_study\nsigma_grid: [0, .inf]\n",
                  ":2: 'sigma_grid' must be", id="filter_study_sigma_0"),
+    pytest.param(["run", "{cfg}"], "task: filter_study\nsteps: 3\nsigma_grid: [1.0e+300]\n",
+                 ":3: 'sigma_grid' must be", id="filter_study_sigma_overflow"),
     pytest.param(["run", "{cfg}"], "task: track\nduration: 1\n1: 2\n",
                  ":3: unknown key '1'", id="non_string_key"),
 ]

@@ -11,7 +11,7 @@ from se3kit.control import (PidConfig, PidState, PushConfig, ServoConfig,
                             pid_step, pose_error_global, pose_error_local,
                             preset, preset_names, push_step, servo_step,
                             tangent_error_global, tangent_error_local)
-from se3kit.liegroup import Pose, Twist, adjoint, euler_to_pose, exp
+from se3kit.liegroup import Pose, ad, adjoint, euler_to_pose, exp
 
 from conftest import random_pose
 
@@ -44,18 +44,18 @@ def test_local_error_recovers_reference(rng):
 
 def test_tangent_error_zero_and_translation(rng):
     x = random_pose(rng)
-    assert np.allclose(tangent_error_local(x, x).vector, 0.0, atol=1e-9)
+    assert np.allclose(tangent_error_local(x, x), 0.0, atol=1e-9)
     base = Pose.identity()
     ref = exp(np.array([4.0, 0, 0, 0, 0, 0]))
     for fn in (tangent_error_local, tangent_error_global):
-        assert np.allclose(fn(base, ref).vector, [4, 0, 0, 0, 0, 0], atol=1e-12)
+        assert np.allclose(fn(base, ref), [4, 0, 0, 0, 0, 0], atol=1e-12)
 
 
 def test_global_error_is_adjoint_of_local(rng):
     for _ in range(20):
         x, ref = random_pose(rng), random_pose(rng)
-        g = tangent_error_global(x, ref).vector
-        l = tangent_error_local(x, ref).vector
+        g = tangent_error_global(x, ref)
+        l = tangent_error_local(x, ref)
         assert np.allclose(g, adjoint(x) @ l, atol=1e-9)
 
 
@@ -65,14 +65,14 @@ def test_pid_zero_error_passes_feedforward():
     cfg = PidConfig(kp=[5, 5, 5, 2, 2, 0], ki=0.5 * np.ones(6), kd=0.5 * np.ones(6))
     ff = np.array([1.0, -2.0, 3.0, 0.1, 0.0, 0.5])
     out, _ = pid_step(cfg, PidState.initial(), ff, np.zeros(6), DT)
-    assert np.array_equal(out.vector, ff)
+    assert np.array_equal(out, ff)
 
 
 def test_pid_kp_only_gain_row():
     cfg = PidConfig(kp=[5, 5, 5, 2, 2, 0], ki=np.zeros(6), kd=np.zeros(6))
     e = np.array([1, 1, 1, 0.1, 0.1, 0.1])
     out, _ = pid_step(cfg, PidState.initial(), np.zeros(6), e, DT)
-    assert np.allclose(out.vector, [5, 5, 5, 0.2, 0.2, 0], atol=1e-15)
+    assert np.allclose(out, [5, 5, 5, 0.2, 0.2, 0], atol=1e-15)
 
 
 def test_pid_integral_saturates():
@@ -106,7 +106,7 @@ def test_pid_proportional_linearity(rng):
         k = rng.uniform(-10, 10)
         out1, _ = pid_step(cfg, PidState.initial(), np.zeros(6), e, DT)
         outk, _ = pid_step(cfg, PidState.initial(), np.zeros(6), k * e, DT)
-        assert np.allclose(outk.vector, k * out1.vector, rtol=1e-12, atol=1e-12)
+        assert np.allclose(outk, k * out1, rtol=1e-12, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=60)
@@ -127,12 +127,21 @@ def test_pid_output_clip():
 
 
 def test_pid_return_types():
-    cfg6 = PidConfig(kp=np.ones(6), ki=np.zeros(6), kd=np.zeros(6))
-    out6, _ = pid_step(cfg6, PidState.initial(), np.zeros(6), np.ones(6), DT)
-    assert isinstance(out6, Twist)
-    cfg1 = PidConfig(kp=1.0, ki=0.0, kd=0.0)
-    out1, _ = pid_step(cfg1, PidState.initial(1), np.zeros(1), np.ones(1), DT)
-    assert isinstance(out1, np.ndarray) and out1.shape == (1,)
+    for n in (1, 3, 6):
+        cfg = PidConfig(kp=np.ones(n), ki=np.zeros(n), kd=np.zeros(n))
+        out, _ = pid_step(cfg, PidState.initial(n), np.zeros(n), np.ones(n), DT)
+        assert isinstance(out, np.ndarray) and out.shape == (n,)
+
+
+def test_wrong_shape_twist_rejected():
+    for bad in (np.zeros(5), np.zeros((6, 1)), np.zeros(7)):
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            exp(bad)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            ad(bad)
+        with pytest.raises(ValueError, match=r"shape \(6,\)"):
+            ServoConfig(reference_contact_pose=Pose.identity(),
+                        feedforward_twist=bad, pid=preset("tracking").pid)
 
 
 def test_pid_validates_inputs():
@@ -163,17 +172,17 @@ def test_pid_config_validation():
 def test_servo_zero_error_zero_feedforward():
     cfg = preset("tracking")
     cmd, _, err = servo_step(cfg, PidState.initial(), cfg.reference_contact_pose, DT)
-    assert np.allclose(cmd.vector, 0.0, atol=1e-12)
+    assert np.allclose(cmd, 0.0, atol=1e-12)
     assert np.allclose(err.matrix, np.eye(4), atol=1e-12)
 
 
 def test_servo_feedforward_passthrough():
     base = preset("surface_follow")
     cfg = ServoConfig(reference_contact_pose=base.reference_contact_pose,
-                      feedforward_twist=Twist.from_vector([0, 10, 0, 0, 0, 0]),
+                      feedforward_twist=[0, 10, 0, 0, 0, 0],
                       pid=base.pid)
     cmd, _, _ = servo_step(cfg, PidState.initial(), cfg.reference_contact_pose, DT)
-    assert np.allclose(cmd.vector, [0, 10, 0, 0, 0, 0], atol=1e-12)
+    assert np.allclose(cmd, [0, 10, 0, 0, 0, 0], atol=1e-12)
 
 
 def scalar_pid_trace(errors, kp, ki, kd, dt, decay=0.5):
@@ -200,20 +209,20 @@ def test_servo_depth_channel_matches_scalar_trace():
     for depth, want in zip(depths, expected):
         observed = exp(np.array([0, 0, depth, 0, 0, 0.0])) @ cfg.reference_contact_pose
         cmd, state, _ = servo_step(cfg, state, observed, DT)
-        assert cmd.vector[2] == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert np.allclose(cmd.vector[[0, 1, 3, 4, 5]], 0.0, atol=1e-12)
+        assert cmd[2] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert np.allclose(cmd[[0, 1, 3, 4, 5]], 0.0, atol=1e-12)
 
 
 def test_servo_output_clip_spares_feedforward():
     pid = PidConfig(kp=np.ones(6), ki=np.zeros(6), kd=np.zeros(6),
                     output_clip=(-1, 1))
     cfg = ServoConfig(reference_contact_pose=Pose.identity(),
-                      feedforward_twist=Twist.from_vector([0, 10, 0, 0, 0, 0]),
+                      feedforward_twist=[0, 10, 0, 0, 0, 0],
                       pid=pid)
     observed = exp(np.array([5.0, 0, 0, 0, 0, 0]))
     cmd, _, _ = servo_step(cfg, PidState.initial(), observed, DT)
-    assert cmd.vector[0] == pytest.approx(1.0)   # feedback saturated
-    assert cmd.vector[1] == pytest.approx(10.0)  # feedforward untouched
+    assert cmd[0] == pytest.approx(1.0)   # feedback saturated
+    assert cmd[1] == pytest.approx(10.0)  # feedforward untouched
 
 
 # -------------------------------------------------------------- push_step
@@ -236,7 +245,7 @@ def test_push_target_dead_ahead_matches_servo():
     observed = cfg.servo.reference_contact_pose
     cmd, _, status = push_step(cfg, pid, bearing, observed, Pose.identity(), DT)
     servo_cmd, _, _ = servo_step(cfg.servo, PidState.initial(), observed, DT)
-    assert np.array_equal(cmd.vector, servo_cmd.vector)
+    assert np.array_equal(cmd, servo_cmd)
     assert status == "running"
 
 
@@ -249,7 +258,7 @@ def test_push_bearing_in_degrees():
     observed = cfg.servo.reference_contact_pose  # identity error pose
     servo_cmd, _, _ = servo_step(cfg.servo, PidState.initial(), observed, DT)
     cmd, _, status = push_step(cfg, *fresh_states(), observed, Pose.identity(), DT)
-    assert cmd.vector[1] - servo_cmd.vector[1] == pytest.approx(-45.0, abs=1e-12)
+    assert cmd[1] - servo_cmd[1] == pytest.approx(-45.0, abs=1e-12)
     assert status == "running"
 
 
@@ -260,7 +269,7 @@ def test_push_alignment_off_inside_switch_radius():
     cmd, (_, new_bearing), status = push_step(cfg, pid, bearing, observed,
                                               Pose.identity(), DT)
     servo_cmd, _, _ = servo_step(cfg.servo, PidState.initial(), observed, DT)
-    assert np.array_equal(cmd.vector, servo_cmd.vector)
+    assert np.array_equal(cmd, servo_cmd)
     assert status == "running"
     # frozen loop: state unchanged, still uninitialized
     assert not new_bearing.initialized
@@ -281,7 +290,7 @@ def test_push_command_continuous_away_from_switch():
         bumped = push_config((0, y + 1e-6, 160))
         c0, _, _ = push_step(base, *fresh_states(), observed, Pose.identity(), DT)
         c1, _, _ = push_step(bumped, *fresh_states(), observed, Pose.identity(), DT)
-        assert np.linalg.norm(c1.vector - c0.vector) < 1e-3
+        assert np.linalg.norm(c1 - c0) < 1e-3
 
 
 def test_push_config_validates_radii():
@@ -303,7 +312,7 @@ def test_two_controller_instances_share_nothing():
                                           Pose.identity(), DT)
     cmd_b, _, _ = push_step(cfg, pid_b, bear_b, observed, Pose.identity(), DT)
     cmd_solo, _, _ = push_step(cfg, *fresh_states(), observed, Pose.identity(), DT)
-    assert np.array_equal(cmd_b.vector, cmd_solo.vector)
+    assert np.array_equal(cmd_b, cmd_solo)
 
 
 # ---------------------------------------------------------------- presets
@@ -331,7 +340,7 @@ def assert_servo_preset(name, kp, ki, kd, iclip, ref_euler, ff):
     assert cfg.pid.output_clip is None
     expected_ref = euler_to_pose(*ref_euler).inverse()
     assert np.array_equal(cfg.reference_contact_pose.matrix, expected_ref.matrix)
-    assert np.array_equal(cfg.feedforward_twist.vector, ff)
+    assert np.array_equal(cfg.feedforward_twist, ff)
 
 
 def test_tracking_preset_table():

@@ -44,6 +44,8 @@ def test_default_dynamics_noise_rejects_nonpositive():
         default_dynamics_noise(0.0)
     with pytest.raises(ValueError):
         default_dynamics_noise(-1.0)
+    with pytest.raises(ValueError, match="finite square"):
+        default_dynamics_noise(1.0e+300)  # the variance overflows
 
 
 def test_dynamics_noise_requires_psd():
@@ -174,7 +176,7 @@ def test_synthetic_transition_noise_covariance(rng):
     draws = np.empty((n, 6))
     for i in range(n):
         t = synthetic_transition(x_prev, x_now, sigma, rng)
-        draws[i] = log(t @ delta_inv).vector
+        draws[i] = log(t @ delta_inv)
     expected = default_dynamics_noise(sigma).cov
     emp = np.cov(draws.T)
     assert np.linalg.norm(emp - expected) / np.linalg.norm(expected) < 0.05
@@ -187,7 +189,7 @@ def test_filter_study_inf_row_is_raw_mae(rng):
     table = filter_study(pairs, (math.inf,), seed=0)
     raw = np.zeros(6)
     for x_true, obs in pairs:
-        raw += np.abs(log(obs.mean).vector - log(x_true).vector)
+        raw += np.abs(log(obs.mean) - log(x_true))
     raw /= len(pairs)
     assert np.array_equal(table[math.inf], raw)
 

@@ -253,12 +253,12 @@ def test_sample_spec_validation():
 # ----------------------------------------------------------- label pipeline
 
 def test_label_pipeline_zero():
-    assert np.array_equal(label_pipeline(np.zeros(6)).vector, np.zeros(6))
+    assert np.array_equal(label_pipeline(np.zeros(6)), np.zeros(6))
 
 
 def test_label_pipeline_pure_depth():
     xi = label_pipeline(np.array([0, 0, 3.0, 0, 0, 0]))
-    assert np.allclose(xi.vector, [0, 0, -3, 0, 0, 0], atol=1e-12)
+    assert np.allclose(xi, [0, 0, -3, 0, 0, 0], atol=1e-12)
 
 
 def test_label_pipeline_roundtrip(rng):

@@ -8,7 +8,7 @@ from scipy.spatial.transform import Rotation
 
 from se3kit.errors import (ApproximationDomainError, GimbalLockError,
                            PrincipalBranchError, StructureError)
-from se3kit.liegroup import (Pose, Twist, ad, adjoint, bch_compose,
+from se3kit.liegroup import (Pose, ad, adjoint, bch_compose,
                              euler_to_pose, exp, hat, hat3, inv_left_jacobian,
                              left_jacobian, log, pose_to_euler, vee, vee3)
 
@@ -45,16 +45,16 @@ def test_hat_unit_rotation_x():
 def test_hat_vee_roundtrip(rng):
     for _ in range(1000):
         xi = rng.normal(size=6)
-        assert np.array_equal(vee(hat(xi)).vector, xi)
+        assert np.array_equal(vee(hat(xi)), xi)
 
 
 def test_vee_zero():
-    assert np.array_equal(vee(np.zeros((4, 4))).vector, np.zeros(6))
+    assert np.array_equal(vee(np.zeros((4, 4))), np.zeros(6))
 
 
 def test_vee_known():
     xi = np.array([1, 2, 3, 0.1, 0.2, 0.3])
-    assert np.array_equal(vee(hat(xi)).vector, xi)
+    assert np.array_equal(vee(hat(xi)), xi)
 
 
 def test_vee_rejects_symmetric_block():
@@ -115,22 +115,22 @@ def test_exp_taylor_guard_continuity():
 # ------------------------------------------------------------------- log
 
 def test_log_identity():
-    assert np.array_equal(log(Pose.identity()).vector, np.zeros(6))
+    assert np.array_equal(log(Pose.identity()), np.zeros(6))
 
 
 def test_log_matches_scipy_logm(rng):
     for _ in range(100):
         p = random_pose(rng)
-        xi_ref = vee(np.real(logm(p.matrix))).vector
-        assert np.allclose(log(p).vector, xi_ref, atol=1e-8)
+        xi_ref = vee(np.real(logm(p.matrix)))
+        assert np.allclose(log(p), xi_ref, atol=1e-8)
 
 
 def test_exp_log_roundtrip(rng):
     worst = 0.0
     for _ in range(2000):
         xi = random_twist(rng, rho_scale=10.0)
-        back = log(exp(xi)).vector
-        worst = max(worst, np.linalg.norm(back - xi.vector))
+        back = log(exp(xi))
+        worst = max(worst, np.linalg.norm(back - xi))
     assert worst < ROUNDTRIP_TOL
 
 
@@ -144,7 +144,7 @@ def test_log_near_branch_boundary():
     # Just inside the guard band still works (conditioning is naturally
     # weaker this close to pi); inside the band it raises.
     ok = exp(np.array([0, 0, 0, 0, 0, np.pi - 1e-4]))
-    assert abs(log(ok).vector[5] - (np.pi - 1e-4)) < 1e-7
+    assert abs(log(ok)[5] - (np.pi - 1e-4)) < 1e-7
     with pytest.raises(PrincipalBranchError):
         log(exp(np.array([0, 0, 0, 0, 0, np.pi - 1e-7])))
 
@@ -181,7 +181,7 @@ def test_adjoint_transports_twists(rng):
     for _ in range(100):
         x = random_pose(rng)
         xi = random_twist(rng, rho_scale=0.5, phi_cap=0.5)
-        lhs = exp(adjoint(x) @ xi.vector).matrix
+        lhs = exp(adjoint(x) @ xi).matrix
         rhs = (x @ exp(xi) @ x.inverse()).matrix
         assert np.allclose(lhs, rhs, atol=1e-10)
 
@@ -202,7 +202,7 @@ def test_ad_unit_z_blocks():
 def test_ad_is_bracket(rng):
     x, y = rng.normal(size=6), rng.normal(size=6)
     lhs = ad(x) @ y
-    rhs = vee(hat(x) @ hat(y) - hat(y) @ hat(x)).vector
+    rhs = vee(hat(x) @ hat(y) - hat(y) @ hat(x))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -286,29 +286,29 @@ def test_inv_left_jacobian_vs_numerical_inverse(rng):
 
 def test_bch_zero_first_argument(rng):
     xi2 = random_twist(rng, rho_scale=1.0, phi_cap=1.0)
-    out = bch_compose(np.zeros(6), xi2.vector, small="first")
-    assert np.allclose(out.vector, xi2.vector, atol=1e-12)
+    out = bch_compose(np.zeros(6), xi2, small="first")
+    assert np.allclose(out, xi2, atol=1e-12)
 
 
 def test_bch_both_zero():
-    assert np.allclose(bch_compose(np.zeros(6), np.zeros(6)).vector, 0, atol=0)
+    assert np.allclose(bch_compose(np.zeros(6), np.zeros(6)), 0, atol=0)
 
 
 def test_bch_vs_exact_log(rng):
     for _ in range(50):
         xi1 = random_twist(rng, rho_scale=0.01, phi_cap=0.01)
         xi2 = random_twist(rng, rho_scale=1.0, phi_cap=1.0)
-        approx = bch_compose(xi1.vector, xi2.vector, small="first")
-        exact = log(exp(xi1) @ exp(xi2)).vector
-        assert np.linalg.norm(approx.vector - exact) < 1e-4
+        approx = bch_compose(xi1, xi2, small="first")
+        exact = log(exp(xi1) @ exp(xi2))
+        assert np.linalg.norm(approx - exact) < 1e-4
 
 
 def test_bch_second_argument_flag(rng):
     xi1 = random_twist(rng, rho_scale=1.0, phi_cap=1.0)
     xi2 = random_twist(rng, rho_scale=0.01, phi_cap=0.01)
-    approx = bch_compose(xi1.vector, xi2.vector, small="second")
-    exact = log(exp(xi1) @ exp(xi2)).vector
-    assert np.linalg.norm(approx.vector - exact) < 1e-4
+    approx = bch_compose(xi1, xi2, small="second")
+    exact = log(exp(xi1) @ exp(xi2))
+    assert np.linalg.norm(approx - exact) < 1e-4
 
 
 def test_bch_domain_error():
@@ -373,11 +373,6 @@ def test_pose_renormalized_restores_orthonormality(rng):
     assert np.linalg.det(r) > 0
 
 
-def test_twist_negation(rng):
-    xi = random_twist(rng)
-    assert np.array_equal((-xi).vector, -xi.vector)
-
-
 # ----------------------------------------------------- hypothesis sweeps
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -388,7 +383,7 @@ small_angle = st.floats(min_value=-1.5, max_value=1.5, allow_nan=False)
 @settings(max_examples=300, deadline=None)
 def test_property_exp_log_roundtrip(coords):
     xi = np.array(coords)
-    assert np.linalg.norm(log(exp(xi)).vector - xi) < ROUNDTRIP_TOL
+    assert np.linalg.norm(log(exp(xi)) - xi) < ROUNDTRIP_TOL
 
 
 @given(st.tuples(finite, finite, finite, small_angle, small_angle, small_angle))

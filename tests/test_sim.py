@@ -198,7 +198,7 @@ def observation_errors():
         whitened = np.empty((10000, 6))
         for i in range(10000):
             obs = observe(model, true, rng)
-            err = log(obs.mean @ true).vector  # recovers the injected twist
+            err = log(obs.mean @ true)  # recovers the injected twist
             errors[i] = err
             whitened[i] = np.linalg.solve(np.linalg.cholesky(obs.cov), err)
         out.append((errors, whitened))
@@ -239,7 +239,7 @@ def test_observation_model_validation():
 # ------------------------------------------------------------ leader twist
 
 def test_leader_twist_reference_values():
-    v = leader_twist(0.0).vector
+    v = leader_twist(0.0)
     assert v[0] == pytest.approx(0.0, abs=1e-12)          # quarter phase
     assert v[1] == pytest.approx(2 * math.pi * 75 / 30, rel=1e-12)
     assert v[3] == pytest.approx(2 * math.pi * math.radians(25) / 30, rel=1e-12)
@@ -247,7 +247,7 @@ def test_leader_twist_reference_values():
 
 def test_leader_twist_period_integral_vanishes():
     ts = np.linspace(0.0, 30.0, 3001)
-    vals = np.stack([leader_twist(float(t)).vector for t in ts])
+    vals = np.stack([leader_twist(float(t)) for t in ts])
     integral = np.trapezoid(vals, ts, axis=0)
     assert np.all(np.abs(integral) < 1e-6)
 
@@ -255,7 +255,7 @@ def test_leader_twist_period_integral_vanishes():
 def test_leader_twist_custom_and_errors():
     v = leader_twist(2.5, amplitude=np.ones(6), phase=np.zeros(6), period=10.0)
     expected = (2 * math.pi / 10.0) * math.cos(2 * math.pi * 2.5 / 10.0)
-    assert np.allclose(v.vector, expected, atol=1e-15)
+    assert np.allclose(v, expected, atol=1e-15)
     with pytest.raises(ValueError):
         leader_twist(0.0, period=0.0)
 
@@ -456,7 +456,7 @@ def test_make_study_sequence_contract(rng):
         contact = true_pose.inverse()  # feature-frame pose of the sensor
         depth = contact.translation[2]
         assert 0.5 <= depth <= 6.0
-        err = log(obs.mean @ true_pose.inverse()).vector
+        err = log(obs.mean @ true_pose.inverse())
         assert np.linalg.norm(err) < 5.0
 
 
