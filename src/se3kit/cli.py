@@ -31,7 +31,7 @@ import numpy as np
 import yaml
 
 from . import filtering, sim, uncertainty
-from .errors import ConfigError, DivergenceError
+from .errors import DOMAIN_ERRORS, ConfigError, DivergenceError
 from .gdnmath import SampleSpec, label_pipeline, sample_contact_pose
 from .liegroup import exp, log
 
@@ -69,20 +69,24 @@ def _random_concentrated_pair(rng):
 def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
     rng = np.random.default_rng(seed)
     pairs = [_random_concentrated_pair(rng) for _ in range(trials)]
+    a = uncertainty.PoseGaussian.stack(first for first, _ in pairs)
+    b = uncertainty.PoseGaussian.stack(second for _, second in pairs)
 
     # Convergence profile, measured from outside: the first iteration
-    # budget whose fused mean matches the next one's to 1e-10.
-    histogram = {str(k): 0 for k in range(1, 6)}
-    for a, b in pairs:
-        needed = 5
-        prev = None
-        for k in range(1, 6):
-            mean_k = uncertainty.fuse(a, b, iterations=k).mean
-            if prev is not None and np.linalg.norm(log(mean_k @ prev.inverse())) < 1e-10:
-                needed = k - 1
-                break
-            prev = mean_k
-        histogram[str(needed)] += 1
+    # budget whose fused mean matches the next one's to 1e-10.  All pairs
+    # fuse as one stack per budget.
+    needed = np.full(trials, 5)
+    settled = np.zeros(trials, dtype=bool)
+    prev = None
+    for k in range(1, 6):
+        mean_k = uncertainty.fuse(a, b, iterations=k).mean
+        if prev is not None:
+            step = np.linalg.norm(log(mean_k @ prev.inverse()), axis=-1)
+            now = ~settled & (step < 1e-10)
+            needed[now] = k - 1
+            settled |= now
+        prev = mean_k
+    histogram = {str(k): int(np.count_nonzero(needed == k)) for k in range(1, 6)}
 
     sim.write_metrics_json(
         {"trials": trials, "seed": seed, "iteration_histogram": histogram}, out)
@@ -385,9 +389,12 @@ def main(argv=None) -> int:
         if scenarios:
             return _run_trials(scenarios, Path(args.config).stem, out_dir, args.quiet)
         offline = _OFFLINE[config["task"]]
-        return offline.run(**{k: config[k] for k in offline.defaults},
-                           seed=config.get("seed", 0), out=out_dir / offline.out,
-                           quiet=args.quiet)
+        try:
+            return offline.run(**{k: config[k] for k in offline.defaults},
+                               seed=config.get("seed", 0), out=out_dir / offline.out,
+                               quiet=args.quiet)
+        except DOMAIN_ERRORS as e:
+            raise DivergenceError(f"{config['task']}: {type(e).__name__}: {e}") from e
     except ConfigError as e:
         print(f"se3kit: config error: {e}", file=sys.stderr)
         return 2

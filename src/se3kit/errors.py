@@ -40,3 +40,8 @@ class DivergenceError(RuntimeError):
 
 class ConfigError(ValueError):
     """Scenario configuration failed validation; message carries diagnostics."""
+
+
+# Math-domain failures of a run's numbers (not of its config): the CLI
+# reports them as divergence, exit code 3.
+DOMAIN_ERRORS = (PrincipalBranchError, CovarianceError, ApproximationDomainError)

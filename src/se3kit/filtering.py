@@ -7,7 +7,8 @@ fusing the current pose observation into the predicted belief.
 
 filter_study sweeps the dynamics-noise level over a synthetic sequence and
 tabulates per-component mean absolute errors; the "inf" row bypasses the
-filter entirely and reports the raw observation error.
+filter entirely and reports the raw observation error.  The finite rows run
+in lockstep as one stack of beliefs, one element per noise level.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ _DEG = math.pi / 180.0
 
 @dataclasses.dataclass(frozen=True)
 class DynamicsNoise:
-    """Additive tangent-space noise covariance for the prediction step."""
+    """Additive tangent-space noise covariance for the prediction step, or a
+    stack of them (..., 6, 6)."""
 
     cov: np.ndarray
 
     def __post_init__(self):
         cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (6, 6):
+        if cov.shape[-2:] != (6, 6):
             raise ValueError(f"noise covariance must be 6x6, got {cov.shape}")
-        if not np.allclose(cov, cov.T, atol=1e-9):
+        if not np.allclose(cov, cov.swapaxes(-1, -2), atol=1e-9):
             raise ValueError("noise covariance must be symmetric")
         # PSD up to round-off; zero is a legitimate noise level.
         if np.linalg.eigvalsh(cov).min() < -1e-9:
@@ -55,14 +57,19 @@ class FilterState:
     step_index: int
 
 
-def default_dynamics_noise(sigma: float) -> DynamicsNoise:
+def default_dynamics_noise(sigma) -> DynamicsNoise:
     """Isotropic-per-block dynamics noise: sigma^2 on translation entries,
-    (sigma * pi/180)^2 on rotation entries."""
-    t = sigma * sigma
-    if not (sigma > 0 and t <= sys.float_info.max):
+    (sigma * pi/180)^2 on rotation entries.  A sequence of sigmas gives a
+    stack of covariances, one per level."""
+    sigma = np.asarray(sigma, dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing square is rejected below
+        t = sigma * sigma
+    if not np.all((sigma > 0) & (t <= sys.float_info.max)):
         raise ValueError(f"sigma must be positive with a finite square, got {sigma}")
     r = t * _DEG * _DEG
-    return DynamicsNoise(np.diag([t, t, t, r, r, r]))
+    cov = np.zeros(sigma.shape + (6, 6))
+    cov[..., range(6), range(6)] = np.stack([t, t, t, r, r, r], axis=-1)
+    return DynamicsNoise(cov)
 
 
 def init(obs: PoseGaussian, sensor_pose: Pose) -> FilterState:
@@ -93,22 +100,20 @@ def step(state: FilterState, obs: PoseGaussian, sensor_pose_now: Pose,
                        step_index=state.step_index + 1)
 
 
-def synthetic_transition(x_prev: Pose, x_now: Pose, sigma_psi: float,
+def synthetic_transition(x_prev: Pose, x_now: Pose, noise: DynamicsNoise,
                          rng: np.random.Generator) -> Pose:
     """True transition between two poses, perturbed by dynamics noise.
 
-    Returns exp(psi^) x_now x_prev^-1 with psi ~ N(0, dynamics noise at
-    sigma_psi); sigma_psi = 0 gives the exact delta and consumes no
-    randomness.
+    Returns exp(psi^) x_now x_prev^-1 with psi = sqrt(diag(noise.cov)) * z,
+    z ~ N(0, I_6).  For a stack of noise levels one z is drawn and scaled
+    per level, giving a stack of transitions.  Zero noise gives the exact
+    delta and consumes no randomness.
     """
-    if sigma_psi < 0:
-        raise ValueError(f"sigma_psi must be >= 0, got {sigma_psi}")
     delta = x_now @ x_prev.inverse()
-    if sigma_psi == 0:
+    if not noise.cov.any():
         return delta
-    std = np.sqrt(np.diag(default_dynamics_noise(sigma_psi).cov))
-    psi = std * rng.standard_normal(6)
-    return exp(psi) @ delta
+    std = np.sqrt(np.diagonal(noise.cov, axis1=-2, axis2=-1))
+    return exp(std * rng.standard_normal(6)) @ delta
 
 
 def filter_study(pairs, sigma_grid, seed: int = 0) -> dict:
@@ -117,8 +122,9 @@ def filter_study(pairs, sigma_grid, seed: int = 0) -> dict:
     For each finite sigma_psi the filter runs with transitions synthesized
     at that noise level and a matching prediction noise covariance; rows
     with sigma_psi = inf bypass the filter (belief := observation).  Every
-    row reuses the same seed, so the underlying standard-normal draws are
-    common across rows and differ only by scale.
+    row uses the same seed, so the underlying standard-normal draws are
+    common across rows and differ only by scale: the finite rows therefore
+    run in lockstep, one stacked belief per step, fed by one draw.
 
     Returns a dict mapping each sigma_psi to the 6-vector of per-component
     mean absolute errors of the filtered mean, measured in exponential
@@ -127,28 +133,23 @@ def filter_study(pairs, sigma_grid, seed: int = 0) -> dict:
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ValueError("filter_study needs at least two (pose, observation) pairs")
-    true_logs = [log(x) for x, _ in pairs]
+    true_logs = log(Pose.stack(x for x, _ in pairs))
+    obs_logs = log(Pose.stack(obs.mean for _, obs in pairs))
+    raw = np.abs(obs_logs - true_logs).sum(axis=0) / len(pairs)
 
-    table: dict = {}
-    for sigma_psi in sigma_grid:
+    finite = [s for s in sigma_grid if not math.isinf(s)]
+    rows = {}
+    if finite:
         rng = np.random.default_rng(seed)
-        abs_err = np.zeros(6)
-        if math.isinf(sigma_psi):
-            for (_, obs), true_log in zip(pairs, true_logs):
-                abs_err += np.abs(log(obs.mean) - true_log)
-            table[sigma_psi] = abs_err / len(pairs)
-            continue
-        noise = default_dynamics_noise(sigma_psi)
+        noise = default_dynamics_noise(finite)
         belief = pairs[0][1]
-        abs_err += np.abs(log(belief.mean) - true_logs[0])
-        prev_true = pairs[0][0]
-        for (x_true, obs), true_log in zip(pairs[1:], true_logs[1:]):
-            transition = synthetic_transition(prev_true, x_true, sigma_psi, rng)
+        abs_err = np.abs(obs_logs[0] - true_logs[0])
+        for (prev_true, _), (x_true, obs), true_log in zip(pairs, pairs[1:], true_logs[1:]):
+            transition = synthetic_transition(prev_true, x_true, noise, rng)
             belief = _predict_correct(belief, obs, transition, noise)
-            abs_err += np.abs(log(belief.mean) - true_log)
-            prev_true = x_true
-        table[sigma_psi] = abs_err / len(pairs)
-    return table
+            abs_err = abs_err + np.abs(log(belief.mean) - true_log)
+        rows = dict(zip(finite, abs_err / len(pairs)))
+    return {s: raw if math.isinf(s) else rows[s] for s in sigma_grid}
 
 
 def write_study_csv(table: dict, path) -> None:

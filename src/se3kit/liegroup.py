@@ -1,10 +1,19 @@
 """Rigid transforms in SE(3) and their tangent-space operators.
 
 Twists are 6-vectors ordered translation-first: xi = (rho, phi), rho in mm
-(or mm/s), phi in rad (or rad/s).  Rotations are plain 3x3 numpy arrays,
-poses are (rotation, translation) pairs.  exp and log are evaluated in
-closed form; the left Jacobian is exposed as an explicit partial sum so
-callers can pick the truncation order.
+(or mm/s), phi in rad (or rad/s).  A Pose holds a rotation and a
+translation.  exp and log are evaluated in closed form; the left Jacobian
+is exposed as an explicit partial sum so callers can pick the truncation
+order.
+
+Stacks: exp, log, hat3, vee3, ad, adjoint, inv_left_jacobian, matvec and
+Pose composition and inverse also take leading batch dimensions -- twists
+(..., 6), rotations (..., 3, 3), translations (..., 3) -- and broadcast a
+single pose against a stack.  A single pose keeps a scalar evaluation (the
+trig coefficients through `math`, then plain 3x3 products), because
+numpy's per-call overhead makes the stacked form slower at N = 1.  The
+stacked form takes each element's angle and trig coefficients from the
+same scalar helpers and batches only the matrix products.
 
 Units are mm and rad throughout the package.
 """
@@ -50,12 +59,15 @@ _BCH_JACOBIAN_ORDER = 16
 
 
 class Pose:
-    """Element of SE(3): 3x3 rotation plus translation in mm.
+    """Element of SE(3): 3x3 rotation plus translation in mm, or a stack of
+    them (rotation (..., 3, 3), translation (..., 3)).
 
     Composition is ``a @ b``; ``inverse()`` satisfies
-    ``p @ p.inverse() == identity`` to machine precision.  Long composition
-    chains can be cleaned up with ``renormalized()``, which projects the
-    rotation back onto SO(3).
+    ``p @ p.inverse() == identity`` to machine precision.  Both take stacks
+    and broadcast a single pose against a stack; ``matrix``, ``apply`` and
+    ``renormalized`` take a single pose.  Long composition chains can be
+    cleaned up with ``renormalized()``, which projects the rotation back
+    onto SO(3).
     """
 
     __slots__ = ("rotation", "translation")
@@ -63,16 +75,24 @@ class Pose:
     def __init__(self, rotation, translation):
         rotation = np.asarray(rotation, dtype=float)
         translation = np.asarray(translation, dtype=float)
-        if rotation.shape != (3, 3):
+        if rotation.shape[-2:] != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {rotation.shape}")
-        if translation.shape != (3,):
-            raise ValueError(f"translation must be a 3-vector, got {translation.shape}")
+        if translation.shape != rotation.shape[:-2] + (3,):
+            raise ValueError(f"translation must be a 3-vector per rotation, got "
+                             f"{translation.shape} for rotations {rotation.shape}")
         self.rotation = rotation
         self.translation = translation
 
     @classmethod
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
+
+    @classmethod
+    def stack(cls, poses) -> "Pose":
+        """One stacked Pose from a sequence of single poses."""
+        poses = list(poses)
+        return cls(np.stack([p.rotation for p in poses]),
+                   np.stack([p.translation for p in poses]))
 
     @classmethod
     def from_matrix(cls, m) -> "Pose":
@@ -91,12 +111,12 @@ class Pose:
     def __matmul__(self, other: "Pose") -> "Pose":
         return Pose(
             self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
+            matvec(self.rotation, other.translation) + self.translation,
         )
 
     def inverse(self) -> "Pose":
-        rt = self.rotation.T
-        return Pose(rt, -(rt @ self.translation))
+        rt = self.rotation.swapaxes(-1, -2)
+        return Pose(rt, -matvec(rt, self.translation))
 
     def apply(self, point) -> np.ndarray:
         """Map a point (or stack of points) from this frame to the parent."""
@@ -117,9 +137,29 @@ class Pose:
         return f"Pose(t={t}, ...)"
 
 
+def matvec(m, v) -> np.ndarray:
+    """Matrix-vector product m v with leading stack dimensions broadcast:
+    m (..., n, n), v (..., n).  A single vector keeps the plain product."""
+    if v.ndim == 1:
+        return m @ v
+    return (m @ v[..., None])[..., 0]
+
+
+# hat3 of a stack: (row, column) of the six off-diagonal entries, and the
+# sign and component of v each one takes.
+_HAT3_ROWS = np.array([0, 0, 1, 1, 2, 2])
+_HAT3_COLS = np.array([1, 2, 0, 2, 0, 1])
+_HAT3_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0, -1.0, 1.0])
+_HAT3_COMPONENTS = np.array([2, 1, 2, 0, 1, 0])
+
+
 def hat3(v) -> np.ndarray:
-    """3-vector to skew-symmetric matrix."""
+    """3-vector to skew-symmetric matrix; (..., 3) to (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
+    if v.ndim > 1:
+        m = np.zeros(v.shape + (3,))
+        m[..., _HAT3_ROWS, _HAT3_COLS] = _HAT3_SIGNS * v[..., _HAT3_COMPONENTS]
+        return m
     return np.array(
         [
             [0.0, -v[2], v[1]],
@@ -130,17 +170,32 @@ def hat3(v) -> np.ndarray:
 
 
 def vee3(m) -> np.ndarray:
-    """Inverse of hat3; assumes m is skew."""
+    """Inverse of hat3; assumes m is skew.  (..., 3, 3) to (..., 3)."""
     m = np.asarray(m, dtype=float)
+    if m.ndim > 2:
+        return m[..., (2, 0, 1), (1, 2, 0)]
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def _twist(xi) -> np.ndarray:
-    """The one entry check for twist arguments: a float 6-vector."""
+    """Entry check for twist arguments that must be single: a float 6-vector."""
     xi = np.asarray(xi, dtype=float)
     if xi.shape != (6,):
         raise ValueError(f"twist must have shape (6,), got {xi.shape}")
     return xi
+
+
+def _twists(xi) -> np.ndarray:
+    """Entry check for twist arguments that may be stacked: (6,) or (..., 6)."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape[-1:] != (6,):
+        raise ValueError(f"twist must have shape (6,) or (..., 6), got {xi.shape}")
+    return xi
+
+
+def _element(i: int, shape) -> str:
+    """Index of the i-th element (C order) of a stack of the given shape."""
+    return str([int(j) for j in np.unravel_index(i, shape)])
 
 
 def hat(xi) -> np.ndarray:
@@ -184,17 +239,35 @@ def _so3_coefficients(angle: float):
     )
 
 
+def _exp_angle(angle: float) -> float:
+    if not math.isfinite(angle):
+        raise ApproximationDomainError(f"rotation angle {angle} is not finite")
+    return angle
+
+
+def _each(values: np.ndarray, fn) -> list:
+    """fn over every element of a stack of scalars, C order; an error names
+    the element it came from."""
+    out = []
+    for i, value in enumerate(values.ravel().tolist()):
+        try:
+            out.append(fn(value))
+        except (ApproximationDomainError, PrincipalBranchError) as err:
+            raise type(err)(f"stack element {_element(i, values.shape)}: {err}") from None
+    return out
+
+
 def exp(xi) -> Pose:
-    """Exponential map se(3) -> SE(3), closed form.
+    """Exponential map se(3) -> SE(3), closed form; (..., 6) gives a stack.
 
     Rotation by the Rodrigues formula; translation through the SO(3) left
     Jacobian V so that exp is exact for any angle (no series truncation).
-    Raises ApproximationDomainError when the rotation angle is not finite.
+    Raises ApproximationDomainError when a rotation angle is not finite.
     """
-    xi = _twist(xi)
-    angle = float(np.linalg.norm(xi[3:]))
-    if not math.isfinite(angle):
-        raise ApproximationDomainError(f"rotation angle {angle} is not finite")
+    xi = _twists(xi)
+    if xi.ndim > 1:
+        return _exp_stack(xi)
+    angle = _exp_angle(float(np.linalg.norm(xi[3:])))
     a, b, c = _so3_coefficients(angle)
     k = hat3(xi[3:])
     k2 = k @ k
@@ -203,55 +276,94 @@ def exp(xi) -> Pose:
     return Pose(rot, v @ xi[:3])
 
 
-def log(p: Pose) -> np.ndarray:
-    """Logarithmic map SE(3) -> se(3), principal branch (|phi| <= pi).
+def _exp_stack(xi: np.ndarray) -> Pose:
+    phi = xi[..., 3:]
+    # sqrt of a BLAS dot product, as np.linalg.norm takes it for one twist
+    angles = np.sqrt((phi[..., None, :] @ phi[..., :, None])[..., 0, 0])
+    coefficients = np.reshape(
+        _each(angles, lambda angle: _so3_coefficients(_exp_angle(angle))),
+        angles.shape + (3, 1, 1))
+    a, b, c = (coefficients[..., j, :, :] for j in range(3))
+    k = hat3(phi)
+    k2 = k @ k
+    rot = np.eye(3) + a * k + b * k2
+    v = np.eye(3) + b * k + c * k2
+    return Pose(rot, matvec(v, xi[..., :3]))
 
-    Raises PrincipalBranchError when the rotation angle is within 1e-6 of
-    pi: the preimage is not unique there and a silently chosen branch would
-    corrupt any covariance propagated through the result.
-    """
-    rot = p.rotation
-    cos_angle = 0.5 * (np.trace(rot) - 1.0)
+
+def _log_angle(cos_angle: float) -> float:
+    """Rotation angle from its cosine, checked against the principal branch."""
     angle = math.acos(min(1.0, max(-1.0, cos_angle)))
     if angle >= math.pi - _BRANCH_MARGIN:
         raise PrincipalBranchError(
             f"rotation angle {angle:.9f} rad is within 1e-6 of pi; log is not single-valued there"
         )
-    w = vee3(rot - rot.T)  # = 2 sin(angle) * axis
+    return angle
+
+
+def _log_coefficients(angle: float):
+    """(phi / vee(R - R^T), V^-1 coefficient of phi^2) with Taylor guards."""
     if angle < _TINY_ANGLE:
-        phi = 0.5 * w  # next correction is O(angle^2) relative, below eps here
-    else:
-        phi = (0.5 * angle / math.sin(angle)) * w
+        # next correction is O(angle^2) relative, below eps here
+        return 0.5, 1.0 / 12.0 + angle * angle / 720.0
+    a, b, _ = _so3_coefficients(angle)
+    return 0.5 * angle / math.sin(angle), (1.0 - 0.5 * a / b) / (angle * angle)
+
+
+def log(p: Pose) -> np.ndarray:
+    """Logarithmic map SE(3) -> se(3), principal branch (|phi| <= pi); a
+    stacked pose gives (..., 6).
+
+    Raises PrincipalBranchError when a rotation angle is within 1e-6 of
+    pi: the preimage is not unique there and a silently chosen branch would
+    corrupt any covariance propagated through the result.
+    """
+    rot = p.rotation
+    if rot.ndim > 2:
+        return _log_stack(p)
+    angle = _log_angle(0.5 * (np.trace(rot) - 1.0))
+    scale, coeff = _log_coefficients(angle)
+    phi = scale * vee3(rot - rot.T)  # vee3(R - R^T) = 2 sin(angle) * axis
     k = hat3(phi)
     k2 = k @ k
-    if angle < _TINY_ANGLE:
-        coeff = 1.0 / 12.0 + angle * angle / 720.0
-    else:
-        a, b, _ = _so3_coefficients(angle)
-        coeff = (1.0 - 0.5 * a / b) / (angle * angle)
     v_inv = np.eye(3) - 0.5 * k + coeff * k2
     return np.concatenate([v_inv @ p.translation, phi])
 
 
+def _log_stack(p: Pose) -> np.ndarray:
+    rot = p.rotation
+    cos_angles = 0.5 * (np.trace(rot, axis1=-2, axis2=-1) - 1.0)
+    coefficients = np.reshape(
+        _each(cos_angles, lambda c: _log_coefficients(_log_angle(c))),
+        cos_angles.shape + (2, 1, 1))
+    scale, coeff = coefficients[..., 0, :, 0], coefficients[..., 1, :, :]
+    phi = scale * vee3(rot - rot.swapaxes(-1, -2))
+    k = hat3(phi)
+    k2 = k @ k
+    v_inv = np.eye(3) - 0.5 * k + coeff * k2
+    return np.concatenate([matvec(v_inv, p.translation), phi], axis=-1)
+
+
 def adjoint(p: Pose) -> np.ndarray:
     """Group adjoint Ad(p): block [[C, t^ C], [0, C]], maps local twists to
-    the frame p is expressed in."""
+    the frame p is expressed in.  A stacked pose gives (..., 6, 6)."""
     c = p.rotation
-    out = np.zeros((6, 6))
-    out[:3, :3] = c
-    out[:3, 3:] = hat3(p.translation) @ c
-    out[3:, 3:] = c
+    out = np.zeros(c.shape[:-2] + (6, 6))
+    out[..., :3, :3] = c
+    out[..., :3, 3:] = hat3(p.translation) @ c
+    out[..., 3:, 3:] = c
     return out
 
 
 def ad(xi) -> np.ndarray:
-    """Algebra adjoint (curly hat): block [[phi^, rho^], [0, phi^]]."""
-    xi = _twist(xi)
-    pk = hat3(xi[3:])
-    out = np.zeros((6, 6))
-    out[:3, :3] = pk
-    out[:3, 3:] = hat3(xi[:3])
-    out[3:, 3:] = pk
+    """Algebra adjoint (curly hat): block [[phi^, rho^], [0, phi^]]; a stack
+    of twists gives (..., 6, 6)."""
+    xi = _twists(xi)
+    pk = hat3(xi[..., 3:])
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = pk
+    out[..., :3, 3:] = hat3(xi[..., :3])
+    out[..., 3:, 3:] = pk
     return out
 
 
@@ -273,7 +385,8 @@ def left_jacobian(xi, order: int = 2) -> np.ndarray:
 
 
 def inv_left_jacobian(xi) -> np.ndarray:
-    """Second-order Bernoulli truncation I - 1/2 xi^curly + 1/12 (xi^curly)^2."""
+    """Second-order Bernoulli truncation I - 1/2 xi^curly + 1/12 (xi^curly)^2;
+    a stack of twists gives (..., 6, 6)."""
     x = ad(xi)
     return np.eye(6) - 0.5 * x + (x @ x) / 12.0
 

@@ -22,11 +22,10 @@ import numpy as np
 
 from . import control, filtering
 from .errors import (
+    DOMAIN_ERRORS,
     ApproximationDomainError,
-    CovarianceError,
     DivergenceError,
     NoContactError,
-    PrincipalBranchError,
     SingularTargetError,
 )
 from .gdnmath import SampleSpec, sample_contact_pose
@@ -704,8 +703,7 @@ def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
 
 
 # Errors a control step can raise that end the run.
-_STEP_ERRORS = (DivergenceError, NoContactError, PrincipalBranchError,
-                CovarianceError, ApproximationDomainError)
+_STEP_ERRORS = (DivergenceError, NoContactError) + DOMAIN_ERRORS
 
 
 def run_scenario(scenario: Scenario, rng: np.random.Generator):

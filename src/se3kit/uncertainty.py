@@ -6,6 +6,10 @@ only approximately Gaussian in any chart; `density` carries the Jacobian
 determinant correction, `fuse` runs the fixed-point iteration that merges
 two such distributions, and the Euclidean helpers at the bottom are the
 flat-space formulas the SE(3) versions collapse to for tiny covariances.
+
+PoseGaussian, transform and fuse also take stacks: a stacked mean pose
+with covariances (..., 6, 6), where a single distribution or transform
+broadcasts against a stack.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import CovarianceError
-from .liegroup import Pose, adjoint, exp, inv_left_jacobian, left_jacobian, log
+from .liegroup import Pose, adjoint, exp, inv_left_jacobian, left_jacobian, log, matvec
 
 # Truncation order for the left Jacobian inside the density normalizer.
 # At the eigenvalue-1.0 concentration envelope the order-12 determinant is
@@ -28,31 +32,55 @@ _DENSITY_JACOBIAN_ORDER = 12
 # in 3-4 steps for concentrated inputs.
 _FUSE_ITERATIONS = 5
 
-# Covariances with a larger top eigenvalue are no longer "concentrated":
-# the perturbation leaves the chart where the Gaussian picture holds.
-_CONCENTRATION_EIGENVALUE_LIMIT = 1.0
+# fuse() warns when the top eigenvalue of a rotation block (rad^2) exceeds
+# this.  The distribution is a Gaussian on the left tangent chart, and log is
+# single-valued only for rotations below pi: keeping three standard
+# deviations of the widest rotation direction inside that branch
+# (3 sigma < pi) leaves about 0.3 % of the mass along it to wrap past pi.
+# The translation block (mm^2) is not compared, because exp is linear in
+# translation for a given rotation and mm^2 and rad^2 cannot share a limit.
+_ROTATION_VARIANCE_LIMIT = (math.pi / 3.0) ** 2
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
-def _as_cov(cov) -> np.ndarray:
+def _stack_label(mask: np.ndarray) -> str:
+    """'' for a single distribution, else the index of the first True."""
+    return "" if mask.ndim == 0 else str(np.argwhere(mask)[0].tolist())
+
+
+def _as_cov(cov, batch: tuple) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
-    if cov.shape != (6, 6):
-        raise ValueError(f"covariance must be 6x6, got {cov.shape}")
+    if cov.shape != batch + (6, 6):
+        raise ValueError(f"covariance must be 6x6 per mean pose, got {cov.shape} "
+                         f"for mean stack shape {batch}")
+    if not np.isfinite(cov).all():
+        where = _stack_label(~np.isfinite(cov).all(axis=(-2, -1)))
+        what = f"covariance of stack element {where}" if where else "covariance"
+        raise CovarianceError(f"{what} is not finite")
     return _symmetrize(cov)
 
 
 @dataclasses.dataclass(frozen=True)
 class PoseGaussian:
-    """Pose distribution X = exp(eps^) mean, eps ~ N(0, cov)."""
+    """Pose distribution X = exp(eps^) mean, eps ~ N(0, cov); a stacked mean
+    takes covariances (..., 6, 6).  Raises CovarianceError when a covariance
+    is not finite."""
 
     mean: Pose
     cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "cov", _as_cov(self.cov))
+        object.__setattr__(self, "cov", _as_cov(self.cov, self.mean.rotation.shape[:-2]))
+
+    @classmethod
+    def stack(cls, gaussians) -> "PoseGaussian":
+        """One stacked PoseGaussian from a sequence of single ones."""
+        gaussians = list(gaussians)
+        return cls(Pose.stack(g.mean for g in gaussians),
+                   np.stack([g.cov for g in gaussians]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,12 +172,20 @@ def transform(pg: PoseGaussian, t: Pose, noise_cov=None) -> PoseGaussian:
 
     mean' = t mean; cov' = Ad(t) cov Ad(t)' + noise_cov.  This is the
     prediction step of the filter written as one closed-form conjugation.
+    Stacks broadcast; CovarianceError when cov' overflows.
     """
     adj = adjoint(t)
-    cov = adj @ pg.cov @ adj.T
+    cov = adj @ pg.cov @ adj.swapaxes(-1, -2)
     if noise_cov is not None:
         cov = cov + np.asarray(noise_cov, dtype=float)
     return PoseGaussian(t @ pg.mean, _symmetrize(cov))
+
+
+def _inverse(m: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError as err:
+        raise CovarianceError(f"{what} is singular") from err
 
 
 def fuse(a: PoseGaussian, b: PoseGaussian,
@@ -161,49 +197,43 @@ def fuse(a: PoseGaussian, b: PoseGaussian,
     order), solves the resulting weighted least-squares problem for the
     correction mu, and re-anchors X̄ = exp(mu^) X̄.  Runs a fixed number of
     iterations and returns the covariance computed at the last one.
+    Stacked inputs fuse element by element, a single input broadcasting
+    against a stack.
 
-    Warns when either input covariance has a top eigenvalue above 1.0:
-    the concentrated assumption starts to break down there.
+    Warns, naming the input and its first such element, when the rotation
+    block of an input covariance has an eigenvalue above (pi/3)^2 rad^2:
+    the concentrated assumption starts to break down there.  Raises
+    CovarianceError when a covariance or the fused information matrix is
+    singular (and, through PoseGaussian, when one is not finite).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     for name, g in (("a", a), ("b", b)):
-        top = float(np.max(np.linalg.eigvalsh(g.cov)))
-        if top > _CONCENTRATION_EIGENVALUE_LIMIT:
+        top = np.linalg.eigvalsh(g.cov[..., 3:, 3:])[..., -1]
+        wide = top > _ROTATION_VARIANCE_LIMIT
+        if wide.any():
+            more = int(np.count_nonzero(wide)) - 1
+            label = name + _stack_label(wide) + (f" (and {more} more elements)" if more else "")
             warnings.warn(
-                f"fuse input {name} has covariance eigenvalue {top:.3g} > "
-                f"{_CONCENTRATION_EIGENVALUE_LIMIT}; concentrated-Gaussian "
+                f"fuse input {label} has rotation variance {top[wide][0]:.3g} rad^2 > "
+                f"{_ROTATION_VARIANCE_LIMIT:.3g} rad^2; concentrated-Gaussian "
                 "assumptions may not hold",
                 stacklevel=2,
             )
 
+    inv_means = (a.mean.inverse(), b.mean.inverse())
+    precs = [_symmetrize(_inverse(g.cov, "fuse input covariance")) for g in (a, b)]
     mean = a.mean
-    inv_a_mean = a.mean.inverse()
-    inv_b_mean = b.mean.inverse()
-    try:
-        prec_a = np.linalg.inv(a.cov)
-        prec_b = np.linalg.inv(b.cov)
-    except np.linalg.LinAlgError as err:
-        raise CovarianceError("fuse input covariance is singular") from err
-    prec_a = _symmetrize(prec_a)
-    prec_b = _symmetrize(prec_b)
-
-    cov = a.cov
     for _ in range(iterations):
-        h = np.zeros((6, 6))
-        rhs = np.zeros(6)
-        for inv_mean, prec in ((inv_a_mean, prec_a), (inv_b_mean, prec_b)):
+        h = rhs = 0.0
+        for inv_mean, prec in zip(inv_means, precs):
             xi = log(mean @ inv_mean)
             j_inv = inv_left_jacobian(xi)
-            w = j_inv.T @ prec
+            w = j_inv.swapaxes(-1, -2) @ prec
             h = h + w @ j_inv
-            rhs = rhs + w @ xi
-        try:
-            cov = np.linalg.inv(h)
-        except np.linalg.LinAlgError as err:
-            raise CovarianceError("fused information matrix is singular") from err
-        cov = _symmetrize(cov)
-        mu = -(cov @ rhs)
+            rhs = rhs + matvec(w, xi)
+        cov = _symmetrize(_inverse(h, "fused information matrix"))
+        mu = -matvec(cov, rhs)
         mean = exp(mu) @ mean
     return PoseGaussian(mean, cov)
 

@@ -2,15 +2,19 @@
 
 These deliberately avoid the library's own series shortcuts: the fusion
 oracle climbs the true product density with coordinate descent, seeded by
-a plain Euclidean Gaussian product in the tangent chart.
+a plain Euclidean Gaussian product in the tangent chart.  The per-row
+filter study and the per-pair fusion histogram run one single pose at a
+time, as the references for the stacked filtering.filter_study and
+fusion-bench.
 """
 
 import math
 
 import numpy as np
 
+from se3kit.filtering import default_dynamics_noise, synthetic_transition
 from se3kit.liegroup import exp, log
-from se3kit.uncertainty import PoseGaussian, density
+from se3kit.uncertainty import PoseGaussian, density, fuse, transform
 
 
 def product_mode_oracle(a: PoseGaussian, b: PoseGaussian,
@@ -56,3 +60,47 @@ def product_mode_oracle(a: PoseGaussian, b: PoseGaussian,
 def mean_discrepancy(x, y) -> float:
     """Tangent-space distance between two poses."""
     return float(np.linalg.norm(log(x @ y.inverse())))
+
+
+def filter_study_per_row(pairs, sigma_grid, seed: int = 0) -> dict:
+    """filtering.filter_study one sigma row after another, each row with a
+    generator of its own seeded with `seed`, on single poses only."""
+    pairs = list(pairs)
+    true_logs = [log(x) for x, _ in pairs]
+    table = {}
+    for sigma_psi in sigma_grid:
+        rng = np.random.default_rng(seed)
+        abs_err = np.zeros(6)
+        if math.isinf(sigma_psi):
+            for (_, obs), true_log in zip(pairs, true_logs):
+                abs_err += np.abs(log(obs.mean) - true_log)
+            table[sigma_psi] = abs_err / len(pairs)
+            continue
+        noise = default_dynamics_noise(sigma_psi)
+        belief = pairs[0][1]
+        abs_err += np.abs(log(belief.mean) - true_logs[0])
+        prev_true = pairs[0][0]
+        for (x_true, obs), true_log in zip(pairs[1:], true_logs[1:]):
+            transition = synthetic_transition(prev_true, x_true, noise, rng)
+            belief = fuse(obs, transform(belief, transition, noise.cov))
+            abs_err += np.abs(log(belief.mean) - true_log)
+            prev_true = x_true
+        table[sigma_psi] = abs_err / len(pairs)
+    return table
+
+
+def fusion_histogram_per_pair(pairs) -> dict:
+    """fusion-bench's histogram one pair at a time: for each pair, the first
+    iteration budget whose fused mean matches the next budget's to 1e-10."""
+    histogram = {str(k): 0 for k in range(1, 6)}
+    for a, b in pairs:
+        needed = 5
+        prev = None
+        for k in range(1, 6):
+            mean_k = fuse(a, b, iterations=k).mean
+            if prev is not None and np.linalg.norm(log(mean_k @ prev.inverse())) < 1e-10:
+                needed = k - 1
+                break
+            prev = mean_k
+        histogram[str(needed)] += 1
+    return histogram

@@ -168,7 +168,6 @@ def test_criterion_3_euclidean_limit():
 # 4. Filter study
 
 
-@pytest.mark.filterwarnings("ignore:fuse input")
 def test_criterion_4_filter_study():
     t0 = time.perf_counter()
     pairs = sim.make_study_sequence(2000, np.random.default_rng(0))

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 import yaml
 
-from se3kit import control, sim
+from se3kit import cli, control, sim
 from se3kit.cli import main
 from se3kit.liegroup import log
+
+from oracles import fusion_histogram_per_pair
 
 TRACK_STATIC = """\
 task: track
@@ -304,30 +306,34 @@ def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("se3kit: diverged:")
 
 
-@pytest.mark.filterwarnings("ignore:fuse input")
-@pytest.mark.parametrize("text,task,cause", [
-    pytest.param("task: track\nduration: 10\ndt: 0.5\n", "track", "NoContactError",
+# (config, where the diagnostic says the run stopped, the error it names)
+@pytest.mark.parametrize("text,where,cause", [
+    pytest.param("task: track\nduration: 10\ndt: 0.5\n", "track step ", "NoContactError",
                  id="coarse_dt"),
     pytest.param("task: track\nduration: 5\nobservation_std: [5, 5, 5, 1, 1, 1]\n",
-                 "track", "NoContactError", id="noisy_observations"),
-    pytest.param("task: track\nduration: 1.0e+300\ndt: 1.0e+299\n", "track",
+                 "track step ", "NoContactError", id="noisy_observations"),
+    pytest.param("task: track\nduration: 1.0e+300\ndt: 1.0e+299\n", "track step ",
                  "ApproximationDomainError", id="huge_leader_step"),
-    pytest.param("task: push_dual\nduration: 5\nobject_r0: 1.0e-300\n", "push_dual",
+    pytest.param("task: push_dual\nduration: 5\nobject_r0: 1.0e-300\n", "push_dual step ",
                  "ApproximationDomainError", id="tiny_object_r0"),
+    pytest.param("task: track\nduration: 0.5\ndynamics_sigma: 1.0e+154\n", "track step ",
+                 "CovarianceError", id="track_sigma_1e154"),
+    pytest.param("task: filter_study\nsteps: 3\nsigma_grid: [1.0e+154]\n", "filter_study: ",
+                 "CovarianceError", id="filter_study_sigma_1e154"),
 ])
-def test_lost_contact_maps_to_exit_3(tmp_path, capsys, text, task, cause):
+def test_lost_contact_maps_to_exit_3(tmp_path, capsys, text, where, cause):
     rc = main(["run", write_config(tmp_path, text), "--out-dir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
-    assert err.startswith(f"se3kit: diverged: {task} step ")
+    assert err.startswith(f"se3kit: diverged: {where}")
     assert cause in err
+    assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------
 # offline subcommands
 
 
-@pytest.mark.filterwarnings("ignore:fuse input")
 def test_filter_study_csv_layout_and_inf_row(tmp_path, capsys):
     rc = main(["filter-study", "--steps", "40", "--out-dir", str(tmp_path),
                "--quiet"])
@@ -381,6 +387,15 @@ def test_fusion_bench_histogram(tmp_path, capsys):
     hist = payload["iteration_histogram"]
     assert set(hist) == {"1", "2", "3", "4", "5"}
     assert sum(hist.values()) == 4
+
+
+def test_fusion_bench_stack_matches_per_pair_loop(tmp_path):
+    assert main(["fusion-bench", "--trials", "40", "--seed", "4",
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    payload = json.loads((tmp_path / "fusion_bench.json").read_text())
+    rng = np.random.default_rng(4)
+    pairs = [cli._random_concentrated_pair(rng) for _ in range(40)]
+    assert payload["iteration_histogram"] == fusion_histogram_per_pair(pairs)
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +457,6 @@ def test_rejected_inputs_exit_2_and_create_nothing(tmp_path, capsys, argv, text,
 
 
 # The smallest offline inputs the routines accept, and the largest they refuse.
-@pytest.mark.filterwarnings("ignore:fuse input")
 @pytest.mark.parametrize("text,rc", [
     pytest.param("task: filter_study\nsteps: 2\n", 0, id="steps_2"),
     pytest.param("task: filter_study\nsteps: 20\nsigma_grid: [0.01, .inf]\n", 0,

@@ -400,3 +400,90 @@ def test_property_exp_negation_inverts(coords):
 def test_property_hat_linearity(a, b):
     a, b = np.array(a), np.array(b)
     assert np.allclose(hat(a + b), hat(a) + hat(b), atol=1e-12)
+
+
+# ------------------------------------------------------------ stacks
+
+# Fixed before any measurement: a stacked kernel may round differently from
+# the single-pose path, by far less than this relative (Frobenius) error.
+STACK_RTOL = 1e-12
+
+
+def assert_stack_close(stacked, single):
+    stacked, single = np.asarray(stacked), np.asarray(single)
+    assert stacked.shape == single.shape
+    assert np.linalg.norm(stacked - single) <= STACK_RTOL * np.linalg.norm(single)
+
+
+def stacked_twists(rng, n=40):
+    """Random twists with a zero-angle and a sub-1e-8-angle element."""
+    xi = np.stack([random_twist(rng) for _ in range(n)])
+    xi[0, 3:] = 0.0
+    xi[1, 3:] = [3e-9, -2e-9, 1e-9]
+    return xi
+
+
+def test_stacked_kernels_match_single_pose_path(rng):
+    xi = stacked_twists(rng)
+    poses = exp(xi)
+    logs = log(poses)
+    adjoints = adjoint(poses)
+    jacobians = inv_left_jacobian(xi)
+    for i, x in enumerate(xi):
+        p = exp(x)
+        assert_stack_close(poses.rotation[i], p.rotation)
+        assert_stack_close(poses.translation[i], p.translation)
+        assert_stack_close(logs[i], log(p))
+        assert_stack_close(adjoints[i], adjoint(p))
+        assert_stack_close(jacobians[i], inv_left_jacobian(x))
+
+
+def singles(stack):
+    return [Pose(r, t) for r, t in zip(stack.rotation, stack.translation)]
+
+
+def test_stacked_pose_algebra_matches_single_pose_path(rng):
+    a, b = exp(stacked_twists(rng)), exp(stacked_twists(rng))
+    c = random_pose(rng)  # a single pose broadcasts against a stack
+    cases = [
+        (a @ b, [p @ q for p, q in zip(singles(a), singles(b))]),
+        (c @ b, [c @ q for q in singles(b)]),
+        (a @ c, [p @ c for p in singles(a)]),
+        (a.inverse(), [p.inverse() for p in singles(a)]),
+    ]
+    for stacked, expected in cases:
+        for out, ref in zip(singles(stacked), expected, strict=True):
+            assert_stack_close(out.rotation, ref.rotation)
+            assert_stack_close(out.translation, ref.translation)
+
+
+def test_stacks_take_several_leading_dimensions(rng):
+    xi = stacked_twists(rng)
+    grid = exp(xi.reshape(5, 8, 6))
+    assert grid.rotation.shape == (5, 8, 3, 3)
+    assert np.array_equal(grid.rotation.reshape(40, 3, 3), exp(xi).rotation)
+    assert np.array_equal(log(grid).reshape(40, 6), log(exp(xi)))
+    assert adjoint(grid).shape == (5, 8, 6, 6)
+
+
+def test_stacked_log_rejects_element_near_pi(rng):
+    xi = stacked_twists(rng)
+    xi[7, 3:] = [0.0, 0.0, np.pi - 1e-7]
+    poses = exp(xi)
+    with pytest.raises(PrincipalBranchError, match=r"stack element \[7\]"):
+        log(poses)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_stacked_exp_rejects_non_finite_angle(rng, bad):
+    xi = stacked_twists(rng)
+    xi[3, 4] = bad
+    with pytest.raises(ApproximationDomainError, match=r"stack element \[3\]"):
+        exp(xi)
+
+
+def test_pose_stack_shapes_must_agree():
+    with pytest.raises(ValueError):
+        Pose(np.tile(np.eye(3), (4, 1, 1)), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"shape \(6,\)"):
+        exp(np.zeros((4, 5)))

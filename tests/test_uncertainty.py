@@ -1,6 +1,7 @@
 """Concentrated pose Gaussians: density, chart changes, transform, fusion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -364,3 +365,101 @@ def test_linear_transform_monte_carlo(rng):
     assert np.linalg.norm(draws.mean(axis=0) - out.mean) < 0.03 * (
         1.0 + np.linalg.norm(out.mean))
     assert np.linalg.norm(np.cov(draws.T) - out.cov) / np.linalg.norm(out.cov) < 0.03
+
+
+# ------------------------------------------------------------------ stacks
+
+# Fixed before any measurement, as in test_liegroup: a stacked kernel may
+# round differently from the single-pose path, by far less than this
+# relative (Frobenius) error.
+STACK_RTOL = 1e-12
+
+
+def assert_stack_close(stacked, single):
+    assert np.linalg.norm(stacked - single) <= STACK_RTOL * np.linalg.norm(single)
+
+
+def fusion_inputs(rng, n=12):
+    """Pairs of concentrated Gaussians; element 0 has zero-angle means and
+    element 1 means whose offset is below the 1e-8 series guard."""
+    a, b = [], []
+    for i in range(n):
+        mean = random_pose(rng, rho_scale=1.0, phi_cap=0.5)
+        offset = 0.05 * rng.normal(size=6)
+        if i == 0:
+            mean = exp(np.concatenate([rng.normal(size=3), np.zeros(3)]))
+            offset[3:] = 0.0
+        if i == 1:
+            offset[3:] = [4e-9, 0.0, -3e-9]
+        a.append(PoseGaussian(mean, random_spd(rng, lo=0.002, hi=0.05)))
+        b.append(PoseGaussian(exp(offset) @ mean, random_spd(rng, lo=0.002, hi=0.05)))
+    return a, b
+
+
+def assert_gaussians_close(stacked, singles):
+    for i, g in enumerate(singles):
+        assert_stack_close(stacked.mean.rotation[i], g.mean.rotation)
+        assert_stack_close(stacked.mean.translation[i], g.mean.translation)
+        assert_stack_close(stacked.cov[i], g.cov)
+
+
+def test_stacked_transform_matches_single(rng):
+    a, _ = fusion_inputs(rng)
+    ts = [random_pose(rng) for _ in a]
+    qs = [random_spd(rng, lo=0.001, hi=0.01) for _ in a]
+    out = transform(PoseGaussian.stack(a), Pose.stack(ts), np.stack(qs))
+    assert_gaussians_close(out, [transform(g, t, q) for g, t, q in zip(a, ts, qs)])
+    # one distribution through a stack of transforms
+    out = transform(a[0], Pose.stack(ts), np.stack(qs))
+    assert_gaussians_close(out, [transform(a[0], t, q) for t, q in zip(ts, qs)])
+
+
+def test_stacked_fuse_matches_single(rng):
+    a, b = fusion_inputs(rng)
+    fused = fuse(PoseGaussian.stack(a), PoseGaussian.stack(b))
+    assert_gaussians_close(fused, [fuse(x, y) for x, y in zip(a, b)])
+    # one observation against a stack of predictions, as filter_study fuses
+    fused = fuse(a[2], PoseGaussian.stack(b))
+    assert_gaussians_close(fused, [fuse(a[2], y) for y in b])
+
+
+def test_fuse_stack_warns_once_for_the_wide_element(rng):
+    a, b = fusion_inputs(rng)
+    wide = b[4].cov.copy()
+    wide[3:, 3:] = 2.0 * np.eye(3)
+    b[4] = PoseGaussian(b[4].mean, wide)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fuse(PoseGaussian.stack(a), PoseGaussian.stack(b))
+    messages = [str(w.message) for w in caught if "concentrated" in str(w.message)]
+    assert len(messages) == 1
+    assert messages[0].startswith("fuse input b[4] has rotation variance 2 rad^2")
+
+
+def test_fuse_concentration_check_ignores_translation_units(rng):
+    # 100 mm^2 of translation variance with 0.03 rad^2 of rotation (the
+    # sigma = 10 filter_study row) is concentrated; the rotation block decides.
+    pg = PoseGaussian(random_pose(rng), np.diag([100.0, 100.0, 100.0, 0.03, 0.03, 0.03]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fuse(pg, pg)
+
+
+def test_non_finite_covariance_raises_per_stack_element(rng):
+    a, _ = fusion_inputs(rng)
+    covs = np.stack([g.cov for g in a])
+    covs[5, 0, 0] = np.inf
+    with pytest.raises(CovarianceError, match=r"stack element \[5\] is not finite"):
+        PoseGaussian(Pose.stack(g.mean for g in a), covs)
+    # Ad cov Ad' + Q overflowing in one element of a stacked prediction
+    qs = np.stack([np.zeros((6, 6))] * len(a))
+    qs[3] = 1e308 * np.eye(6)
+    with pytest.raises(CovarianceError, match=r"stack element \[3\] is not finite"):
+        transform(a[0], Pose.stack(g.mean for g in a), qs)
+
+
+def test_fuse_rejects_singular_stack_element(rng):
+    a, b = fusion_inputs(rng)
+    b[6] = PoseGaussian(b[6].mean, np.zeros((6, 6)))
+    with pytest.raises(CovarianceError, match="singular"):
+        fuse(PoseGaussian.stack(a), PoseGaussian.stack(b))
