@@ -32,7 +32,7 @@ import yaml
 
 from . import filtering, sim, uncertainty
 from .errors import DOMAIN_ERRORS, ConfigError, DivergenceError
-from .gdnmath import SampleSpec, label_pipeline, sample_contact_pose
+from .gdnmath import label_pipeline, sample_contact_pose
 from .liegroup import exp, log
 
 # --------------------------------------------------------------------------
@@ -100,11 +100,10 @@ def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
 
 def _run_gen_dataset(samples: int, seed: int, out: Path, quiet: bool):
     rng = np.random.default_rng(seed)
-    spec = SampleSpec()
     with open(out, "w", newline="") as fh:
         fh.write("x,y,z,alpha,beta,gamma,xi_0,xi_1,xi_2,xi_3,xi_4,xi_5\n")
         for _ in range(samples):
-            euler = sample_contact_pose(spec, rng)
+            euler = sample_contact_pose(rng)
             row = list(euler) + list(label_pipeline(euler))
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     if not quiet:

@@ -19,6 +19,10 @@ import numpy as np
 
 from .liegroup import Pose, adjoint, euler_to_pose, log
 
+# Decay of the error EWMA the PID differentiates: half the previous
+# smoothed error, half the new error.
+_EWMA_DECAY = 0.5
+
 # Alignment switch-off and termination radii of the pushing controller, mm.
 DEFAULT_SWITCH_OFF_RADIUS = 120.0
 DEFAULT_TERMINATION_RADIUS = 20.0
@@ -69,7 +73,6 @@ class PidConfig:
     kd: np.ndarray
     integral_clip: tuple | None = None
     output_clip: tuple | None = None
-    ewma_decay: float = 0.5
 
     def __post_init__(self):
         kp = _as_gain(self.kp)
@@ -77,8 +80,6 @@ class PidConfig:
         kd = _as_gain(self.kd)
         if not (kp.shape == ki.shape == kd.shape):
             raise ValueError("kp, ki, kd must have matching shapes")
-        if not 0.0 <= self.ewma_decay < 1.0:
-            raise ValueError("ewma_decay must lie in [0, 1)")
         object.__setattr__(self, "kp", kp)
         object.__setattr__(self, "ki", ki)
         object.__setattr__(self, "kd", kd)
@@ -130,24 +131,6 @@ class PushConfig:
         check_radii(self.switch_off_radius, self.termination_radius)
 
 
-def pose_error_local(x: Pose, x_ref: Pose) -> Pose:
-    """Error expressed in the body frame: x^-1 x_ref."""
-    return x.inverse() @ x_ref
-
-
-def pose_error_global(x: Pose, x_ref: Pose) -> Pose:
-    """Error expressed in the parent frame: x_ref x^-1."""
-    return x_ref @ x.inverse()
-
-
-def tangent_error_local(x: Pose, x_ref: Pose) -> np.ndarray:
-    return log(pose_error_local(x, x_ref))
-
-
-def tangent_error_global(x: Pose, x_ref: Pose) -> np.ndarray:
-    return log(pose_error_global(x, x_ref))
-
-
 def _clip(v: np.ndarray, clip) -> np.ndarray:
     if clip is None:
         return v
@@ -160,7 +143,7 @@ def _pid_core(cfg: PidConfig, state: PidState, feedforward: np.ndarray,
         raise ValueError(f"dt must be positive, got {dt}")
     integral = _clip(state.integral + error * dt, cfg.integral_clip)
     if state.initialized:
-        smoothed = cfg.ewma_decay * state.smoothed_error + (1.0 - cfg.ewma_decay) * error
+        smoothed = _EWMA_DECAY * state.smoothed_error + (1.0 - _EWMA_DECAY) * error
         derivative = (smoothed - state.smoothed_error) / dt
     else:
         # No predecessor yet: seed the smoother at the raw error and skip
@@ -178,7 +161,7 @@ def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt: float):
     """One backward-Euler PID update.
 
     integral <- clip(integral + e dt); the derivative acts on the EWMA of
-    the error (decay * previous + (1-decay) * current), zero on the first
+    the error (0.5 * previous + 0.5 * current), zero on the first
     call; output = clip(v + Kp e + Ki integral + Kd derivative).
 
     Returns (command, new state); the command is an array of width cfg.n.
@@ -326,7 +309,3 @@ def preset(name: str):
             f"unknown controller preset {name!r}; available: {sorted(_PRESETS)}"
         ) from None
     return factory()
-
-
-def preset_names():
-    return sorted(_PRESETS)

@@ -54,7 +54,6 @@ class DynamicsNoise:
 class FilterState:
     belief: PoseGaussian
     prev_sensor_pose: Pose
-    step_index: int
 
 
 def default_dynamics_noise(sigma) -> DynamicsNoise:
@@ -74,7 +73,7 @@ def default_dynamics_noise(sigma) -> DynamicsNoise:
 
 def init(obs: PoseGaussian, sensor_pose: Pose) -> FilterState:
     """Start a filter: the first observation is taken as the belief."""
-    return FilterState(belief=obs, prev_sensor_pose=sensor_pose, step_index=0)
+    return FilterState(belief=obs, prev_sensor_pose=sensor_pose)
 
 
 def _predict_correct(belief: PoseGaussian, obs: PoseGaussian, transition: Pose,
@@ -96,8 +95,7 @@ def step(state: FilterState, obs: PoseGaussian, sensor_pose_now: Pose,
     """
     transition = sensor_pose_now.inverse() @ state.prev_sensor_pose
     belief = _predict_correct(state.belief, obs, transition, noise)
-    return FilterState(belief=belief, prev_sensor_pose=sensor_pose_now,
-                       step_index=state.step_index + 1)
+    return FilterState(belief=belief, prev_sensor_pose=sensor_pose_now)
 
 
 def synthetic_transition(x_prev: Pose, x_now: Pose, noise: DynamicsNoise,

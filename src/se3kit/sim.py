@@ -28,7 +28,7 @@ from .errors import (
     NoContactError,
     SingularTargetError,
 )
-from .gdnmath import SampleSpec, sample_contact_pose
+from .gdnmath import sample_contact_pose
 from .liegroup import Pose, euler_to_pose, exp, log
 from .uncertainty import PoseGaussian
 
@@ -94,6 +94,10 @@ _SEGMENT_TWISTS = [
     np.array([0, 0, 0, 0, 0, math.radians(6)]),
 ]
 
+# Angular extent of the ramp's arc; the boundary continues as the tangent
+# plane beyond it.
+_RAMP_EXTENT = math.radians(60.0)
+
 # Surface kinds and the radius (mm) each takes when none is given.
 _SURFACE_RADIUS = {"flat": None, "ramp": 300.0, "hemisphere": 60.0}
 SURFACES = tuple(_SURFACE_RADIUS)
@@ -123,6 +127,10 @@ def _is_positive(v) -> bool:
     return is_number(v) and v > 0
 
 
+def _is_fraction(v) -> bool:
+    return is_number(v) and 0 < v <= 1
+
+
 def _is_sigma(v) -> bool:
     return _is_positive(v) and v * v <= sys.float_info.max  # a finite variance
 
@@ -144,14 +152,14 @@ class SurfaceModel:
 
     flat: boundary is the local z = 0 plane, material below (+z).
     ramp: flat for y <= 0, then a rising circular arc of the given radius
-      about an axis parallel to local x; past the angular extent the
+      about an axis parallel to local x; past 60 degrees of arc the
       boundary continues as the tangent plane.
     hemisphere: dome of the given radius with its apex at the local origin
       and centre at +z (local z points into the dome).
     """
 
     def __init__(self, kind: str, pose: Pose | None = None,
-                 radius: float | None = None, extent_deg: float = 60.0):
+                 radius: float | None = None):
         if kind not in SURFACES:
             raise ValueError(f"unknown surface kind {kind!r}")
         if kind != "flat":
@@ -160,7 +168,6 @@ class SurfaceModel:
         self.kind = kind
         self.pose = pose if pose is not None else Pose.identity()
         self.radius = radius
-        self.extent_deg = extent_deg
         self._anchor_local = None
         self._anchor_spin = 0.0
 
@@ -169,9 +176,9 @@ class SurfaceModel:
         return cls("flat", pose)
 
     @classmethod
-    def ramp(cls, radius: float = _SURFACE_RADIUS["ramp"], extent_deg: float = 60.0,
+    def ramp(cls, radius: float = _SURFACE_RADIUS["ramp"],
              pose: Pose | None = None) -> "SurfaceModel":
-        return cls("ramp", pose, radius, extent_deg)
+        return cls("ramp", pose, radius)
 
     @classmethod
     def hemisphere(cls, radius: float = _SURFACE_RADIUS["hemisphere"],
@@ -199,8 +206,7 @@ class SurfaceModel:
             # on the air side; material lies outside the cylinder.
             axis_offset = np.array([p[1], p[2] + r])
             tau = math.atan2(axis_offset[0], axis_offset[1])
-            tau_max = math.radians(self.extent_deg)
-            if tau <= tau_max:
+            if tau <= _RAMP_EXTENT:
                 dist = float(np.linalg.norm(axis_offset))
                 if dist == 0.0:
                     raise NoContactError("point on the ramp axis has no defined normal")
@@ -209,8 +215,8 @@ class SurfaceModel:
                 n = np.array([0.0, n_yz[0], n_yz[1]])
                 return q, n, dist - r
             # Tangent-plane continuation past the arc extent.
-            n = np.array([0.0, math.sin(tau_max), math.cos(tau_max)])
-            q0 = np.array([p[0], r * math.sin(tau_max), r * math.cos(tau_max) - r])
+            n = np.array([0.0, math.sin(_RAMP_EXTENT), math.cos(_RAMP_EXTENT)])
+            q0 = np.array([p[0], r * math.sin(_RAMP_EXTENT), r * math.cos(_RAMP_EXTENT) - r])
             depth = float(np.dot(p - q0, n))
             q = p - depth * n
             return q, n, depth
@@ -285,9 +291,9 @@ class PushedObject:
     r0: float = 40.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
+        if not _is_fraction(self.alpha):
             raise ValueError("alpha must lie in (0, 1]")
-        if self.r0 <= 0:
+        if not _is_positive(self.r0):
             raise ValueError("r0 must be positive")
 
     @property
@@ -372,14 +378,11 @@ def observe(model: ObservationModel, true_contact: Pose,
     return PoseGaussian(mean, cov)
 
 
-def leader_twist(t: float, amplitude=None, phase=None,
-                 period: float = PERIODIC_PERIOD) -> np.ndarray:
-    """Sinusoidal leader velocity: (2 pi b / T) cos(2 pi t / T + phase)."""
-    if period <= 0:
-        raise ValueError("period must be positive")
-    b = PERIODIC_AMPLITUDE if amplitude is None else np.asarray(amplitude, dtype=float)
-    ph = PERIODIC_PHASE if phase is None else np.asarray(phase, dtype=float)
-    return (2.0 * math.pi * b / period) * np.cos(2.0 * math.pi * t / period + ph)
+def leader_twist(t: float) -> np.ndarray:
+    """Sinusoidal leader velocity (2 pi b / T) cos(2 pi t / T + phase), with
+    the PERIODIC_AMPLITUDE b, PERIODIC_PHASE and PERIODIC_PERIOD T."""
+    return ((2.0 * math.pi * PERIODIC_AMPLITUDE / PERIODIC_PERIOD)
+            * np.cos(2.0 * math.pi * t / PERIODIC_PERIOD + PERIODIC_PHASE))
 
 
 def push_object_step(obj: PushedObject, pusher_delta) -> PushedObject:
@@ -478,8 +481,7 @@ class Scenario:
     surface_radius: float | None = _key(_is_positive, _RADIUS, None, ("follow",))
     follow_speed: float = _key(_is_positive, "a positive speed in mm/s", 10.0,
                                ("follow",))
-    object_alpha: float = _key(lambda v: is_number(v) and 0 < v <= 1,
-                               "a number in (0, 1]", 0.7, _PUSH_TASKS)
+    object_alpha: float = _key(_is_fraction, "a number in (0, 1]", 0.7, _PUSH_TASKS)
     object_r0: float = _key(_is_positive, "a positive distance in mm", 40.0,
                             _PUSH_TASKS)
     tall: bool = _key(lambda v: isinstance(v, bool), "true or false", False,
@@ -1010,10 +1012,9 @@ def make_study_sequence(n_steps: int, rng: np.random.Generator):
     """Independent random contact poses with noisy observations, as
     (true sensor-side pose, observation) pairs for filter_study."""
     model = ObservationModel()
-    spec = SampleSpec()
     pairs = []
     for _ in range(n_steps):
-        euler = sample_contact_pose(spec, rng)
+        euler = sample_contact_pose(rng)
         x_fs = euler_to_pose(*euler)
         obs = observe(model, x_fs, rng)
         pairs.append((x_fs.inverse(), obs))

@@ -3,9 +3,10 @@
 A PoseGaussian stores a mean pose X̄ and a 6x6 covariance of the left
 perturbation: X = exp(eps^) X̄ with eps ~ N(0, cov).  The distribution is
 only approximately Gaussian in any chart; `density` carries the Jacobian
-determinant correction, `fuse` runs the fixed-point iteration that merges
-two such distributions, and the Euclidean helpers at the bottom are the
-flat-space formulas the SE(3) versions collapse to for tiny covariances.
+determinant correction, and `fuse` runs the fixed-point iteration that
+merges two such distributions.  `EuclideanGaussian`, `to_global_tangent`
+and `gaussian_product` are the flat-space forms the SE(3) versions
+collapse to for tiny covariances.
 
 PoseGaussian, transform and fuse also take stacks: a stacked mean pose
 with covariances (..., 6, 6), where a single distribution or transform
@@ -22,11 +23,6 @@ import numpy as np
 
 from .errors import CovarianceError
 from .liegroup import Pose, adjoint, exp, inv_left_jacobian, left_jacobian, log, matvec
-
-# Truncation order for the left Jacobian inside the density normalizer.
-# At the eigenvalue-1.0 concentration envelope the order-12 determinant is
-# converged to ~1e-13 relative, so the correction is effectively exact.
-_DENSITY_JACOBIAN_ORDER = 12
 
 # Fixed-point iteration budget for fuse(); convergence is typically reached
 # in 3-4 steps for concentrated inputs.
@@ -56,11 +52,14 @@ def _as_cov(cov, batch: tuple) -> np.ndarray:
     if cov.shape != batch + (6, 6):
         raise ValueError(f"covariance must be 6x6 per mean pose, got {cov.shape} "
                          f"for mean stack shape {batch}")
+    # an entry that overflows here is rejected as not finite just below
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _symmetrize(cov)
     if not np.isfinite(cov).all():
         where = _stack_label(~np.isfinite(cov).all(axis=(-2, -1)))
         what = f"covariance of stack element {where}" if where else "covariance"
         raise CovarianceError(f"{what} is not finite")
-    return _symmetrize(cov)
+    return cov
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,9 +86,8 @@ class PoseGaussian:
 class EuclideanGaussian:
     """Ordinary Gaussian over twist coordinates.
 
-    Any dimension is allowed (the product/fusion formulas below are
-    dimension-agnostic pencil math); the tangent-chart conversions demand
-    six components.
+    Any dimension is allowed (gaussian_product is dimension-agnostic);
+    to_global_tangent produces six components.
     """
 
     mean: np.ndarray
@@ -131,8 +129,7 @@ def density(pg: PoseGaussian, x: Pose) -> float:
     quad = float(w @ w)
     log_det_cov = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_eta = -3.0 * math.log(2.0 * math.pi) - 0.5 * log_det_cov
-    jac = left_jacobian(eps, order=_DENSITY_JACOBIAN_ORDER)
-    det_jac = abs(float(np.linalg.det(jac)))
+    det_jac = abs(float(np.linalg.det(left_jacobian(eps))))
     return math.exp(log_eta - 0.5 * quad) / det_jac
 
 
@@ -150,21 +147,10 @@ def to_global_tangent(pg: PoseGaussian) -> EuclideanGaussian:
     inverse left Jacobian: cov_hat = J^-1(mu) cov J^-T(mu).
     """
     mu = log(pg.mean)
-    jac = left_jacobian(mu, order=2)
+    jac = left_jacobian(mu)
     half = np.linalg.solve(jac, pg.cov)
     cov_hat = np.linalg.solve(jac, half.T).T
     return EuclideanGaussian(mu, _symmetrize(cov_hat))
-
-
-def from_global_tangent(eg: EuclideanGaussian) -> PoseGaussian:
-    """Inverse of to_global_tangent: mean = exp(mu), cov = J(mu) cov_hat J(mu)'.
-
-    Uses the same truncated Jacobian as to_global_tangent so the pair
-    roundtrips to machine precision rather than to truncation error.
-    """
-    jac = left_jacobian(eg.mean, order=2)
-    cov = jac @ eg.cov @ jac.T
-    return PoseGaussian(exp(eg.mean), _symmetrize(cov))
 
 
 def transform(pg: PoseGaussian, t: Pose, noise_cov=None) -> PoseGaussian:
@@ -175,10 +161,12 @@ def transform(pg: PoseGaussian, t: Pose, noise_cov=None) -> PoseGaussian:
     Stacks broadcast; CovarianceError when cov' overflows.
     """
     adj = adjoint(t)
-    cov = adj @ pg.cov @ adj.swapaxes(-1, -2)
-    if noise_cov is not None:
-        cov = cov + np.asarray(noise_cov, dtype=float)
-    return PoseGaussian(t @ pg.mean, _symmetrize(cov))
+    # a covariance that overflows is rejected by PoseGaussian as not finite
+    with np.errstate(over="ignore"):
+        cov = adj @ pg.cov @ adj.swapaxes(-1, -2)
+        if noise_cov is not None:
+            cov = cov + np.asarray(noise_cov, dtype=float)
+    return PoseGaussian(t @ pg.mean, cov)
 
 
 def _inverse(m: np.ndarray, what: str) -> np.ndarray:
@@ -245,36 +233,3 @@ def gaussian_product(a: EuclideanGaussian, b: EuclideanGaussian) -> EuclideanGau
     cov = _symmetrize(np.linalg.inv(prec_a + prec_b))
     mean = cov @ (prec_a @ a.mean + prec_b @ b.mean)
     return EuclideanGaussian(mean, cov)
-
-
-def gaussian_fusion_with_prior(a: EuclideanGaussian, b: EuclideanGaussian,
-                               prior: EuclideanGaussian) -> EuclideanGaussian:
-    """Fuse two conditionals that share a common prior.
-
-    Both inputs already contain one copy of the prior, so the product
-    double-counts it; the combined precision subtracts one prior precision
-    back out: cov = (Sa^-1 + Sb^-1 - Sp^-1)^-1, mean through the matching
-    information vectors.  Raises CovarianceError when the combined
-    precision is not positive definite (prior sharper than the data).
-    """
-    prec_a = np.linalg.inv(a.cov)
-    prec_b = np.linalg.inv(b.cov)
-    prec_p = np.linalg.inv(prior.cov)
-    prec = _symmetrize(prec_a + prec_b - prec_p)
-    # Cholesky doubles as the definiteness check.
-    _cholesky(prec, "combined fusion precision")
-    cov = _symmetrize(np.linalg.inv(prec))
-    info = prec_a @ a.mean + prec_b @ b.mean - prec_p @ prior.mean
-    return EuclideanGaussian(cov @ info, cov)
-
-
-def linear_gaussian_transform(a_matrix, x: EuclideanGaussian,
-                              z: EuclideanGaussian) -> EuclideanGaussian:
-    """Distribution of y = A x + z for independent Gaussian x and z."""
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    n = x.mean.size
-    if a_matrix.shape != (n, n):
-        raise ValueError(f"transform matrix must be {n}x{n}, got {a_matrix.shape}")
-    mean = a_matrix @ x.mean + z.mean
-    cov = a_matrix @ x.cov @ a_matrix.T + z.cov
-    return EuclideanGaussian(mean, _symmetrize(cov))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own series shortcuts: the fusion
 oracle climbs the true product density with coordinate descent, seeded by
-a plain Euclidean Gaussian product in the tangent chart.  The per-row
+a plain Euclidean Gaussian product in the tangent chart, and the left
+Jacobian is integrated by quadrature rather than summed.  The per-row
 filter study and the per-pair fusion histogram run one single pose at a
 time, as the references for the stacked filtering.filter_study and
 fusion-bench.
@@ -13,8 +14,27 @@ import math
 import numpy as np
 
 from se3kit.filtering import default_dynamics_noise, synthetic_transition
-from se3kit.liegroup import exp, log
-from se3kit.uncertainty import PoseGaussian, density, fuse, transform
+from se3kit.liegroup import adjoint, exp, log
+from se3kit.uncertainty import EuclideanGaussian, PoseGaussian, density, fuse, transform
+
+
+def quadrature_left_jacobian(xi, nodes=48):
+    """J(xi) = integral_0^1 Ad(exp(s xi)) ds by Gauss-Legendre."""
+    s, w = np.polynomial.legendre.leggauss(nodes)
+    s = 0.5 * (s + 1.0)
+    w = 0.5 * w
+    acc = np.zeros((6, 6))
+    for si, wi in zip(s, w):
+        acc += wi * adjoint(exp(si * np.asarray(xi, dtype=float)))
+    return acc
+
+
+def from_global_tangent(eg: EuclideanGaussian) -> PoseGaussian:
+    """Inverse of uncertainty.to_global_tangent: mean = exp(mu),
+    cov = J(mu) cov_hat J(mu)', with J by quadrature."""
+    jac = quadrature_left_jacobian(eg.mean)
+    cov = jac @ eg.cov @ jac.T
+    return PoseGaussian(exp(eg.mean), 0.5 * (cov + cov.T))
 
 
 def product_mode_oracle(a: PoseGaussian, b: PoseGaussian,

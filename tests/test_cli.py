@@ -5,6 +5,7 @@ so nothing lands in the working directory.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -322,12 +323,16 @@ def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
                  "CovarianceError", id="filter_study_sigma_1e154"),
 ])
 def test_lost_contact_maps_to_exit_3(tmp_path, capsys, text, where, cause):
-    rc = main(["run", write_config(tmp_path, text), "--out-dir", str(tmp_path / "o")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", write_config(tmp_path, text), "--out-dir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert rc == 3
     assert err.startswith(f"se3kit: diverged: {where}")
     assert cause in err
     assert "Traceback" not in err
+    # numpy's overflow noise must not precede the diagnostic on stderr
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 # --------------------------------------------------------------------------

@@ -1,62 +1,15 @@
 """PID machinery, the contact servo, and the pushing controller."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from se3kit.control import (PidConfig, PidState, PushConfig, ServoConfig,
-                            pid_step, pose_error_global, pose_error_local,
-                            preset, preset_names, push_step, servo_step,
-                            tangent_error_global, tangent_error_local)
-from se3kit.liegroup import Pose, ad, adjoint, euler_to_pose, exp
-
-from conftest import random_pose
+                            pid_step, preset, push_step, servo_step)
+from se3kit.liegroup import Pose, ad, euler_to_pose, exp
 
 DT = 1.0 / 30.0
-
-
-# ------------------------------------------------------------ pose errors
-
-def test_pose_error_identity(rng):
-    x = random_pose(rng)
-    assert np.allclose(pose_error_local(x, x).matrix, np.eye(4), atol=1e-12)
-    assert np.allclose(pose_error_global(x, x).matrix, np.eye(4), atol=1e-12)
-
-
-def test_pose_errors_are_conjugate(rng):
-    for _ in range(20):
-        x, ref = random_pose(rng), random_pose(rng)
-        lhs = pose_error_global(x, ref).matrix
-        rhs = (x @ pose_error_local(x, ref) @ x.inverse()).matrix
-        assert np.allclose(lhs, rhs, atol=1e-9)
-
-
-def test_local_error_recovers_reference(rng):
-    for _ in range(20):
-        x, ref = random_pose(rng, rho_scale=2.0, phi_cap=1.0), random_pose(
-            rng, rho_scale=2.0, phi_cap=1.0)
-        e = tangent_error_local(x, ref)
-        assert np.allclose((x @ exp(e)).matrix, ref.matrix, atol=1e-9)
-
-
-def test_tangent_error_zero_and_translation(rng):
-    x = random_pose(rng)
-    assert np.allclose(tangent_error_local(x, x), 0.0, atol=1e-9)
-    base = Pose.identity()
-    ref = exp(np.array([4.0, 0, 0, 0, 0, 0]))
-    for fn in (tangent_error_local, tangent_error_global):
-        assert np.allclose(fn(base, ref), [4, 0, 0, 0, 0, 0], atol=1e-12)
-
-
-def test_global_error_is_adjoint_of_local(rng):
-    for _ in range(20):
-        x, ref = random_pose(rng), random_pose(rng)
-        g = tangent_error_global(x, ref)
-        l = tangent_error_local(x, ref)
-        assert np.allclose(g, adjoint(x) @ l, atol=1e-9)
 
 
 # -------------------------------------------------------------- pid_step
@@ -159,8 +112,6 @@ def test_pid_config_validation():
         PidConfig(kp=np.array([[1.0, 0.5], [0.0, 1.0]]), ki=np.zeros(2), kd=np.zeros(2))
     with pytest.raises(ValueError):
         PidConfig(kp=-1.0, ki=0.0, kd=0.0)
-    with pytest.raises(ValueError):
-        PidConfig(kp=1.0, ki=0.0, kd=0.0, ewma_decay=1.0)
     with pytest.raises(ValueError):
         PidConfig(kp=1.0, ki=0.0, kd=0.0, integral_clip=(1, 2))
     with pytest.raises(ValueError):
@@ -318,12 +269,13 @@ def test_two_controller_instances_share_nothing():
 # ---------------------------------------------------------------- presets
 
 def test_preset_names_and_unknown():
-    assert preset_names() == sorted([
+    names = sorted([
         "tracking", "surface_follow", "push_pid1", "push_pid2_single",
         "push_pid2_dual", "stabiliser", "stabiliser_tall", "push_tall",
     ])
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as err:
         preset("push_pid3")
+    assert str(err.value) == repr(f"unknown controller preset 'push_pid3'; available: {names}")
 
 
 def test_preset_returns_fresh_objects():

@@ -61,7 +61,6 @@ def test_init_copies_observation(rng):
     state = init(obs, Pose.identity())
     assert np.array_equal(state.belief.mean.matrix, obs.mean.matrix)
     assert np.array_equal(state.belief.cov, obs.cov)
-    assert state.step_index == 0
 
 
 def test_single_step_equals_fuse_of_prediction(rng):
@@ -75,7 +74,6 @@ def test_single_step_equals_fuse_of_prediction(rng):
     ref = fuse(obs1, transform(obs0, Pose.identity(), np.zeros((6, 6))))
     assert mean_discrepancy(out.belief.mean, ref.mean) < 1e-12
     assert np.allclose(out.belief.cov, ref.cov, atol=1e-12)
-    assert out.step_index == 1
 
 
 def test_step_uninformative_observation_keeps_prediction(rng):

@@ -8,12 +8,16 @@ import pytest
 from scipy import stats
 
 from se3kit.gdnmath import (DEFAULT_LOSS_WEIGHTS, HeteroPrediction,
-                            SampleSpec, SoftboundParams, label_pipeline,
-                            mae_per_component, mean_nll, sample_contact_pose,
-                            softbound, softplus_stable, weighted_mse)
+                            SoftboundParams, label_pipeline, mean_nll,
+                            sample_contact_pose, softbound, softplus_stable,
+                            weighted_mse)
 from se3kit.liegroup import euler_to_pose, exp
 
 LN_2PI = math.log(2.0 * math.pi)
+
+# Documented sampling ranges: disk radius (mm) and tilt-cap half-angle.
+R_MAX = 5.0
+PHI_MAX_DEG = 25.0
 
 
 def softplus_highprec(x: float) -> float:
@@ -118,20 +122,6 @@ def test_weighted_mse_shape_errors(rng):
         weighted_mse(np.zeros(6), np.zeros(6), alpha=np.ones(3))
 
 
-def test_mae_matches_examples_and_loop(rng):
-    data = rng.standard_normal((5, 6))
-    assert np.array_equal(mae_per_component(data, data), np.zeros(6))
-    labels = np.zeros((2, 6))
-    preds = np.zeros((2, 6))
-    preds[0, 0], preds[1, 0] = 1.0, -1.0
-    assert mae_per_component(labels, preds)[0] == 1.0
-    labels = rng.standard_normal((9, 6))
-    preds = rng.standard_normal((9, 6))
-    brute = np.array([np.mean([abs(labels[i, j] - preds[i, j])
-                               for i in range(9)]) for j in range(6)])
-    assert np.allclose(mae_per_component(labels, preds), brute, rtol=1e-12)
-
-
 # ---------------------------------------------------------------- mean NLL
 
 def test_mean_nll_perfect_unit_sigma():
@@ -199,8 +189,7 @@ class ScriptedRng:
 
 def test_sample_contact_pose_disk_boundary():
     # draw order: r', theta, z, phi', theta_cap, gamma
-    spec = SampleSpec()
-    out = sample_contact_pose(spec, ScriptedRng([1.0, 0.0, 0.5, 0.0, 0.0, 0.5]))
+    out = sample_contact_pose(ScriptedRng([1.0, 0.0, 0.5, 0.0, 0.0, 0.5]))
     assert out[0] == pytest.approx(5.0)
     assert out[1] == pytest.approx(0.0, abs=1e-15)
     assert out[2] == pytest.approx(3.25)
@@ -211,43 +200,29 @@ def test_sample_contact_pose_disk_boundary():
 @pytest.fixture(scope="module")
 def pose_draws():
     rng = np.random.default_rng(2024)
-    spec = SampleSpec()
-    return np.array([sample_contact_pose(spec, rng) for _ in range(40000)])
+    return np.array([sample_contact_pose(rng) for _ in range(40000)])
 
 
 def test_sample_contact_pose_ranges(pose_draws):
-    spec = SampleSpec()
     r = np.hypot(pose_draws[:, 0], pose_draws[:, 1])
-    assert np.all(r <= spec.r_max + 1e-12)
-    assert np.all((pose_draws[:, 2] >= spec.z_min) & (pose_draws[:, 2] <= spec.z_max))
+    assert np.all(r <= R_MAX + 1e-12)
+    assert np.all((pose_draws[:, 2] >= 0.5) & (pose_draws[:, 2] <= 6.0))
     gamma_deg = np.degrees(pose_draws[:, 5])
-    assert np.all((gamma_deg >= spec.gamma_min_deg) & (gamma_deg <= spec.gamma_max_deg))
+    assert np.all((gamma_deg >= -5.0) & (gamma_deg <= 5.0))
     # tilt of the rotated z axis never exceeds the cap half-angle
     cos_tilt = np.cos(pose_draws[:, 3]) * np.cos(pose_draws[:, 4])
-    assert np.all(cos_tilt >= math.cos(math.radians(spec.phi_max_deg)) - 1e-12)
+    assert np.all(cos_tilt >= math.cos(math.radians(PHI_MAX_DEG)) - 1e-12)
 
 
 def test_sample_contact_pose_uniformity(pose_draws):
-    spec = SampleSpec()
     # disk: squared radial quantile is uniform
-    q_disk = (np.hypot(pose_draws[:, 0], pose_draws[:, 1]) / spec.r_max) ** 2
+    q_disk = (np.hypot(pose_draws[:, 0], pose_draws[:, 1]) / R_MAX) ** 2
     # cap: normalized solid-angle quantile is uniform
     cos_tilt = np.cos(pose_draws[:, 3]) * np.cos(pose_draws[:, 4])
-    q_cap = (1.0 - cos_tilt) / (1.0 - math.cos(math.radians(spec.phi_max_deg)))
+    q_cap = (1.0 - cos_tilt) / (1.0 - math.cos(math.radians(PHI_MAX_DEG)))
     for q in (q_disk, q_cap):
         counts, _ = np.histogram(q, bins=25, range=(0.0, 1.0))
         assert stats.chisquare(counts).pvalue > 0.01
-
-
-def test_sample_spec_validation():
-    with pytest.raises(ValueError):
-        SampleSpec(r_max=0.0)
-    with pytest.raises(ValueError):
-        SampleSpec(z_min=6.0, z_max=0.5)
-    with pytest.raises(ValueError):
-        SampleSpec(phi_max_deg=-1.0)
-    with pytest.raises(ValueError):
-        SampleSpec(gamma_min_deg=5.0, gamma_max_deg=-5.0)
 
 
 # ----------------------------------------------------------- label pipeline
@@ -262,9 +237,8 @@ def test_label_pipeline_pure_depth():
 
 
 def test_label_pipeline_roundtrip(rng):
-    spec = SampleSpec()
     for _ in range(50):
-        euler = sample_contact_pose(spec, rng)
+        euler = sample_contact_pose(rng)
         xi = label_pipeline(euler)
         x_fs = euler_to_pose(*euler)
         assert np.allclose(exp(xi).inverse().matrix, x_fs.matrix, atol=1e-9)

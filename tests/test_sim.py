@@ -111,7 +111,7 @@ def test_contact_pose_envelope_and_reset():
 
 
 def test_ramp_probe_closed_form():
-    surface = SurfaceModel.ramp(radius=300.0, extent_deg=60.0)
+    surface = SurfaceModel.ramp(radius=300.0)
     # flat region (y <= 0)
     q, n, depth = surface.probe(np.array([7.0, -50.0, 2.0]))
     assert np.allclose(q, [7, -50, 0], atol=1e-12)
@@ -250,14 +250,6 @@ def test_leader_twist_period_integral_vanishes():
     vals = np.stack([leader_twist(float(t)) for t in ts])
     integral = np.trapezoid(vals, ts, axis=0)
     assert np.all(np.abs(integral) < 1e-6)
-
-
-def test_leader_twist_custom_and_errors():
-    v = leader_twist(2.5, amplitude=np.ones(6), phase=np.zeros(6), period=10.0)
-    expected = (2 * math.pi / 10.0) * math.cos(2 * math.pi * 2.5 / 10.0)
-    assert np.allclose(v, expected, atol=1e-15)
-    with pytest.raises(ValueError):
-        leader_twist(0.0, period=0.0)
 
 
 # --------------------------------------------------------- pushing dynamics

@@ -8,14 +8,12 @@ import pytest
 
 from se3kit.errors import CovarianceError
 from se3kit.liegroup import (Pose, adjoint, exp, left_jacobian, log)
-from se3kit.uncertainty import (EuclideanGaussian, PoseGaussian, density,
-                                from_global_tangent, fuse,
-                                gaussian_fusion_with_prior, gaussian_product,
-                                linear_gaussian_transform, sample,
-                                to_global_tangent, transform)
+from se3kit.uncertainty import (EuclideanGaussian, PoseGaussian, density, fuse,
+                                gaussian_product, sample, to_global_tangent,
+                                transform)
 
 from conftest import random_pose, random_spd
-from oracles import mean_discrepancy, product_mode_oracle
+from oracles import from_global_tangent, mean_discrepancy, product_mode_oracle
 
 SPD_TOL = 1e-12
 
@@ -44,8 +42,8 @@ def test_density_ratio_formula(rng):
     x2 = exp(eps2) @ pg.mean
 
     maha = eps2 @ prec @ eps2 - eps1 @ prec @ eps1
-    det1 = abs(np.linalg.det(left_jacobian(eps1, order=12)))
-    det2 = abs(np.linalg.det(left_jacobian(eps2, order=12)))
+    det1 = abs(np.linalg.det(left_jacobian(eps1)))
+    det2 = abs(np.linalg.det(left_jacobian(eps2)))
     expected = math.exp(0.5 * maha) * det2 / det1
     assert density(pg, x1) / density(pg, x2) == pytest.approx(expected, rel=1e-9)
 
@@ -65,7 +63,7 @@ def test_density_integrates_to_one(rng):
     total = 0.0
     for eps, q in zip(draws, prop_pdf):
         x = exp(eps) @ pg.mean
-        vol = abs(np.linalg.det(left_jacobian(eps, order=12)))
+        vol = abs(np.linalg.det(left_jacobian(eps)))
         total += density(pg, x) * vol / q
     assert abs(total / n - 1.0) < 0.02
 
@@ -122,20 +120,6 @@ def test_to_global_tangent_small_mean_perturbation(rng):
         mean = exp(scale * rng.normal(size=6) / math.sqrt(6))
         eg = to_global_tangent(PoseGaussian(mean, sigma2 * np.eye(6)))
         assert np.linalg.norm(eg.cov - sigma2 * np.eye(6)) < 6 * scale * sigma2
-
-
-def test_from_global_tangent_zero_mean(rng):
-    cov = random_spd(rng)
-    pg = from_global_tangent(EuclideanGaussian(np.zeros(6), cov))
-    assert np.array_equal(pg.mean.matrix, np.eye(4))
-    assert np.allclose(pg.cov, cov, atol=1e-12)
-
-
-def test_from_global_tangent_bends_diagonal_cov(rng):
-    mu = np.array([1.0, -2.0, 0.5, 0.3, -0.2, 0.4])
-    pg = from_global_tangent(EuclideanGaussian(mu, 0.01 * np.eye(6)))
-    off = pg.cov - np.diag(np.diag(pg.cov))
-    assert np.abs(off).max() > 0.0
 
 
 # -------------------------------------------------------------- transform
@@ -312,61 +296,6 @@ def test_gaussian_product_shrinks_loewner(rng):
         assert np.min(np.linalg.eigvalsh(b.cov - out.cov)) > -1e-12
 
 
-def test_fusion_with_prior_uninformative_limit(rng):
-    a = EuclideanGaussian(rng.normal(size=6), random_spd(rng))
-    b = EuclideanGaussian(rng.normal(size=6), random_spd(rng))
-    prior = EuclideanGaussian(rng.normal(size=6), 1e12 * np.eye(6))
-    out = gaussian_fusion_with_prior(a, b, prior)
-    ref = gaussian_product(a, b)
-    assert np.allclose(out.mean, ref.mean, atol=1e-6)
-    assert np.allclose(out.cov, ref.cov, atol=1e-6)
-
-
-def test_fusion_with_prior_scalar_case():
-    a = EuclideanGaussian(np.zeros(1), np.eye(1))
-    b = EuclideanGaussian(np.full(1, 2.0), np.eye(1))
-    prior = EuclideanGaussian(np.ones(1), np.full((1, 1), 4.0))
-    out = gaussian_fusion_with_prior(a, b, prior)
-    assert out.cov[0, 0] == pytest.approx(4.0 / 7.0)
-    assert out.mean[0] == pytest.approx(1.0)
-
-
-def test_fusion_with_prior_indefinite_error():
-    a = EuclideanGaussian(np.zeros(1), np.eye(1))
-    b = EuclideanGaussian(np.full(1, 2.0), np.eye(1))
-    sharp_prior = EuclideanGaussian(np.ones(1), np.full((1, 1), 0.4))
-    with pytest.raises(CovarianceError):
-        gaussian_fusion_with_prior(a, b, sharp_prior)
-
-
-def test_linear_transform_identity(rng):
-    x = EuclideanGaussian(rng.normal(size=6), random_spd(rng))
-    z = EuclideanGaussian(np.zeros(6), np.zeros((6, 6)))
-    out = linear_gaussian_transform(np.eye(6), x, z)
-    assert np.allclose(out.mean, x.mean, atol=0)
-    assert np.allclose(out.cov, x.cov, atol=0)
-
-
-def test_linear_transform_arithmetic():
-    x = EuclideanGaussian(np.zeros(6), np.eye(6))
-    z = EuclideanGaussian(np.zeros(6), np.eye(6))
-    out = linear_gaussian_transform(2.0 * np.eye(6), x, z)
-    assert np.allclose(out.cov, 5.0 * np.eye(6), atol=1e-12)
-
-
-def test_linear_transform_monte_carlo(rng):
-    a = rng.normal(size=(6, 6)) * 0.4 + np.eye(6)
-    x = EuclideanGaussian(rng.normal(size=6), random_spd(rng))
-    z = EuclideanGaussian(rng.normal(size=6), random_spd(rng))
-    out = linear_gaussian_transform(a, x, z)
-    n = 50000
-    draws = (rng.multivariate_normal(x.mean, x.cov, size=n) @ a.T
-             + rng.multivariate_normal(z.mean, z.cov, size=n))
-    assert np.linalg.norm(draws.mean(axis=0) - out.mean) < 0.03 * (
-        1.0 + np.linalg.norm(out.mean))
-    assert np.linalg.norm(np.cov(draws.T) - out.cov) / np.linalg.norm(out.cov) < 0.03
-
-
 # ------------------------------------------------------------------ stacks
 
 # Fixed before any measurement, as in test_liegroup: a stacked kernel may
@@ -451,6 +380,11 @@ def test_non_finite_covariance_raises_per_stack_element(rng):
     covs[5, 0, 0] = np.inf
     with pytest.raises(CovarianceError, match=r"stack element \[5\] is not finite"):
         PoseGaussian(Pose.stack(g.mean for g in a), covs)
+    # finite entries whose symmetrized sum overflows
+    cov = np.eye(6)
+    cov[0, 1] = cov[1, 0] = 1e308
+    with pytest.raises(CovarianceError, match="covariance is not finite"):
+        PoseGaussian(Pose.identity(), cov)
     # Ad cov Ad' + Q overflowing in one element of a stacked prediction
     qs = np.stack([np.zeros((6, 6))] * len(a))
     qs[3] = 1e308 * np.eye(6)
