@@ -254,10 +254,13 @@ def exp(xi) -> Pose:
     xi = _twists(xi)
     if xi.ndim > 1:
         return _exp_stack(xi)
-    with np.errstate(over="ignore"):  # an overflowing angle is rejected next
-        angle = _exp_angle(float(np.linalg.norm(xi[3:])))
+    phi = xi[3:]
+    # sqrt of the dot product, which np.linalg.norm would return bit for bit;
+    # an overflowing angle is rejected by _exp_angle
+    with np.errstate(over="ignore"):
+        angle = _exp_angle(math.sqrt(phi.dot(phi)))
     a, b, c = _so3_coefficients(angle)
-    k = hat3(xi[3:])
+    k = hat3(phi)
     k2 = k @ k
     rot = np.eye(3) + a * k + b * k2
     v = np.eye(3) + b * k + c * k2
@@ -266,7 +269,7 @@ def exp(xi) -> Pose:
 
 def _exp_stack(xi: np.ndarray) -> Pose:
     phi = xi[..., 3:]
-    # sqrt of a BLAS dot product, as np.linalg.norm takes it for one twist
+    # sqrt of a BLAS dot product, as the single-twist path takes it
     angles = np.sqrt((phi[..., None, :] @ phi[..., :, None])[..., 0, 0])
     coefficients = np.reshape(
         _each(angles, lambda angle: _so3_coefficients(_exp_angle(angle))),
