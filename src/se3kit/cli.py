@@ -189,24 +189,6 @@ def _check_keys(task: str, items, where) -> None:
                 f"{where(key)}: '{key}' must be {expect}, got {value!r}")
 
 
-def _key_lines(path: Path, text: str) -> dict:
-    """Top-level key -> 1-based line number, via the YAML node tree."""
-    try:
-        root = yaml.compose(text)
-    except yaml.YAMLError as e:
-        mark = getattr(e, "problem_mark", None)
-        line = f":{mark.line + 1}" if mark is not None else ""
-        raise ConfigError(f"{path}{line}: not valid YAML ({e.__class__.__name__})")
-    if root is None:
-        raise ConfigError(f"{path}: config is empty")
-    if not isinstance(root, yaml.MappingNode):
-        raise ConfigError(f"{path}:1: config must be a mapping of keys to values")
-    lines = {}
-    for key_node, _ in root.value:
-        lines[key_node.value] = key_node.start_mark.line + 1
-    return lines
-
-
 def load_config(path) -> dict:
     """Parse and validate a scenario config; raises ConfigError.
 
@@ -218,10 +200,28 @@ def load_config(path) -> dict:
         text = path.read_text()
     except OSError as e:
         raise ConfigError(f"{path}: cannot read config ({e.strerror})")
-    lines = _key_lines(path, text)
-    data = yaml.safe_load(text)
+    # One parse: the node tree locates the keys and constructs their values.
+    try:
+        loader = yaml.SafeLoader(text)
+        root = loader.get_single_node()
+        data = None if root is None else loader.construct_document(root)
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        line = f":{mark.line + 1}" if mark is not None else ""
+        raise ConfigError(f"{path}{line}: not valid YAML ({e.__class__.__name__})")
+    except (ValueError, OverflowError, RecursionError) as e:
+        # PyYAML does not wrap a constructor's ValueError (a date such as
+        # 2001-13-45), a \U escape past Unicode or nesting too deep to compose;
+        # the node under construction, else the read position, locates them.
+        node = next(reversed(loader.recursive_objects), None)
+        mark = loader.get_mark() if node is None else node.start_mark
+        raise ConfigError(f"{path}:{mark.line + 1}: not valid YAML "
+                          f"({e.__class__.__name__}: {e})")
+    if root is None:
+        raise ConfigError(f"{path}: config is empty")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}:1: config must be a mapping of keys to values")
+    lines = {key.value: key.start_mark.line + 1 for key, _ in root.value}
 
     def where(key):
         return f"{path}:{lines.get(str(key), 1)}"

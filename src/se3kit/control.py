@@ -137,8 +137,22 @@ def _clip(v: np.ndarray, clip) -> np.ndarray:
     return np.clip(v, clip[0], clip[1])
 
 
-def _pid_core(cfg: PidConfig, state: PidState, feedforward: np.ndarray,
-              error: np.ndarray, dt: float):
+def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt: float):
+    """One backward-Euler PID update.
+
+    integral <- clip(integral + e dt); the derivative acts on the EWMA of
+    the error (0.5 * previous + 0.5 * current), zero on the first
+    call; output = clip(v + Kp e + Ki integral + Kd derivative).
+
+    Returns (command, new state); the command is an array of width cfg.n.
+    """
+    error = np.asarray(error, dtype=float)
+    feedforward = np.asarray(feedforward, dtype=float)
+    if error.shape != (cfg.n,) or feedforward.shape != (cfg.n,):
+        raise ValueError(
+            f"error and feedforward must have shape ({cfg.n},), got "
+            f"{error.shape} and {feedforward.shape}"
+        )
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     integral = _clip(state.integral + error * dt, cfg.integral_clip)
@@ -157,25 +171,6 @@ def _pid_core(cfg: PidConfig, state: PidState, feedforward: np.ndarray,
     return out, new_state
 
 
-def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt: float):
-    """One backward-Euler PID update.
-
-    integral <- clip(integral + e dt); the derivative acts on the EWMA of
-    the error (0.5 * previous + 0.5 * current), zero on the first
-    call; output = clip(v + Kp e + Ki integral + Kd derivative).
-
-    Returns (command, new state); the command is an array of width cfg.n.
-    """
-    error = np.asarray(error, dtype=float)
-    feedforward = np.asarray(feedforward, dtype=float)
-    if error.shape != (cfg.n,) or feedforward.shape != (cfg.n,):
-        raise ValueError(
-            f"error and feedforward must have shape ({cfg.n},), got "
-            f"{error.shape} and {feedforward.shape}"
-        )
-    return _pid_core(cfg, state, feedforward, error, dt)
-
-
 def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt: float):
     """One cycle of the contact-pose servo.
 
@@ -188,7 +183,7 @@ def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt: floa
     Returns (command twist, new PID state, error pose).
     """
     error_pose = observed_contact @ cfg.reference_contact_pose.inverse()
-    fb, new_pid = _pid_core(cfg.pid, pid, np.zeros(6), log(error_pose), dt)
+    fb, new_pid = pid_step(cfg.pid, pid, np.zeros(6), log(error_pose), dt)
     command = fb + adjoint(error_pose) @ cfg.feedforward_twist
     return command, new_pid, error_pose
 
@@ -218,8 +213,8 @@ def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
         # The bearing loop's gain table is stated per degree of error;
         # its output is a tangential speed in mm/s.
         theta = math.degrees(math.atan2(y, z))
-        out, new_bearing = _pid_core(cfg.bearing_pid, bearing_pid_state,
-                                     np.zeros(1), np.array([-theta]), dt)
+        out, new_bearing = pid_step(cfg.bearing_pid, bearing_pid_state,
+                                    np.zeros(1), np.array([-theta]), dt)
         align = np.zeros(6)
         align[1] = out[0]
         command = command + adjoint(error_pose) @ align

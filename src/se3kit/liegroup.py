@@ -9,11 +9,10 @@ second-order truncation that fuse linearizes with.
 Stacks: exp, log, hat3, vee3, ad, adjoint, inv_left_jacobian, matvec and
 Pose composition and inverse also take leading batch dimensions -- twists
 (..., 6), rotations (..., 3, 3), translations (..., 3) -- and broadcast a
-single pose against a stack.  A single pose keeps a scalar evaluation (the
-trig coefficients through `math`, then plain 3x3 products), because
-numpy's per-call overhead makes the stacked form slower at N = 1.  The
-stacked form takes each element's angle and trig coefficients from the
-same scalar helpers and batches only the matrix products.
+single pose against a stack.  exp and log have one body for both: the
+shape decides only whether the angle and trig coefficients come through
+`math` or through the same scalar helpers over each element of a stack.
+matvec, hat3 and vee3 keep a single-input form (see the note at matvec).
 
 Units are mm and rad throughout the package.
 """
@@ -122,6 +121,12 @@ class Pose:
     def __repr__(self):
         t = np.array2string(self.translation, precision=4, suppress_small=True)
         return f"Pose(t={t}, ...)"
+
+
+# matvec, hat3 and vee3 keep a single-input form because their stacked
+# forms cost more at N = 1, where a track step calls them about 69, 43 and
+# 13 times: hat3 2.6 against 1.6 us, vee3 2.3 against 0.75 us, and Pose
+# composition through matvec 3.5 against 3.0 us (README, "Stacks").
 
 
 def matvec(m, v) -> np.ndarray:
@@ -252,29 +257,18 @@ def exp(xi) -> Pose:
     Raises ApproximationDomainError when a rotation angle is not finite.
     """
     xi = _twists(xi)
-    if xi.ndim > 1:
-        return _exp_stack(xi)
-    phi = xi[3:]
-    # sqrt of the dot product, which np.linalg.norm would return bit for bit;
-    # an overflowing angle is rejected by _exp_angle
-    with np.errstate(over="ignore"):
-        angle = _exp_angle(math.sqrt(phi.dot(phi)))
-    a, b, c = _so3_coefficients(angle)
-    k = hat3(phi)
-    k2 = k @ k
-    rot = np.eye(3) + a * k + b * k2
-    v = np.eye(3) + b * k + c * k2
-    return Pose(rot, v @ xi[:3])
-
-
-def _exp_stack(xi: np.ndarray) -> Pose:
     phi = xi[..., 3:]
-    # sqrt of a BLAS dot product, as the single-twist path takes it
-    angles = np.sqrt((phi[..., None, :] @ phi[..., :, None])[..., 0, 0])
-    coefficients = np.reshape(
-        _each(angles, lambda angle: _so3_coefficients(_exp_angle(angle))),
-        angles.shape + (3, 1, 1))
-    a, b, c = (coefficients[..., j, :, :] for j in range(3))
+    if xi.ndim == 1:
+        # sqrt of the dot product, which np.linalg.norm would return bit for
+        # bit; an overflowing angle is rejected by _exp_angle
+        with np.errstate(over="ignore"):
+            a, b, c = _so3_coefficients(_exp_angle(math.sqrt(phi.dot(phi))))
+    else:
+        # sqrt of a BLAS dot product, as a single twist takes it
+        angles = np.sqrt((phi[..., None, :] @ phi[..., :, None])[..., 0, 0])
+        a, b, c = np.moveaxis(np.reshape(
+            _each(angles, lambda angle: _so3_coefficients(_exp_angle(angle))),
+            angles.shape + (3, 1, 1)), -3, 0)
     k = hat3(phi)
     k2 = k @ k
     rot = np.eye(3) + a * k + b * k2
@@ -310,25 +304,15 @@ def log(p: Pose) -> np.ndarray:
     corrupt any covariance propagated through the result.
     """
     rot = p.rotation
-    if rot.ndim > 2:
-        return _log_stack(p)
-    angle = _log_angle(0.5 * (np.trace(rot) - 1.0))
-    scale, coeff = _log_coefficients(angle)
-    phi = scale * vee3(rot - rot.T)  # vee3(R - R^T) = 2 sin(angle) * axis
-    k = hat3(phi)
-    k2 = k @ k
-    v_inv = np.eye(3) - 0.5 * k + coeff * k2
-    return np.concatenate([v_inv @ p.translation, phi])
-
-
-def _log_stack(p: Pose) -> np.ndarray:
-    rot = p.rotation
-    cos_angles = 0.5 * (np.trace(rot, axis1=-2, axis2=-1) - 1.0)
-    coefficients = np.reshape(
-        _each(cos_angles, lambda c: _log_coefficients(_log_angle(c))),
-        cos_angles.shape + (2, 1, 1))
-    scale, coeff = coefficients[..., 0, :, 0], coefficients[..., 1, :, :]
-    phi = scale * vee3(rot - rot.swapaxes(-1, -2))
+    cos_angle = 0.5 * (rot.trace(axis1=-2, axis2=-1) - 1.0)
+    if rot.ndim == 2:
+        scale, coeff = _log_coefficients(_log_angle(cos_angle))
+    else:
+        coefficients = np.reshape(
+            _each(cos_angle, lambda c: _log_coefficients(_log_angle(c))),
+            cos_angle.shape + (2,))
+        scale, coeff = coefficients[..., :1], coefficients[..., 1:, None]
+    phi = scale * vee3(rot - rot.swapaxes(-1, -2))  # vee3(R - R^T) = 2 sin(angle) axis
     k = hat3(phi)
     k2 = k @ k
     v_inv = np.eye(3) - 0.5 * k + coeff * k2

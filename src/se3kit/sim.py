@@ -55,6 +55,10 @@ _TIP_RADIUS = 20.0
 # Separation between the two faces of the pushed object (dual-arm tasks).
 _OBJECT_WIDTH = 80.0
 
+# Pushing plane (y, z) coordinates of the first contact and the target, mm.
+_PUSH_START = (-250.0, 100.0)
+_PUSH_TARGET = (0.0, 375.0)
+
 # Divergence guard: a desk-scale scenario has no business this far out.
 _WORKSPACE_LIMIT = 1e4
 
@@ -170,20 +174,6 @@ class SurfaceModel:
         self.radius = radius
         self._anchor_local = None
         self._anchor_spin = 0.0
-
-    @classmethod
-    def flat(cls, pose: Pose | None = None) -> "SurfaceModel":
-        return cls("flat", pose)
-
-    @classmethod
-    def ramp(cls, radius: float = _SURFACE_RADIUS["ramp"],
-             pose: Pose | None = None) -> "SurfaceModel":
-        return cls("ramp", pose, radius)
-
-    @classmethod
-    def hemisphere(cls, radius: float = _SURFACE_RADIUS["hemisphere"],
-                   pose: Pose | None = None) -> "SurfaceModel":
-        return cls("hemisphere", pose, radius)
 
     def reset(self) -> None:
         """Forget the shear anchor (sensor lifted off)."""
@@ -453,7 +443,6 @@ def _key(check, expect, default=dataclasses.MISSING, tasks=TASKS,
 
 _SECONDS = "a positive number of seconds"
 _RADIUS = "a positive radius in mm"
-_MM = "a number in mm"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -486,10 +475,6 @@ class Scenario:
                             _PUSH_TASKS)
     tall: bool = _key(lambda v: isinstance(v, bool), "true or false", False,
                       _PUSH_TASKS)
-    start_y: float = _key(is_number, _MM, -250.0, _PUSH_TASKS)
-    start_z: float = _key(is_number, _MM, 100.0, _PUSH_TASKS)
-    target_y: float = _key(is_number, _MM, 0.0, _PUSH_TASKS)
-    target_z: float = _key(is_number, _MM, 375.0, _PUSH_TASKS)
     switch_off_radius: float = _key(_is_positive, _RADIUS,
                                     control.DEFAULT_SWITCH_OFF_RADIUS, _PUSH_TASKS)
     termination_radius: float = _key(_is_positive, _RADIUS,
@@ -506,6 +491,9 @@ class Scenario:
         if not self.duration / self.dt <= _MAX_STEPS:
             raise ValueError(f"'dt' must be at least duration / {_MAX_STEPS} "
                              f"(at most {_MAX_STEPS} steps), got {self.dt!r}")
+        if self.n_steps < 1:
+            raise ValueError(f"'dt' must be below 2 * duration (at least one "
+                             f"control step), got {self.dt!r}")
         control.check_radii(self.switch_off_radius, self.termination_radius)
         object.__setattr__(
             self, "observation_std", np.asarray(self.observation_std, dtype=float)
@@ -737,7 +725,7 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
     leader_velocity = _LEADER_PROFILES[scenario.track_profile]
     leader = Pose.identity()
     # Reference depth is 6 mm, so the follower engages exactly at reference.
-    follower = _Arm("follower", SurfaceModel.flat(leader),
+    follower = _Arm("follower", SurfaceModel("flat", leader),
                     Pose(np.eye(3), np.array([0.0, 0.0, 6.0])),
                     control.preset(controller_presets(scenario)[0]), scenario, rng)
     ref_inv = follower.cfg.reference_contact_pose.inverse()
@@ -786,7 +774,8 @@ def _run_follow(scenario: Scenario, rng: np.random.Generator):
     else:
         passes = [np.array([0, speed, 0, 0, 0, 0], dtype=float)]
     radius = scenario.surface_radius or _SURFACE_RADIUS[scenario.surface]
-    n_steps = int(round(scenario.duration / len(passes) / dt))
+    # The run's steps, split across the passes as evenly as they go.
+    steps = np.array_split(np.arange(scenario.n_steps), len(passes))
     base = control.preset(controller_presets(scenario)[0])
 
     log_ = TrajectoryLog(("run", "depth_mm", "normal_angle_deg"))
@@ -798,8 +787,8 @@ def _run_follow(scenario: Scenario, rng: np.random.Generator):
         cfg = dataclasses.replace(base, feedforward_twist=ff)
         sensor = _Arm("sensor", SurfaceModel(scenario.surface, radius=radius),
                       Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, rng)
-        for k in range(n_steps):
-            yield run_idx * n_steps + k
+        for k, step in enumerate(steps[run_idx]):
+            yield step
             _, belief = sensor.sense()
             command = sensor.servo(belief)
             _, depth, angle = sensor.probe()
@@ -815,7 +804,7 @@ def _run_follow(scenario: Scenario, rng: np.random.Generator):
     depth_err, angle = _column_means(settled, 2)
     return log_, _metrics(
         scenario, depth_err, angle, depth_err is not None and depth_err < 1.0,
-        len(passes) * n_steps * dt, surface=scenario.surface)
+        scenario.n_steps * dt, surface=scenario.surface)
 
 
 def _run_push(scenario: Scenario, rng: np.random.Generator):
@@ -825,8 +814,8 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
 
     # World: x up, pushing happens in the (y, z) plane.  The pushed face's
     # inward normal starts along +y (the initial push direction).
-    contact0 = np.array([0.0, scenario.start_y, scenario.start_z])
-    target_w = np.array([0.0, scenario.target_y, scenario.target_z])
+    contact0 = np.array([0.0, *_PUSH_START])
+    target_w = np.array([0.0, *_PUSH_TARGET])
     face_rot0 = np.column_stack([
         np.array([1.0, 0.0, 0.0]),   # x: up
         np.array([0.0, 0.0, -1.0]),  # y
@@ -847,7 +836,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     # moves from the first step.  Single-arm protocol: approach from 45 mm
     # off the face.
     start_depth = _YIELD_DEPTH if dual else -45.0
-    leader = _Arm("leader", SurfaceModel.flat(face),
+    leader = _Arm("leader", SurfaceModel("flat", face),
                   Pose(face.rotation, face.apply(np.array([0.0, 0.0, start_depth]))),
                   push_cfg.servo, scenario, rng)
 
@@ -858,7 +847,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     if dual:
         # The follower starts at its 3 mm reference on the opposite face.
         face2 = face @ face2_offset
-        follower = _Arm("follower", SurfaceModel.flat(face2),
+        follower = _Arm("follower", SurfaceModel("flat", face2),
                         Pose(face2.rotation, face2.apply(np.array([0.0, 0.0, 3.0]))),
                         control.preset(presets[2]), scenario, rng)
 
@@ -941,7 +930,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
             x_f_w = face.rotation[:, 0]
             face = Pose(face.rotation, face.translation + advance * z_f_w)
             if dphi != 0.0:
-                q_w, _, _ = SurfaceModel.flat(face).probe(tip_w)
+                q_w, _, _ = SurfaceModel("flat", face).probe(tip_w)
                 # Rotate the face by -dphi about the up axis through the
                 # centre of friction.
                 cof_w = q_w + r0 * z_f_w

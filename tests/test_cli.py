@@ -4,13 +4,21 @@ Every test drives main(argv) in-process and points --out-dir at tmp_path,
 so nothing lands in the working directory.
 """
 
+import collections
+import contextlib
+import csv
+import dataclasses
+import io
 import json
+import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from se3kit import cli, control, sim
 from se3kit.cli import main
@@ -164,6 +172,9 @@ REJECTED = [
     ("push_dual", "tall", "yes"),
     ("track", "dt", 1.0e-300),
     ("track", "dynamics_sigma", 1.0e+300),
+    # fewer than one control step: duration / dt rounds to 0
+    ("track", "dt", float("inf")),
+    ("track", "dt", 20.0),
 ]
 
 
@@ -443,6 +454,23 @@ REJECTED_INPUTS = [
                  ":3: 'sigma_grid' must be", id="filter_study_sigma_overflow"),
     pytest.param(["run", "{cfg}"], "task: track\nduration: 1\n1: 2\n",
                  ":3: unknown key '1'", id="non_string_key"),
+    pytest.param(["run", "{cfg}"], "task: push_single\nduration: 5\ntarget_y: .nan\n",
+                 ":3: unknown key 'target_y'", id="push_target_key"),
+    # YAML that composes but does not construct
+    pytest.param(["run", "{cfg}"], "task: !!python/name:os.system\n",
+                 ":1: not valid YAML (ConstructorError)", id="python_tag"),
+    pytest.param(["run", "{cfg}"], "task: track\nduration: !!binary xyz\n",
+                 ":2: not valid YAML (ConstructorError)", id="bad_base64"),
+    pytest.param(["run", "{cfg}"], "task: track\nduration: 2001-13-45\n",
+                 ":2: not valid YAML (ValueError: month must be in 1..12)",
+                 id="bad_timestamp"),
+    pytest.param(["run", "{cfg}"], "task: track\n? [a, b]\n: 3\n",
+                 ":2: not valid YAML (ConstructorError)", id="unhashable_key"),
+    # YAML the parser lets through as a Python error
+    pytest.param(["run", "{cfg}"], 'task: track\nduration: "\\UFFFFFFFF"\n',
+                 ":2: not valid YAML (OverflowError", id="escape_beyond_unicode"),
+    pytest.param(["run", "{cfg}"], "task: track\nduration: " + "[" * 5000 + "]" * 5000 + "\n",
+                 ":2: not valid YAML (RecursionError", id="deep_nesting"),
 ]
 
 
@@ -497,3 +525,105 @@ def test_subcommands_never_mutate_config(tmp_path):
     assert main(["validate", path]) == 0
     assert main(["run", path, "--out-dir", str(tmp_path / "o"), "--quiet"]) == 0
     assert Path(path).read_bytes() == before
+
+
+# --------------------------------------------------------------------------
+# the exit-code contract over configs validate accepts
+
+SECONDS = st.floats(0.05, 1.0)
+POSITIVE = st.floats(0.01, 1000.0)
+# Each Scenario field but task and duration; the closed-loop configs draw
+# from the keys their task reads.
+FIELD_VALUES = {
+    # at least 1/50 s, so a run is at most 50 steps; .inf leaves no step
+    "dt": st.one_of(st.floats(0.02, 2.5), st.sampled_from([1.0 / 30.0, float("inf")])),
+    "seed": st.integers(0, 1000),
+    "observation_std": st.lists(st.floats(1e-4, 10.0), min_size=6, max_size=6),
+    "observation_multiplier": POSITIVE,
+    "dynamics_sigma": st.one_of(POSITIVE, st.just(1.0e154)),
+    "track_profile": st.sampled_from(sim.TRACK_PROFILES),
+    "surface": st.sampled_from(sim.SURFACES),
+    "surface_radius": POSITIVE,
+    "follow_speed": POSITIVE,
+    "object_alpha": st.floats(0.01, 1.0),
+    "object_r0": POSITIVE,
+    "tall": st.booleans(),
+    "switch_off_radius": POSITIVE,
+    "termination_radius": st.floats(0.01, 200.0),
+}
+SCENARIO_KEYS = {f.name: f.metadata["tasks"] for f in dataclasses.fields(sim.Scenario)
+                 if f.name not in ("task", "duration")}
+
+
+def closed_loop_config(task):
+    optional = {key: FIELD_VALUES[key] for key, tasks in SCENARIO_KEYS.items()
+                if task in tasks}
+    return st.fixed_dictionaries(
+        {"task": st.just(task), "duration": SECONDS},
+        optional=optional | {"trials": st.integers(1, 2)})
+
+
+OFFLINE_CONFIGS = [
+    st.fixed_dictionaries({"task": st.just("filter_study"), "steps": st.integers(2, 20)},
+                          optional={"sigma_grid": st.lists(
+                              st.one_of(POSITIVE, st.just(float("inf"))),
+                              min_size=1, max_size=3)}),
+    st.fixed_dictionaries({"task": st.just("fusion_bench"), "trials": st.integers(1, 5)}),
+    st.fixed_dictionaries({"task": st.just("gen_dataset"), "samples": st.integers(1, 5)}),
+]
+CONFIGS = st.one_of([closed_loop_config(task) for task in sim.TASKS] + OFFLINE_CONFIGS)
+
+
+def main_output(argv):
+    """(exit code, stdout, stderr) of one in-process command; stderr ends
+    with the warnings the command raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
+        rc = main(argv)
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return rc, out.getvalue(), err.getvalue()
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(CONFIGS.map(yaml.safe_dump))
+@example("task: !!python/name:os.system\n")
+@example("task: track\nduration: !!binary xyz\n")
+@example("task: track\nduration: 2001-13-45\n")
+@example("task: track\n? [a, b]\n: 3\n")
+@example("task: track\nduration: 1\ndt: .inf\n")
+@example("task: track\nduration: 1\ndt: 2\n")
+@example("task: follow\nsurface: hemisphere\nduration: 1\ndt: 0.5\n")
+@example("task: push_single\nduration: 1\ntarget_y: .nan\n")
+@example("task: track\nduration: 0.5\ndynamics_sigma: 1.0e+154\n")
+@example("task: filter_study\nsteps: 3\nsigma_grid: [1.0e+154]\n")
+def test_exit_code_contract(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.yaml"
+        path.write_text(text)
+        out_dir = Path(tmp) / "out"
+        rc_validate, echo, err_validate = main_output(["validate", str(path)])
+        rc, _, err = main_output(["run", str(path), "--out-dir", str(out_dir)])
+
+        assert rc in (0, 2, 3)
+        assert (rc == 2) == (rc_validate == 2)
+        assert "Traceback" not in err_validate + err
+        # fuse's concentration warning may explain a run; numpy's noise may not
+        assert "RuntimeWarning" not in err_validate + err
+        if rc == 2:
+            assert not out_dir.exists()
+        if rc != 0:
+            return
+        for json_path in out_dir.glob("*.json"):
+            json.loads(json_path.read_text(), parse_constant=reject_constant)
+        steps = re.search(r"\((\d+) steps\)", echo)
+        for csv_path in out_dir.glob("*_trial*.csv"):
+            with open(csv_path, newline="") as fh:
+                rows_per_arm = collections.Counter(row["arm"] for row in csv.DictReader(fh))
+            assert rows_per_arm and set(rows_per_arm.values()) == {int(steps[1])}

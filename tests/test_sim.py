@@ -27,14 +27,14 @@ def rot_z(angle):
 # ------------------------------------------------------------ contact_pose
 
 def test_contact_pose_reference_depth():
-    surface = SurfaceModel.flat()
+    surface = SurfaceModel("flat")
     sensor = Pose(np.eye(3), np.array([0.0, 0.0, 3.0]))
     euler = np.array(pose_to_euler(contact_pose(surface, sensor)))
     assert np.allclose(euler, [0, 0, 3, 0, 0, 0], atol=1e-12)
 
 
 def test_contact_pose_tilted_sensor():
-    surface = SurfaceModel.flat()
+    surface = SurfaceModel("flat")
     tilt = math.radians(10.0)
     sensor = euler_to_pose(0, 0, 3, tilt, 0, 0)
     euler = np.array(pose_to_euler(contact_pose(surface, sensor)))
@@ -50,7 +50,7 @@ def test_contact_pose_flat_first_contact_oracle(rng):
     for _ in range(20):
         surf_pose = exp(np.concatenate([rng.uniform(-30, 30, 3),
                                         rng.uniform(-0.4, 0.4, 3)]))
-        surface = SurfaceModel.flat(surf_pose)
+        surface = SurfaceModel("flat", surf_pose)
         z_w = surf_pose.rotation[:, 2]
         depth = rng.uniform(0.5, 9.5)
         offset = rng.uniform(-40, 40, 2)
@@ -66,7 +66,7 @@ def test_contact_pose_flat_first_contact_oracle(rng):
 
 
 def test_contact_pose_repeat_query_stable():
-    surface = SurfaceModel.flat()
+    surface = SurfaceModel("flat")
     sensor = euler_to_pose(1.0, -2.0, 4.0, 0.1, -0.05, 0.2)
     first = contact_pose(surface, sensor)
     second = contact_pose(surface, sensor)
@@ -74,7 +74,7 @@ def test_contact_pose_repeat_query_stable():
 
 
 def test_contact_pose_shear_anchor_drag():
-    surface = SurfaceModel.flat()
+    surface = SurfaceModel("flat")
     at = lambda x: Pose(np.eye(3), np.array([x, 0.0, 3.0]))
     contact_pose(surface, at(0.0))  # plant the anchor at the origin
     assert np.allclose(contact_pose(surface, at(2.0)).translation,
@@ -89,7 +89,7 @@ def test_contact_pose_shear_anchor_drag():
 
 
 def test_contact_pose_spin_clamp():
-    surface = SurfaceModel.flat()
+    surface = SurfaceModel("flat")
     base = Pose(np.eye(3), np.array([0.0, 0.0, 3.0]))
     contact_pose(surface, base)
     twisted = Pose(rot_z(0.5), base.translation)
@@ -98,7 +98,7 @@ def test_contact_pose_spin_clamp():
 
 
 def test_contact_pose_envelope_and_reset():
-    surface = SurfaceModel.flat()
+    surface = SurfaceModel("flat")
     at = lambda x, z: Pose(np.eye(3), np.array([x, 0.0, z]))
     contact_pose(surface, at(3.0, 3.0))
     with pytest.raises(NoContactError):
@@ -111,7 +111,7 @@ def test_contact_pose_envelope_and_reset():
 
 
 def test_ramp_probe_closed_form():
-    surface = SurfaceModel.ramp(radius=300.0)
+    surface = SurfaceModel("ramp", radius=300.0)
     # flat region (y <= 0)
     q, n, depth = surface.probe(np.array([7.0, -50.0, 2.0]))
     assert np.allclose(q, [7, -50, 0], atol=1e-12)
@@ -139,7 +139,7 @@ def test_ramp_probe_closed_form():
 
 def test_hemisphere_probe_closed_form(rng):
     radius = 60.0
-    surface = SurfaceModel.hemisphere(radius)
+    surface = SurfaceModel("hemisphere", radius=radius)
     q, n, depth = surface.probe(np.array([0.0, 0.0, 2.0]))
     assert depth == pytest.approx(2.0, abs=1e-12)
     assert np.allclose(q, [0, 0, 0], atol=1e-12)
@@ -162,7 +162,7 @@ def test_surface_validation():
     with pytest.raises(ValueError):
         SurfaceModel("ramp")
     with pytest.raises(ValueError):
-        SurfaceModel.hemisphere(radius=-1.0)
+        SurfaceModel("hemisphere", radius=-1.0)
 
 
 # ----------------------------------------------------------------- observe
