@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import filtering, sim, uncertainty
+from . import control, filtering, sim, uncertainty
 from .errors import DOMAIN_ERRORS, ConfigError, DivergenceError
 from .gdnmath import label_pipeline, sample_contact_pose
 from .liegroup import exp, log
@@ -139,10 +139,9 @@ _SCENARIO_FIELDS = {f.name: f for f in dataclasses.fields(sim.Scenario)}
 
 
 def _check_sigma_grid(v):
-    # Each finite row is a dynamics noise level, checked like dynamics_sigma.
-    is_sigma = _SCENARIO_FIELDS["dynamics_sigma"].metadata["check"]
+    # Each finite row is a dynamics noise level.
     return (isinstance(v, list) and len(v) >= 1
-            and all(x == math.inf or is_sigma(x) for x in v))
+            and all(x == math.inf or sim._is_sigma(x) for x in v))
 
 
 # key -> (validator, human description of the expected value)
@@ -160,7 +159,7 @@ _KEY_SPECS = {
 _COMMON_KEYS = {"task", "seed"}
 # Closed-loop keys without a default.
 _REQUIRED = [name for name, f in _SCENARIO_FIELDS.items()
-             if f.default is f.default_factory is dataclasses.MISSING]
+             if f.default is dataclasses.MISSING]
 
 
 def _task_keys(task: str) -> set:
@@ -189,6 +188,20 @@ def _check_keys(task: str, items, where) -> None:
                 f"{where(key)}: '{key}' must be {expect}, got {value!r}")
 
 
+def _repeated_key(root):
+    """The first top-level key node that repeats an earlier key, or None.
+
+    Run before construction, which keeps the last of two equal keys and
+    folds a `<<` merge (an override, not a repeat) into the mapping."""
+    seen = set()
+    for key, _ in root.value if isinstance(root, yaml.MappingNode) else ():
+        if isinstance(key, yaml.ScalarNode) and key.tag != "tag:yaml.org,2002:merge":
+            if (key.tag, key.value) in seen:
+                return key
+            seen.add((key.tag, key.value))
+    return None
+
+
 def load_config(path) -> dict:
     """Parse and validate a scenario config; raises ConfigError.
 
@@ -204,6 +217,7 @@ def load_config(path) -> dict:
     try:
         loader = yaml.SafeLoader(text)
         root = loader.get_single_node()
+        repeated = _repeated_key(root)
         data = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
@@ -221,6 +235,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"{path}: config is empty")
     if not isinstance(data, dict):
         raise ConfigError(f"{path}:1: config must be a mapping of keys to values")
+    if repeated is not None:
+        raise ConfigError(f"{path}:{repeated.start_mark.line + 1}: "
+                          f"duplicate key '{repeated.value}'")
     lines = {key.value: key.start_mark.line + 1 for key, _ in root.value}
 
     def where(key):
@@ -366,9 +383,10 @@ def _validate_cmd(config_path, config: dict, scenarios: list) -> int:
         print(f"duration: {scn.duration} s at dt={scn.dt:.6g} s "
               f"({scn.n_steps} steps)")
         print(f"controller presets: {', '.join(sim.controller_presets(scn))}")
-        if "switch_off_radius" in _task_keys(task):
-            print(f"alignment switch-off radius: {scn.switch_off_radius:g} mm, "
-                  f"termination radius: {scn.termination_radius:g} mm")
+        if task in sim._PUSH_TASKS:
+            print("alignment switch-off radius: "
+                  f"{control.DEFAULT_SWITCH_OFF_RADIUS:g} mm, "
+                  f"termination radius: {control.DEFAULT_TERMINATION_RADIUS:g} mm")
         print(f"trials: {len(scenarios)}, base seed: {scn.seed}")
         print("would write: per-trial trajectory CSV, per-trial metrics JSON, "
               "summary JSON")

@@ -59,6 +59,14 @@ _OBJECT_WIDTH = 80.0
 _PUSH_START = (-250.0, 100.0)
 _PUSH_TARGET = (0.0, 375.0)
 
+# Pushed-object plant: rotation efficiency of tangential pushing (1 = no
+# slip) and the distance from the contact to the centre of friction, mm.
+_OBJECT_ALPHA = 0.7
+_OBJECT_R0 = 40.0
+
+# Tangential speed of the surface-following passes, mm/s.
+_FOLLOW_SPEED = 10.0
+
 # Divergence guard: a desk-scale scenario has no business this far out.
 _WORKSPACE_LIMIT = 1e4
 
@@ -128,7 +136,8 @@ def is_integer(v) -> bool:
 
 
 def _is_positive(v) -> bool:
-    return is_number(v) and v > 0
+    # The upper bound rejects inf and an integer too large to become a float.
+    return is_number(v) and 0 < v <= sys.float_info.max
 
 
 def _is_fraction(v) -> bool:
@@ -277,8 +286,8 @@ class PushedObject:
     y: float
     z: float
     phi: float = 0.0
-    alpha: float = 0.7
-    r0: float = 40.0
+    alpha: float = _OBJECT_ALPHA
+    r0: float = _OBJECT_R0
 
     def __post_init__(self):
         if not _is_fraction(self.alpha):
@@ -431,18 +440,15 @@ def _either(names) -> str:
     return ", ".join(names[:-1]) + ", or " + names[-1]
 
 
-def _key(check, expect, default=dataclasses.MISSING, tasks=TASKS,
-         factory=dataclasses.MISSING):
+def _key(check, expect, default=dataclasses.MISSING, tasks=TASKS):
     """A Scenario field with its config schema: `check` accepts a value,
     `expect` names the accepted values in diagnostics, and `tasks` are the
     tasks that read the field."""
     return dataclasses.field(
-        default=default, default_factory=factory,
-        metadata={"check": check, "expect": expect, "tasks": tasks})
+        default=default, metadata={"check": check, "expect": expect, "tasks": tasks})
 
 
 _SECONDS = "a positive number of seconds"
-_RADIUS = "a positive radius in mm"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -459,26 +465,13 @@ class Scenario:
     duration: float = _key(_is_positive, _SECONDS)
     dt: float = _key(_is_positive, _SECONDS, DEFAULT_DT)
     seed: int = _key(lambda v: is_integer(v) and v >= 0, "a non-negative integer", 0)
-    observation_std: np.ndarray = _key(_is_std6, "a list of 6 positive numbers",
-                                       factory=DEFAULT_OBSERVATION_STD.copy)
-    observation_multiplier: float = _key(_is_positive, "a positive number", 1.0)
-    dynamics_sigma: float = _key(_is_sigma, "a positive number whose square is finite",
-                                 filtering.DEPLOYMENT_SIGMA)
     track_profile: str = _key(lambda v: v in TRACK_PROFILES, _either(TRACK_PROFILES),
                               "periodic", ("track",))
     surface: str = _key(lambda v: v in SURFACES, _either(SURFACES), "flat", ("follow",))
-    surface_radius: float | None = _key(_is_positive, _RADIUS, None, ("follow",))
-    follow_speed: float = _key(_is_positive, "a positive speed in mm/s", 10.0,
-                               ("follow",))
-    object_alpha: float = _key(_is_fraction, "a number in (0, 1]", 0.7, _PUSH_TASKS)
-    object_r0: float = _key(_is_positive, "a positive distance in mm", 40.0,
-                            _PUSH_TASKS)
+    surface_radius: float | None = _key(_is_positive, "a positive radius in mm", None,
+                                        ("follow",))
     tall: bool = _key(lambda v: isinstance(v, bool), "true or false", False,
                       _PUSH_TASKS)
-    switch_off_radius: float = _key(_is_positive, _RADIUS,
-                                    control.DEFAULT_SWITCH_OFF_RADIUS, _PUSH_TASKS)
-    termination_radius: float = _key(_is_positive, _RADIUS,
-                                     control.DEFAULT_TERMINATION_RADIUS, _PUSH_TASKS)
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -494,18 +487,11 @@ class Scenario:
         if self.n_steps < 1:
             raise ValueError(f"'dt' must be below 2 * duration (at least one "
                              f"control step), got {self.dt!r}")
-        control.check_radii(self.switch_off_radius, self.termination_radius)
-        object.__setattr__(
-            self, "observation_std", np.asarray(self.observation_std, dtype=float)
-        )
 
     @property
     def n_steps(self) -> int:
         """Control steps in one run: duration / dt, rounded."""
         return int(round(self.duration / self.dt))
-
-    def observation_model(self) -> ObservationModel:
-        return ObservationModel(self.observation_std, self.observation_multiplier)
 
 
 def controller_presets(scenario: Scenario) -> tuple:
@@ -639,8 +625,8 @@ class _Arm:
         self.pose = pose
         self.cfg = cfg
         self.dt = scenario.dt
-        self.model = scenario.observation_model()
-        self.noise = filtering.default_dynamics_noise(scenario.dynamics_sigma)
+        self.model = ObservationModel()
+        self.noise = filtering.default_dynamics_noise(filtering.DEPLOYMENT_SIGMA)
         self.rng = rng
         self.filter = None
         self.pid = control.PidState.initial(6)
@@ -766,7 +752,7 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
 
 def _run_follow(scenario: Scenario, rng: np.random.Generator):
     dt = scenario.dt
-    speed = scenario.follow_speed
+    speed = _FOLLOW_SPEED
     if scenario.surface == "hemisphere":
         # Eight radial passes from the apex, 45 degrees apart.
         passes = [np.array([speed * math.cos(th), speed * math.sin(th), 0, 0, 0, 0])
@@ -828,8 +814,6 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         servo=control.preset(presets[0]),
         bearing_pid=control.preset(presets[1]),
         target_pose_in_work=Pose(np.eye(3), target_w),
-        switch_off_radius=scenario.switch_off_radius,
-        termination_radius=scenario.termination_radius,
     )
     bearing_state = control.PidState.initial(1)
     # Dual-arm: the leader starts engaged at the yield depth so the object
@@ -851,7 +835,6 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
                         Pose(face2.rotation, face2.apply(np.array([0.0, 0.0, 3.0]))),
                         control.preset(presets[2]), scenario, rng)
 
-    alpha, r0 = scenario.object_alpha, scenario.object_r0
     prev_tip_face = None
     terminated = False
     toppled = False
@@ -923,7 +906,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
             # target coordinates in the face frame, zero accumulated yaw.
             ft = face.inverse().apply(target_w)
             chart = push_object_step(
-                PushedObject(y=ft[1], z=ft[2], phi=0.0, alpha=alpha, r0=r0),
+                PushedObject(y=ft[1], z=ft[2]),
                 (-s_y, -advance))
             dphi = chart.phi
             z_f_w = face.rotation[:, 2]
@@ -933,7 +916,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
                 q_w, _, _ = SurfaceModel("flat", face).probe(tip_w)
                 # Rotate the face by -dphi about the up axis through the
                 # centre of friction.
-                cof_w = q_w + r0 * z_f_w
+                cof_w = q_w + _OBJECT_R0 * z_f_w
                 rot = exp(np.concatenate([np.zeros(3), x_f_w * -dphi])).rotation
                 face = (Pose(rot, cof_w - rot @ cof_w) @ face).renormalized()
             leader.surface.pose = face
@@ -968,7 +951,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
 
         if toppled:
             break
-        if tip_distance < scenario.termination_radius:
+        if tip_distance < push_cfg.termination_radius:
             terminated = True
             break
 

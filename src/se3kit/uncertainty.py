@@ -22,7 +22,8 @@ import warnings
 import numpy as np
 
 from .errors import CovarianceError
-from .liegroup import Pose, adjoint, exp, inv_left_jacobian, left_jacobian, log, matvec
+from .liegroup import (Pose, _so3_coefficients, adjoint, exp, inv_left_jacobian,
+                       left_jacobian, log, matvec)
 
 # Fixed-point iteration budget for fuse(); convergence is typically reached
 # in 3-4 steps for concentrated inputs.
@@ -129,8 +130,10 @@ def density(pg: PoseGaussian, x: Pose) -> float:
     quad = float(w @ w)
     log_det_cov = 2.0 * float(np.sum(np.log(np.diag(chol))))
     log_eta = -3.0 * math.log(2.0 * math.pi) - 0.5 * log_det_cov
-    det_jac = abs(float(np.linalg.det(left_jacobian(eps))))
-    return math.exp(log_eta - 0.5 * quad) / det_jac
+    # J(eps) is block-triangular with J_SO3 on both diagonal blocks, and
+    # det J_SO3 = 2 (1 - cos t) / t^2 = 2 b, so |det J| = (2 b)^2.
+    _, b, _ = _so3_coefficients(math.sqrt(float(eps[3:] @ eps[3:])))
+    return math.exp(log_eta - 0.5 * quad) / (2.0 * b) ** 2
 
 
 def sample(pg: PoseGaussian, rng: np.random.Generator) -> Pose:

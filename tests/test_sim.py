@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from se3kit import sim
 from se3kit.errors import (ApproximationDomainError, DivergenceError,
                            NoContactError, SingularTargetError)
 from se3kit.liegroup import Pose, euler_to_pose, exp, log, pose_to_euler
@@ -397,9 +398,9 @@ def test_quaternion_convention(rng):
 
 # ------------------------------------------------------------ scenario runs
 
-def test_static_track_regulates_to_reference():
-    scenario = Scenario(task="track", duration=6.0, track_profile="static",
-                        observation_std=np.full(6, 1e-9))
+def test_static_track_regulates_to_reference(monkeypatch):
+    monkeypatch.setattr(sim, "DEFAULT_OBSERVATION_STD", np.full(6, 1e-9))
+    scenario = Scenario(task="track", duration=6.0, track_profile="static")
     log_, metrics = run_scenario(scenario, np.random.default_rng(0))
     assert metrics["task"] == "track"
     assert metrics["track_error_mm"] < 1e-6
@@ -410,8 +411,7 @@ def test_static_track_regulates_to_reference():
 
 
 def test_follow_flat_net_displacement():
-    scenario = Scenario(task="follow", duration=10.0, surface="flat",
-                        follow_speed=10.0)
+    scenario = Scenario(task="follow", duration=10.0, surface="flat")
     log_, metrics = run_scenario(scenario, np.random.default_rng(0))
     assert metrics["surface"] == "flat"
     assert metrics["settled"] is True
@@ -461,5 +461,3 @@ def test_scenario_validation():
         Scenario(task="track", duration=5.0, track_profile="spiral")
     with pytest.raises(ValueError):
         Scenario(task="follow", duration=5.0, surface="torus")
-    with pytest.raises(ValueError):
-        Scenario(task="follow", duration=5.0, follow_speed=0.0)

@@ -12,7 +12,7 @@ from se3kit.uncertainty import (EuclideanGaussian, PoseGaussian, density, fuse,
                                 gaussian_product, sample, to_global_tangent,
                                 transform)
 
-from conftest import random_pose, random_spd
+from conftest import random_pose, random_spd, random_twist
 from oracles import from_global_tangent, mean_discrepancy, product_mode_oracle
 
 SPD_TOL = 1e-12
@@ -46,6 +46,18 @@ def test_density_ratio_formula(rng):
     det2 = abs(np.linalg.det(left_jacobian(eps2)))
     expected = math.exp(0.5 * maha) * det2 / det1
     assert density(pg, x1) / density(pg, x2) == pytest.approx(expected, rel=1e-9)
+
+
+def test_density_jacobian_factor_at_large_angles(rng):
+    # density times the chart volume |det J| is the chart Gaussian, at
+    # rotation angles up to 2.8 rad; J is summed from its series here.
+    cov = 4.0 * np.eye(6)
+    pg = PoseGaussian(random_pose(rng), cov)
+    for _ in range(20):
+        eps = random_twist(rng)
+        vol = abs(np.linalg.det(left_jacobian(eps)))
+        expected = normalizer(cov) * math.exp(-0.5 * (eps @ eps) / 4.0)
+        assert density(pg, exp(eps) @ pg.mean) * vol == pytest.approx(expected, rel=1e-9)
 
 
 def test_density_integrates_to_one(rng):
