@@ -278,8 +278,12 @@ def _resolve(args) -> tuple:
     if config["task"] in _OFFLINE:
         return _OFFLINE[config["task"]].defaults | config, []
     seed = config.get("seed", 0)
-    return config, [_build_scenario(config, seed + i)
-                    for i in range(config.get("trials", 1))]
+    try:
+        return config, [_build_scenario(config, seed + i)
+                        for i in range(config.get("trials", 1))]
+    except ConfigError as e:
+        # a rule between keys, so the config file is its location
+        raise ConfigError(f"{args.config}: {e}") from None
 
 
 # --------------------------------------------------------------------------

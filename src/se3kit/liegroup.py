@@ -12,7 +12,7 @@ Pose composition and inverse also take leading batch dimensions -- twists
 single pose against a stack.  exp and log have one body for both: the
 shape decides only whether the angle and trig coefficients come through
 `math` or through the same scalar helpers over each element of a stack.
-matvec, hat3 and vee3 keep a single-input form (see the note at matvec).
+matvec, hat3, vee3 and ad keep a single-input form (see the note at matvec).
 
 Units are mm and rad throughout the package.
 """
@@ -49,6 +49,14 @@ _GIMBAL_MARGIN = 1e-6
 # bch_compose() refuses flagged arguments with norm above this; the
 # first-order truncation error grows quadratically in the flagged norm.
 _BCH_MAX_SMALL_NORM = 0.5
+
+# Identities that exp, log and inv_left_jacobian add to, shared and read-only:
+# every sum with them is a new array, and np.eye per call costs more than
+# the arithmetic on a single 3x3.
+_I3 = np.eye(3)
+_I3.flags.writeable = False
+_I6 = np.eye(6)
+_I6.flags.writeable = False
 
 
 class Pose:
@@ -123,10 +131,12 @@ class Pose:
         return f"Pose(t={t}, ...)"
 
 
-# matvec, hat3 and vee3 keep a single-input form because their stacked
-# forms cost more at N = 1, where a track step calls them about 69, 43 and
-# 13 times: hat3 2.6 against 1.6 us, vee3 2.3 against 0.75 us, and Pose
-# composition through matvec 3.5 against 3.0 us (README, "Stacks").
+# matvec, hat3, vee3 and ad keep a single-input form because a single pose
+# is what the closed loop runs, about 120 small kernel calls per track step,
+# and numpy's fixed cost per call outweighs the arithmetic there.  The
+# single forms of hat3 and ad read their input once with tolist() and build
+# the matrix with one np.array call; they only copy and negate, so they
+# agree with the stacked forms bit for bit (README, "Stacks").
 
 
 def matvec(m, v) -> np.ndarray:
@@ -152,13 +162,8 @@ def hat3(v) -> np.ndarray:
         m = np.zeros(v.shape + (3,))
         m[..., _HAT3_ROWS, _HAT3_COLS] = _HAT3_SIGNS * v[..., _HAT3_COMPONENTS]
         return m
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    x, y, z = v.tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def vee3(m) -> np.ndarray:
@@ -271,8 +276,8 @@ def exp(xi) -> Pose:
             angles.shape + (3, 1, 1)), -3, 0)
     k = hat3(phi)
     k2 = k @ k
-    rot = np.eye(3) + a * k + b * k2
-    v = np.eye(3) + b * k + c * k2
+    rot = _I3 + a * k + b * k2
+    v = _I3 + b * k + c * k2
     return Pose(rot, matvec(v, xi[..., :3]))
 
 
@@ -304,18 +309,22 @@ def log(p: Pose) -> np.ndarray:
     corrupt any covariance propagated through the result.
     """
     rot = p.rotation
-    cos_angle = 0.5 * (rot.trace(axis1=-2, axis2=-1) - 1.0)
     if rot.ndim == 2:
-        scale, coeff = _log_coefficients(_log_angle(cos_angle))
+        # one read; the trace sums in numpy's order, (r00 + r11) + r22
+        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
+        scale, coeff = _log_coefficients(_log_angle(0.5 * (r00 + r11 + r22 - 1.0)))
+        skew = np.array([r21 - r12, r02 - r20, r10 - r01])
     else:
+        cos_angle = 0.5 * (rot.trace(axis1=-2, axis2=-1) - 1.0)
         coefficients = np.reshape(
             _each(cos_angle, lambda c: _log_coefficients(_log_angle(c))),
             cos_angle.shape + (2,))
         scale, coeff = coefficients[..., :1], coefficients[..., 1:, None]
-    phi = scale * vee3(rot - rot.swapaxes(-1, -2))  # vee3(R - R^T) = 2 sin(angle) axis
+        skew = vee3(rot - rot.swapaxes(-1, -2))
+    phi = scale * skew  # vee3(R - R^T) = 2 sin(angle) axis
     k = hat3(phi)
     k2 = k @ k
-    v_inv = np.eye(3) - 0.5 * k + coeff * k2
+    v_inv = _I3 - 0.5 * k + coeff * k2
     return np.concatenate([matvec(v_inv, p.translation), phi], axis=-1)
 
 
@@ -334,6 +343,14 @@ def ad(xi) -> np.ndarray:
     """Algebra adjoint (curly hat): block [[phi^, rho^], [0, phi^]]; a stack
     of twists gives (..., 6, 6)."""
     xi = _twists(xi)
+    if xi.ndim == 1:
+        r0, r1, r2, p0, p1, p2 = xi.tolist()
+        return np.array([[0.0, -p2, p1, 0.0, -r2, r1],
+                         [p2, 0.0, -p0, r2, 0.0, -r0],
+                         [-p1, p0, 0.0, -r1, r0, 0.0],
+                         [0.0, 0.0, 0.0, 0.0, -p2, p1],
+                         [0.0, 0.0, 0.0, p2, 0.0, -p0],
+                         [0.0, 0.0, 0.0, -p1, p0, 0.0]])
     pk = hat3(xi[..., 3:])
     out = np.zeros(xi.shape[:-1] + (6, 6))
     out[..., :3, :3] = pk
@@ -366,7 +383,7 @@ def inv_left_jacobian(xi) -> np.ndarray:
     both converge on all 100, and the fixed point moves by at most 1.3e-7.
     """
     x = ad(xi)
-    return np.eye(6) - 0.5 * x + (x @ x) / 12.0
+    return _I6 - 0.5 * x + (x @ x) / 12.0
 
 
 def bch_compose(xi1, xi2, small: str = "first") -> np.ndarray:

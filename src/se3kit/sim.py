@@ -126,6 +126,14 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b of two 3-vectors: np.cross's products and differences in its
+    order, so the same bits, without its fixed cost per call."""
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def is_number(v) -> bool:
     """A real number other than a bool (YAML's true and false are bools)."""
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -329,7 +337,7 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose) -> Pose:
     s_rot = surface.pose.rotation
     z_w = s_rot @ n_local
     x_conv_w = s_rot @ x_local
-    y_conv_w = np.cross(z_w, x_conv_w)
+    y_conv_w = _cross(z_w, x_conv_w)
     r_g = np.column_stack([x_conv_w, y_conv_w, z_w])
     r_rel = r_g.T @ sensor_pose.rotation
     spin = math.atan2(r_rel[1, 0], r_rel[0, 0])
@@ -356,7 +364,7 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose) -> Pose:
     cs, sn = math.cos(surface._anchor_spin), math.sin(surface._anchor_spin)
     x_f = cs * x_conv_w + sn * y_conv_w
     x_f = _unit(x_f - np.dot(x_f, z_w) * z_w)
-    y_f = np.cross(z_w, x_f)
+    y_f = _cross(z_w, x_f)
     feature = Pose(np.column_stack([x_f, y_f, z_w]), anchor_w)
     return feature.inverse() @ sensor_pose
 
@@ -468,8 +476,8 @@ class Scenario:
     track_profile: str = _key(lambda v: v in TRACK_PROFILES, _either(TRACK_PROFILES),
                               "periodic", ("track",))
     surface: str = _key(lambda v: v in SURFACES, _either(SURFACES), "flat", ("follow",))
-    surface_radius: float | None = _key(_is_positive, "a positive radius in mm", None,
-                                        ("follow",))
+    surface_radius: float | None = _key(_is_sigma, "a positive radius in mm whose square "
+                                        "is finite", None, ("follow",))
     tall: bool = _key(lambda v: isinstance(v, bool), "true or false", False,
                       _PUSH_TASKS)
 
@@ -481,6 +489,9 @@ class Scenario:
             if not f.metadata["check"](value):
                 raise ValueError(
                     f"'{f.name}' must be {f.metadata['expect']}, got {value!r}")
+        if self.surface_radius is not None and _SURFACE_RADIUS[self.surface] is None:
+            raise ValueError("'surface_radius' is read only by the ramp and the "
+                             f"hemisphere, not by surface {self.surface!r}")
         if not self.duration / self.dt <= _MAX_STEPS:
             raise ValueError(f"'dt' must be at least duration / {_MAX_STEPS} "
                              f"(at most {_MAX_STEPS} steps), got {self.dt!r}")
@@ -588,7 +599,7 @@ def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
 
 
 def _check_pose(pose: Pose, what: str) -> Pose:
-    if not np.all(np.isfinite(pose.matrix)):
+    if not (np.isfinite(pose.rotation).all() and np.isfinite(pose.translation).all()):
         raise DivergenceError(f"{what} pose contains non-finite values")
     if np.max(np.abs(pose.translation)) > _WORKSPACE_LIMIT:
         raise DivergenceError(

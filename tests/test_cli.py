@@ -142,6 +142,8 @@ REJECTED = [
     ("track", "seed", -1),
     ("follow", "surface_radius", 0),
     ("follow", "surface_radius", float("inf")),
+    # its square overflows inside the surface projection
+    ("follow", "surface_radius", 1.0e155),
     ("push_dual", "tall", "yes"),
     ("track", "dt", 1.0e-300),
     ("track", "dt", float("inf")),
@@ -430,6 +432,10 @@ REJECTED_INPUTS = [
                  ":3: unknown key '1'", id="non_string_key"),
     pytest.param(["run", "{cfg}"], "task: push_single\nduration: 5\ntarget_y: .nan\n",
                  ":3: unknown key 'target_y'", id="push_target_key"),
+    pytest.param(["run", "{cfg}"],
+                 "task: follow\nsurface: flat\nduration: 5\nsurface_radius: 5\n",
+                 ": 'surface_radius' is read only by the ramp and the hemisphere, "
+                 "not by surface 'flat'", id="flat_surface_radius"),
     pytest.param(["run", "{cfg}"], "task: track\nduration: 5\nduration: 6\n",
                  ":3: duplicate key 'duration'", id="duplicate_key"),
     pytest.param(["run", "{cfg}"], "task: track\nduration: .inf\n",
@@ -582,6 +588,8 @@ def reject_constant(name):
 @example("task: follow\nsurface: hemisphere\nduration: 1\ndt: 0.5\n")
 @example("task: push_single\nduration: 1\ntarget_y: .nan\n")
 @example("task: follow\nsurface: ramp\nduration: 1\nsurface_radius: .inf\n")
+@example("task: follow\nsurface: ramp\nduration: 0.5\nsurface_radius: 1.0e+155\n")
+@example("task: follow\nsurface: hemisphere\nduration: 0.5\nsurface_radius: 1.0e+155\n")
 @example("task: filter_study\nsteps: 3\nsigma_grid: [1.0e+154]\n")
 def test_exit_code_contract(text):
     with tempfile.TemporaryDirectory() as tmp:

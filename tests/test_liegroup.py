@@ -8,6 +8,7 @@ from scipy.spatial.transform import Rotation
 
 from se3kit.errors import (ApproximationDomainError, GimbalLockError,
                            PrincipalBranchError, StructureError)
+from se3kit import liegroup
 from se3kit.liegroup import (Pose, ad, adjoint, bch_compose,
                              euler_to_pose, exp, hat, hat3, inv_left_jacobian,
                              left_jacobian, log, pose_to_euler, vee, vee3)
@@ -414,6 +415,36 @@ def test_stacked_kernels_match_single_pose_path(rng):
         assert_stack_close(logs[i], log(p))
         assert_stack_close(adjoints[i], adjoint(p))
         assert_stack_close(jacobians[i], inv_left_jacobian(x))
+
+
+def test_single_hat3_and_ad_match_stacked_forms_bit_for_bit(rng):
+    # Both forms only copy and negate their input, so no rounding can differ.
+    xi = rng.standard_normal((300, 6)) * 10.0 ** rng.integers(-9, 10, (300, 6))
+    xi[::3, 1] = -0.0
+    xi[::4, 3] = 0.0
+    xi[::5, 5] = -0.0
+    xi[::7] = 0.0
+    for x in xi:
+        assert hat3(x[3:]).tobytes() == hat3(x[None, 3:])[0].tobytes()
+        assert ad(x).tobytes() == ad(x[None])[0].tobytes()
+
+
+def test_exp_and_log_return_fresh_arrays(rng):
+    # The identities they add to are shared module constants.
+    assert not liegroup._I3.flags.writeable and not liegroup._I6.flags.writeable
+    xi = random_twist(rng)
+    expected_pose, expected_log = exp(xi), log(exp(xi))
+    expected_jac = inv_left_jacobian(xi)
+    for out in (exp(xi).rotation, exp(xi).translation, log(exp(xi)),
+                inv_left_jacobian(xi), exp(xi[None]).rotation):
+        assert out.flags.writeable
+        out[...] = np.nan
+    assert np.array_equal(liegroup._I3, np.eye(3))
+    assert np.array_equal(liegroup._I6, np.eye(6))
+    assert exp(xi).rotation.tobytes() == expected_pose.rotation.tobytes()
+    assert exp(xi).translation.tobytes() == expected_pose.translation.tobytes()
+    assert log(exp(xi)).tobytes() == expected_log.tobytes()
+    assert inv_left_jacobian(xi).tobytes() == expected_jac.tobytes()
 
 
 def singles(stack):

@@ -13,7 +13,7 @@ from se3kit.errors import (ApproximationDomainError, DivergenceError,
 from se3kit.liegroup import Pose, euler_to_pose, exp, log, pose_to_euler
 from se3kit.sim import (DEFAULT_OBSERVATION_STD, ObservationModel,
                         PushedObject, Scenario, SurfaceModel, TrajectoryLog,
-                        _check_pose, _integrate_body,
+                        _check_pose, _cross, _integrate_body,
                         _quaternion_from_rotation, bearing_sensitivity,
                         contact_pose, leader_twist, make_study_sequence,
                         observe, push_object_step, run_scenario)
@@ -343,7 +343,18 @@ def test_workspace_guard():
     nan_pose = Pose(np.eye(3), np.array([math.nan, 0.0, 0.0]))
     with pytest.raises(DivergenceError):
         _check_pose(nan_pose, "probe")
+    with pytest.raises(DivergenceError):
+        _check_pose(Pose(np.diag([1.0, math.inf, 1.0]), np.zeros(3)), "probe")
     assert _check_pose(bad, "probe") is bad
+
+
+def test_cross_matches_numpy_bit_for_bit(rng):
+    vectors = rng.standard_normal((2000, 2, 3)) * 10.0 ** rng.integers(-9, 10, (2000, 2, 3))
+    vectors[::5, 0, 1] = -0.0
+    vectors[::7, 1, 2] = 0.0
+    vectors[::11] = -0.0
+    for a, b in vectors:
+        assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 # ------------------------------------------------------------ trajectory log
