@@ -164,12 +164,14 @@ def _is_std6(v) -> bool:
 
 
 class SurfaceModel:
-    """Analytic contact surface with slip-anchored shear state.
+    """Analytic contact surface: geometry only.
 
     kind is one of "flat", "ramp", "hemisphere".  `pose` maps surface-local
     coordinates to the work frame and may be reassigned when the surface
-    rides on an arm or a pushed object; the shear anchor is stored in local
-    coordinates, so it is transported with the material automatically.
+    rides on an arm or a pushed object.  A surface holds no contact state:
+    the shear anchor of an engaged contact is a value that contact_pose
+    takes and returns, in surface-local coordinates, so it is transported
+    with the material automatically.
 
     flat: boundary is the local z = 0 plane, material below (+z).
     ramp: flat for y <= 0, then a rising circular arc of the given radius
@@ -183,19 +185,12 @@ class SurfaceModel:
                  radius: float | None = None):
         if kind not in SURFACES:
             raise ValueError(f"unknown surface kind {kind!r}")
-        if kind != "flat":
-            if radius is None or radius <= 0:
-                raise ValueError(f"{kind} surface needs a positive radius")
+        if kind != "flat" and not _is_sigma(radius):
+            raise ValueError(f"{kind} surface needs a positive radius whose "
+                             f"square is finite, got {radius!r}")
         self.kind = kind
         self.pose = pose if pose is not None else Pose.identity()
         self.radius = radius
-        self._anchor_local = None
-        self._anchor_spin = 0.0
-
-    def reset(self) -> None:
-        """Forget the shear anchor (sensor lifted off)."""
-        self._anchor_local = None
-        self._anchor_spin = 0.0
 
     # local geometry ----------------------------------------------------
 
@@ -253,7 +248,7 @@ class SurfaceModel:
     def probe(self, point_w: np.ndarray):
         """World-frame boundary projection: (q_w, inward normal_w, depth).
 
-        Read-only counterpart of contact_pose for metrics and oracles.
+        Pure geometry for metrics and oracles: no depth envelope, no shear.
         """
         inv = self.pose.inverse()
         p_local = inv.apply(np.asarray(point_w, dtype=float))
@@ -309,24 +304,26 @@ class PushedObject:
         return math.atan2(self.y, self.z) - self.phi
 
 
-def contact_pose(surface: SurfaceModel, sensor_pose: Pose) -> Pose:
-    """True feature-frame pose of the sensor (X_fs), with shear memory.
+def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
+    """(X_fs, anchor): the sensor's true feature-frame pose and the shear
+    anchor it is measured against.
 
     The normal components (depth, tilt) are instantaneous geometry at the
     sensor tip's boundary projection.  The tangential components (shear,
-    spin) accumulate against an anchor planted at first contact and dragged
-    when the slip limits are exceeded; the anchor lives in surface-local
-    coordinates, so surfaces riding on moving bodies transport it.
+    spin) are measured against `anchor`, the (surface-local point, spin)
+    pair the previous step of the same contact returned; None plants it
+    at this contact.  The returned anchor is dragged along when shear or
+    spin passes its slip limit; being surface-local, it rides with a
+    moving surface.
 
-    Mutates the surface's anchor state.  Raises NoContactError outside the
-    depth envelope [0, 10] mm.
+    Pure: writes nothing of its arguments.  Raises NoContactError outside
+    the depth envelope [0, 10] mm; the next engagement then passes None.
     """
     tip_w = sensor_pose.translation
     inv = surface.pose.inverse()
     p_local = inv.apply(tip_w)
     q_local, n_local, depth = surface._project_local(p_local)
     if depth < 0.0 or depth > _MAX_DEPTH:
-        surface.reset()
         raise NoContactError(
             f"contact depth {depth:.3f} mm outside the [0, {_MAX_DEPTH}] mm envelope"
         )
@@ -342,31 +339,29 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose) -> Pose:
     r_rel = r_g.T @ sensor_pose.rotation
     spin = math.atan2(r_rel[1, 0], r_rel[0, 0])
 
-    if surface._anchor_local is None:
-        surface._anchor_local = q_local.copy()
-        surface._anchor_spin = spin
+    if anchor is None:
+        point, anchor_spin = q_local, spin
     else:
+        point, anchor_spin = anchor
         # Drag the anchor when tangential shear exceeds the slip limit.
-        v = q_local - surface._anchor_local
+        v = q_local - point
         vt = v - np.dot(v, n_local) * n_local
         shear = float(np.linalg.norm(vt))
         if shear > _MAX_SHEAR:
-            candidate = q_local - (_MAX_SHEAR / shear) * vt
-            aq, _, _ = surface._project_local(candidate)
-            surface._anchor_local = aq
-        gamma = _wrap_angle(spin - surface._anchor_spin)
+            point, _, _ = surface._project_local(q_local - (_MAX_SHEAR / shear) * vt)
+        gamma = _wrap_angle(spin - anchor_spin)
         if abs(gamma) > _MAX_SPIN:
-            surface._anchor_spin = _wrap_angle(spin - math.copysign(_MAX_SPIN, gamma))
+            anchor_spin = _wrap_angle(spin - math.copysign(_MAX_SPIN, gamma))
 
-    anchor_w = surface.pose.apply(surface._anchor_local)
+    anchor_w = surface.pose.apply(point)
     # Feature frame: origin at the anchor, z along the normal at the tip
     # projection, x = tangential convention rotated by the anchor spin.
-    cs, sn = math.cos(surface._anchor_spin), math.sin(surface._anchor_spin)
+    cs, sn = math.cos(anchor_spin), math.sin(anchor_spin)
     x_f = cs * x_conv_w + sn * y_conv_w
     x_f = _unit(x_f - np.dot(x_f, z_w) * z_w)
     y_f = _cross(z_w, x_f)
     feature = Pose(np.column_stack([x_f, y_f, z_w]), anchor_w)
-    return feature.inverse() @ sensor_pose
+    return feature.inverse() @ sensor_pose, (point, anchor_spin)
 
 
 def observe(model: ObservationModel, true_contact: Pose,
@@ -621,7 +616,8 @@ def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Po
 
 
 class _Arm:
-    """One sensor arm: its surface, pose, filter and PID state, and servo.
+    """One sensor arm: its surface (one for its lifetime), pose, shear
+    anchor, filter and PID state, and servo.
 
     A control cycle is built from four steps: sense (contact_pose ->
     observe -> filter), servo, probe (true depth and normal angle at the
@@ -634,6 +630,7 @@ class _Arm:
         self.name = name
         self.surface = surface
         self.pose = pose
+        self.anchor = None
         self.cfg = cfg
         self.dt = scenario.dt
         self.model = ObservationModel()
@@ -643,8 +640,10 @@ class _Arm:
         self.pid = control.PidState.initial(6)
 
     def sense(self):
-        """Returns (true X_fs, belief PoseGaussian); raises NoContactError."""
-        true_fs = contact_pose(self.surface, self.pose)
+        """Returns (true X_fs, belief PoseGaussian); raises NoContactError,
+        and losing contact forgets the anchor."""
+        anchor, self.anchor = self.anchor, None
+        true_fs, self.anchor = contact_pose(self.surface, self.pose, anchor)
         obs = observe(self.model, true_fs, self.rng)
         if self.filter is None:
             self.filter = filtering.init(obs, self.pose)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from se3kit import sim
+from se3kit import control, sim
 from se3kit.errors import (ApproximationDomainError, DivergenceError,
                            NoContactError, SingularTargetError)
 from se3kit.liegroup import Pose, euler_to_pose, exp, log, pose_to_euler
@@ -30,7 +30,8 @@ def rot_z(angle):
 def test_contact_pose_reference_depth():
     surface = SurfaceModel("flat")
     sensor = Pose(np.eye(3), np.array([0.0, 0.0, 3.0]))
-    euler = np.array(pose_to_euler(contact_pose(surface, sensor)))
+    x_fs, _ = contact_pose(surface, sensor, None)
+    euler = np.array(pose_to_euler(x_fs))
     assert np.allclose(euler, [0, 0, 3, 0, 0, 0], atol=1e-12)
 
 
@@ -38,7 +39,8 @@ def test_contact_pose_tilted_sensor():
     surface = SurfaceModel("flat")
     tilt = math.radians(10.0)
     sensor = euler_to_pose(0, 0, 3, tilt, 0, 0)
-    euler = np.array(pose_to_euler(contact_pose(surface, sensor)))
+    x_fs, _ = contact_pose(surface, sensor, None)
+    euler = np.array(pose_to_euler(x_fs))
     assert euler[3] == pytest.approx(tilt, abs=1e-12)
     assert np.allclose(euler[[0, 1, 4, 5]], 0.0, atol=1e-12)
     assert euler[2] == pytest.approx(3.0, abs=1e-12)
@@ -60,7 +62,7 @@ def test_contact_pose_flat_first_contact_oracle(rng):
                + offset[1] * surf_pose.rotation[:, 1])
         spin = exp(np.concatenate([np.zeros(3), rng.uniform(-0.2, 0.2, 3)]))
         sensor = Pose(surf_pose.rotation @ spin.rotation, tip)
-        x_fs = contact_pose(surface, sensor)
+        x_fs, _ = contact_pose(surface, sensor, None)
         assert np.allclose(x_fs.translation, [0, 0, depth], atol=1e-9)
         feature = sensor @ x_fs.inverse()
         assert np.allclose(feature.rotation[:, 2], z_w, atol=1e-9)
@@ -69,46 +71,109 @@ def test_contact_pose_flat_first_contact_oracle(rng):
 def test_contact_pose_repeat_query_stable():
     surface = SurfaceModel("flat")
     sensor = euler_to_pose(1.0, -2.0, 4.0, 0.1, -0.05, 0.2)
-    first = contact_pose(surface, sensor)
-    second = contact_pose(surface, sensor)
+    first, anchor = contact_pose(surface, sensor, None)
+    second, _ = contact_pose(surface, sensor, anchor)
     assert np.allclose(first.matrix, second.matrix, atol=1e-12)
+    # Pure: the same inputs give the same bits, and neither the input
+    # anchor nor the surface is written.
+    point_before = anchor[0].copy()
+    surface_before = dict(vars(surface))
+    (x1, (p1, s1)), (x2, (p2, s2)) = (contact_pose(surface, sensor, anchor)
+                                      for _ in range(2))
+    assert x1.matrix.tobytes() == x2.matrix.tobytes() == second.matrix.tobytes()
+    assert p1.tobytes() == p2.tobytes() and s1 == s2
+    assert anchor[0].tobytes() == point_before.tobytes()
+    assert vars(surface) == surface_before
+    assert set(vars(surface)) == {"kind", "pose", "radius"}
 
 
 def test_contact_pose_shear_anchor_drag():
     surface = SurfaceModel("flat")
     at = lambda x: Pose(np.eye(3), np.array([x, 0.0, 3.0]))
-    contact_pose(surface, at(0.0))  # plant the anchor at the origin
-    assert np.allclose(contact_pose(surface, at(2.0)).translation,
-                       [2, 0, 3], atol=1e-12)
+    _, anchor = contact_pose(surface, at(0.0), None)  # plant at the origin
+    x_fs, anchor = contact_pose(surface, at(2.0), anchor)
+    assert np.allclose(x_fs.translation, [2, 0, 3], atol=1e-12)
     # 8 mm of shear exceeds the 5 mm slip limit: the anchor is dragged to
     # x = 3 and the reported shear saturates.
-    assert np.allclose(contact_pose(surface, at(8.0)).translation,
-                       [5, 0, 3], atol=1e-9)
+    x_fs, anchor = contact_pose(surface, at(8.0), anchor)
+    assert np.allclose(x_fs.translation, [5, 0, 3], atol=1e-9)
+    assert np.allclose(anchor[0], [3, 0, 0], atol=1e-9)
     # moving back re-measures against the dragged anchor
-    assert np.allclose(contact_pose(surface, at(0.0)).translation,
-                       [-3, 0, 3], atol=1e-9)
+    x_fs, _ = contact_pose(surface, at(0.0), anchor)
+    assert np.allclose(x_fs.translation, [-3, 0, 3], atol=1e-9)
 
 
 def test_contact_pose_spin_clamp():
     surface = SurfaceModel("flat")
     base = Pose(np.eye(3), np.array([0.0, 0.0, 3.0]))
-    contact_pose(surface, base)
+    _, anchor = contact_pose(surface, base, None)
     twisted = Pose(rot_z(0.5), base.translation)
-    euler = np.array(pose_to_euler(contact_pose(surface, twisted)))
+    x_fs, _ = contact_pose(surface, twisted, anchor)
+    euler = np.array(pose_to_euler(x_fs))
     assert euler[5] == pytest.approx(0.26, abs=1e-9)
 
 
-def test_contact_pose_envelope_and_reset():
+def test_contact_pose_envelope():
     surface = SurfaceModel("flat")
     at = lambda x, z: Pose(np.eye(3), np.array([x, 0.0, z]))
-    contact_pose(surface, at(3.0, 3.0))
+    _, anchor = contact_pose(surface, at(3.0, 3.0), None)
     with pytest.raises(NoContactError):
-        contact_pose(surface, at(3.0, -0.5))
+        contact_pose(surface, at(3.0, -0.5), anchor)
     with pytest.raises(NoContactError):
-        contact_pose(surface, at(3.0, 11.0))
-    # breaking contact forgets the anchor; re-engagement reads zero shear
-    assert np.allclose(contact_pose(surface, at(0.0, 3.0)).translation,
-                       [0, 0, 3], atol=1e-12)
+        contact_pose(surface, at(3.0, 11.0), anchor)
+
+
+def test_arm_lost_contact_forgets_anchor():
+    # Engage, shear by 3 mm, leave the depth envelope, re-engage 4 mm away
+    # with a 0.1 rad twist: the re-engagement plants a new anchor and reads
+    # zero shear and spin.  An arm that kept its old anchor would read
+    # (4, 0, 3) and a 0.1 rad spin, both inside the slip limits.
+    scenario = Scenario(task="track", duration=1.0)
+    at = lambda x, z, spin=0.0: Pose(rot_z(spin), np.array([x, 0.0, z]))
+    for lost in (at(3.0, -0.5), at(3.0, 11.0)):
+        arm = sim._Arm("probe", SurfaceModel("flat"), at(0.0, 3.0),
+                       control.preset("tracking"), scenario, np.random.default_rng(0))
+        arm.sense()
+        arm.pose = at(3.0, 3.0)
+        true_fs, _ = arm.sense()
+        assert np.allclose(true_fs.translation, [3, 0, 3], atol=1e-12)
+        arm.pose = lost
+        with pytest.raises(NoContactError):
+            arm.sense()
+        assert arm.anchor is None
+        arm.pose = at(4.0, 3.0, 0.1)
+        true_fs, _ = arm.sense()
+        assert np.allclose(true_fs.translation, [0, 0, 3], atol=1e-12)
+        assert pose_to_euler(true_fs)[5] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_contact_pose_slip_limits_bound_shear_and_spin():
+    # Random walks inside the depth envelope on a flat surface, threading
+    # the anchor: the skin never reports more shear or spin than it holds.
+    rng = np.random.default_rng(2024)
+    surface = SurfaceModel("flat")
+    worst_shear = worst_spin = 0.0
+    for walk in range(300):
+        tilted = walk % 2 == 1
+        tip = np.array([*rng.uniform(-5, 5, 2), rng.uniform(0.5, 9.5)])
+        angles = np.zeros(3)
+        anchor = None
+        for _ in range(60):
+            tip = tip + np.array([*rng.normal(0.0, 2.0, 2), rng.normal(0.0, 0.5)])
+            tip[2] = min(9.9, max(0.1, tip[2]))
+            angles[2] += rng.normal(0.0, 0.1)
+            if tilted:
+                angles[:2] = rng.uniform(-0.3, 0.3, 2)
+            sensor = Pose(exp(np.concatenate([np.zeros(3), angles])).rotation, tip)
+            x_fs, anchor = contact_pose(surface, sensor, anchor)
+            worst_shear = max(worst_shear, float(np.linalg.norm(x_fs.translation[:2])))
+            if not tilted:
+                worst_spin = max(worst_spin, abs(pose_to_euler(x_fs)[5]))
+    assert worst_shear <= sim._MAX_SHEAR + 1e-9
+    assert worst_spin <= sim._MAX_SPIN + 1e-9
+    # the walks reach the limits, so the bound is exercised
+    assert worst_shear > sim._MAX_SHEAR - 1e-6
+    assert worst_spin > sim._MAX_SPIN - 1e-6
 
 
 def test_ramp_probe_closed_form():
@@ -164,6 +229,11 @@ def test_surface_validation():
         SurfaceModel("ramp")
     with pytest.raises(ValueError):
         SurfaceModel("hemisphere", radius=-1.0)
+    # the radius rule of Scenario.surface_radius: positive, square finite
+    for kind in ("ramp", "hemisphere"):
+        for radius in (math.nan, math.inf, -math.inf, 1e200):
+            with pytest.raises(ValueError):
+                SurfaceModel(kind, radius=radius)
 
 
 # ----------------------------------------------------------------- observe
