@@ -77,7 +77,6 @@ from .gdnmath import (
 )
 from .sim import (
     DEFAULT_OBSERVATION_STD,
-    ObservationModel,
     PushedObject,
     Scenario,
     SurfaceModel,
@@ -111,7 +110,7 @@ __all__ = [
     "DEFAULT_LOSS_WEIGHTS", "HeteroPrediction", "SoftboundParams",
     "label_pipeline", "mean_nll", "sample_contact_pose", "softbound",
     "softplus_stable", "weighted_mse",
-    "DEFAULT_OBSERVATION_STD", "ObservationModel", "PushedObject",
+    "DEFAULT_OBSERVATION_STD", "PushedObject",
     "Scenario", "SurfaceModel", "TrajectoryLog", "bearing_sensitivity",
     "contact_pose", "leader_twist", "make_study_sequence", "observe",
     "push_object_step", "run_scenario", "write_metrics_json",

@@ -389,8 +389,8 @@ def _validate_cmd(config_path, config: dict, scenarios: list) -> int:
         print(f"controller presets: {', '.join(sim.controller_presets(scn))}")
         if task in sim._PUSH_TASKS:
             print("alignment switch-off radius: "
-                  f"{control.DEFAULT_SWITCH_OFF_RADIUS:g} mm, "
-                  f"termination radius: {control.DEFAULT_TERMINATION_RADIUS:g} mm")
+                  f"{control._SWITCH_OFF_RADIUS:g} mm, "
+                  f"termination radius: {sim._TERMINATION_RADIUS:g} mm")
         print(f"trials: {len(scenarios)}, base seed: {scn.seed}")
         print("would write: per-trial trajectory CSV, per-trial metrics JSON, "
               "summary JSON")

@@ -23,22 +23,18 @@ from .liegroup import Pose, adjoint, euler_to_pose, log
 # smoothed error, half the new error.
 _EWMA_DECAY = 0.5
 
-# Alignment switch-off and termination radii of the pushing controller, mm.
-DEFAULT_SWITCH_OFF_RADIUS = 120.0
-DEFAULT_TERMINATION_RADIUS = 20.0
+# The pushing controller's alignment loop runs while the target is at
+# least this far from the contact point, mm.
+_SWITCH_OFF_RADIUS = 120.0
 
 
 def _as_gain(g) -> np.ndarray:
-    """Accept a scalar, a diagonal vector, or a diagonal matrix."""
+    """Accept a scalar or a vector of per-channel gains."""
     g = np.asarray(g, dtype=float)
     if g.ndim == 0:
         g = g[None]
-    elif g.ndim == 2:
-        if g.shape[0] != g.shape[1] or np.any(g != np.diag(np.diag(g))):
-            raise ValueError("gain matrices must be diagonal")
-        g = np.diag(g).copy()
     if g.ndim != 1:
-        raise ValueError(f"gain must be scalar, vector, or diagonal matrix, got shape {g.shape}")
+        raise ValueError(f"gain must be a scalar or a vector, got shape {g.shape}")
     if np.any(g < 0):
         raise ValueError("gains must be non-negative")
     return g
@@ -57,8 +53,8 @@ def _as_clip(clip):
 class PidConfig:
     """Diagonal-gain PID with integral anti-windup and a derivative EWMA.
 
-    kp/ki/kd may be given as scalars (single-channel loops), diagonal
-    vectors, or diagonal matrices; they are stored as the diagonal.  Clip
+    kp/ki/kd may be given as scalars (single-channel loops) or vectors of
+    per-channel gains (the diagonal); they are stored as vectors.  Clip
     intervals are (lo, hi) pairs applied componentwise, or None.
     """
 
@@ -115,17 +111,11 @@ class ServoConfig:
 
 @dataclasses.dataclass(frozen=True)
 class PushConfig:
+    """The contact servo, the bearing loop and the target's work pose."""
+
     servo: ServoConfig
     bearing_pid: PidConfig
     target_pose_in_work: Pose
-    switch_off_radius: float = DEFAULT_SWITCH_OFF_RADIUS
-    termination_radius: float = DEFAULT_TERMINATION_RADIUS
-
-    def __post_init__(self):
-        if not self.switch_off_radius > self.termination_radius > 0:
-            raise ValueError(
-                "need switch_off_radius > termination_radius > 0, got "
-                f"{self.switch_off_radius!r} and {self.termination_radius!r}")
 
 
 def _clip(v: np.ndarray, clip) -> np.ndarray:
@@ -195,10 +185,10 @@ def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
     a scalar PID whose output becomes the y-component of an alignment twist
     in the reference sensor frame, mapped through Ad(X_ss') and added to
     the servo command.  Alignment is switched off (and its PID frozen)
-    once r drops below the switch-off radius; status reports "terminated"
-    once r drops below the termination radius.
+    once r drops below the switch-off radius.  When a push ends is not
+    decided here: the simulator terminates on the tip centre's distance.
 
-    Returns (command, (servo PID state, bearing PID state), status).
+    Returns (command, (servo PID state, bearing PID state)).
     """
     command, new_pid, error_pose = servo_step(cfg.servo, pid, observed_contact, dt)
     target_in_ref = (error_pose.inverse() @ sensor_pose_in_work.inverse()
@@ -206,7 +196,7 @@ def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
     y, z = target_in_ref.translation[1], target_in_ref.translation[2]
     r = math.hypot(y, z)
     new_bearing = bearing_pid_state
-    if r >= cfg.switch_off_radius:
+    if r >= _SWITCH_OFF_RADIUS:
         # The bearing loop's gain table is stated per degree of error;
         # its output is a tangential speed in mm/s.
         theta = math.degrees(math.atan2(y, z))
@@ -215,8 +205,7 @@ def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
         align = np.zeros(6)
         align[1] = out[0]
         command = command + adjoint(error_pose) @ align
-    status = "terminated" if r < cfg.termination_radius else "running"
-    return command, (new_pid, new_bearing), status
+    return command, (new_pid, new_bearing)
 
 
 def _servo(euler, feedforward, pid: PidConfig) -> ServoConfig:

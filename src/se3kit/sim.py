@@ -49,8 +49,10 @@ _MAX_SPIN = 0.26
 _YIELD_DEPTH = 3.0
 
 # The spherical tip's centre sits this far behind the contact point along
-# the sensor axis; scenario termination measures from the tip centre.
+# the sensor axis; a push run terminates once the tip centre is within the
+# termination radius of the target.  This module alone decides termination.
 _TIP_RADIUS = 20.0
+_TERMINATION_RADIUS = 20.0
 
 # Separation between the two faces of the pushed object (dual-arm tasks).
 _OBJECT_WIDTH = 80.0
@@ -110,7 +112,8 @@ _SEGMENT_TWISTS = [
 # plane beyond it.
 _RAMP_EXTENT = math.radians(60.0)
 
-# Surface kinds and the radius (mm) each takes when none is given.
+# Surface kinds and the radius (mm) each takes when none is given; None
+# marks a kind that takes no radius.
 _SURFACE_RADIUS = {"flat": None, "ramp": 300.0, "hemisphere": 60.0}
 SURFACES = tuple(_SURFACE_RADIUS)
 
@@ -148,19 +151,8 @@ def _is_positive(v) -> bool:
     return is_number(v) and 0 < v <= sys.float_info.max
 
 
-def _is_fraction(v) -> bool:
-    return is_number(v) and 0 < v <= 1
-
-
 def _is_sigma(v) -> bool:
     return _is_positive(v) and v * v <= sys.float_info.max  # a finite variance
-
-
-def _is_std6(v) -> bool:
-    if isinstance(v, np.ndarray) and v.ndim == 1:
-        v = v.tolist()
-    return (isinstance(v, (list, tuple)) and len(v) == 6
-            and all(_is_positive(x) for x in v))
 
 
 class SurfaceModel:
@@ -173,7 +165,8 @@ class SurfaceModel:
     takes and returns, in surface-local coordinates, so it is transported
     with the material automatically.
 
-    flat: boundary is the local z = 0 plane, material below (+z).
+    flat: boundary is the local z = 0 plane, material below (+z); takes no
+      radius.
     ramp: flat for y <= 0, then a rising circular arc of the given radius
       about an axis parallel to local x; past 60 degrees of arc the
       boundary continues as the tangent plane.
@@ -185,7 +178,10 @@ class SurfaceModel:
                  radius: float | None = None):
         if kind not in SURFACES:
             raise ValueError(f"unknown surface kind {kind!r}")
-        if kind != "flat" and not _is_sigma(radius):
+        if _SURFACE_RADIUS[kind] is None:
+            if radius is not None:
+                raise ValueError(f"{kind} surface takes no radius, got {radius!r}")
+        elif not _is_sigma(radius):
             raise ValueError(f"{kind} surface needs a positive radius whose "
                              f"square is finite, got {radius!r}")
         self.kind = kind
@@ -257,46 +253,18 @@ class SurfaceModel:
 
 
 @dataclasses.dataclass(frozen=True)
-class ObservationModel:
-    """Per-component tangent noise of the synthetic pose estimator.
-
-    multiplier scales the *reported* covariance only; 1 means perfectly
-    calibrated, larger values simulate an under-confident estimator.
-    """
-
-    std: np.ndarray = dataclasses.field(
-        default_factory=lambda: DEFAULT_OBSERVATION_STD.copy()
-    )
-    multiplier: float = 1.0
-
-    def __post_init__(self):
-        if not _is_std6(self.std):
-            raise ValueError("std must be a 6-vector of positive numbers")
-        if not _is_positive(self.multiplier):
-            raise ValueError("multiplier must be positive")
-        object.__setattr__(self, "std", np.asarray(self.std, dtype=float))
-
-
-@dataclasses.dataclass(frozen=True)
 class PushedObject:
     """Planar pushing chart: target coordinates (y, z) in the contact frame
     and accumulated frame rotation phi.
 
-    alpha is the rotation efficiency of tangential pushing (1 = no slip),
-    r0 the distance from the contact to the centre of friction.
+    The plant's parameters are the module constants _OBJECT_ALPHA (rotation
+    efficiency of tangential pushing) and _OBJECT_R0 (distance from the
+    contact to the centre of friction), the same in every run.
     """
 
     y: float
     z: float
     phi: float = 0.0
-    alpha: float = _OBJECT_ALPHA
-    r0: float = _OBJECT_R0
-
-    def __post_init__(self):
-        if not _is_fraction(self.alpha):
-            raise ValueError("alpha must lie in (0, 1]")
-        if not _is_positive(self.r0):
-            raise ValueError("r0 must be positive")
 
     @property
     def bearing(self) -> float:
@@ -364,20 +332,20 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
     return feature.inverse() @ sensor_pose, (point, anchor_spin)
 
 
-def observe(model: ObservationModel, true_contact: Pose,
-            rng: np.random.Generator) -> PoseGaussian:
+def observe(true_contact: Pose, rng: np.random.Generator) -> PoseGaussian:
     """Noisy sensor-side pose estimate of a true feature-frame contact.
 
     The estimator convention is the inverse of the geometric contact pose;
-    noise is a left-perturbation twist with the model's per-component
-    stds, and the reported covariance is the matching left-perturbation
-    covariance (times the calibration multiplier).
+    noise is a left-perturbation twist with the per-component stds
+    DEFAULT_OBSERVATION_STD (read at call time), and the reported
+    covariance is the matching left-perturbation covariance diag(std^2):
+    the estimator is perfectly calibrated.
     """
+    std = DEFAULT_OBSERVATION_STD
     x_sf = true_contact.inverse()
-    noise = model.std * rng.standard_normal(6)
+    noise = std * rng.standard_normal(6)
     mean = exp(noise) @ x_sf
-    cov = model.multiplier * np.diag(model.std ** 2)
-    return PoseGaussian(mean, cov)
+    return PoseGaussian(mean, np.diag(std ** 2))
 
 
 def leader_twist(t: float) -> np.ndarray:
@@ -387,34 +355,34 @@ def leader_twist(t: float) -> np.ndarray:
             * np.cos(2.0 * math.pi * t / PERIODIC_PERIOD + PERIODIC_PHASE))
 
 
-def push_object_step(obj: PushedObject, pusher_delta) -> PushedObject:
-    """Advance the pushing chart by one differential pusher motion.
-
-    pusher_delta = (dy, dz) are increments of the target's contact-frame
-    coordinates; the object yaw increments by (alpha / r0) dy.  Steps
-    larger than 5 mm are outside the differential model's validity.
-    """
-    dy, dz = float(pusher_delta[0]), float(pusher_delta[1])
+def _push_yaw(dy: float, dz: float) -> float:
+    """Object yaw increment (alpha / r0) dy of one differential pusher
+    motion (dy, dz).  Steps larger than 5 mm are outside the differential
+    model's validity."""
     if abs(dy) > 5.0 or abs(dz) > 5.0:
         raise ApproximationDomainError(
             f"pusher step ({dy:.3f}, {dz:.3f}) mm exceeds the 5 mm differential limit"
         )
-    return PushedObject(
-        y=obj.y + dy,
-        z=obj.z + dz,
-        phi=obj.phi + (obj.alpha / obj.r0) * dy,
-        alpha=obj.alpha,
-        r0=obj.r0,
-    )
+    return (_OBJECT_ALPHA / _OBJECT_R0) * dy
+
+
+def push_object_step(obj: PushedObject, pusher_delta) -> PushedObject:
+    """Advance the pushing chart by one differential pusher motion.
+
+    pusher_delta = (dy, dz) are increments of the target's contact-frame
+    coordinates; the object yaw increments by (alpha / r0) dy.
+    """
+    dy, dz = float(pusher_delta[0]), float(pusher_delta[1])
+    return PushedObject(y=obj.y + dy, z=obj.z + dz, phi=obj.phi + _push_yaw(dy, dz))
 
 
 def bearing_sensitivity(obj: PushedObject):
     """Partials of the bearing theta = atan2(y, z) - phi, plus the radius
-    where tangential pushing flips from aligning to misaligning."""
+    r0 / alpha where tangential pushing flips from aligning to misaligning."""
     r_sq = obj.y * obj.y + obj.z * obj.z
     if r_sq == 0.0:
         raise SingularTargetError("target at the contact point; bearing undefined")
-    return (obj.z / r_sq, -obj.y / r_sq, -1.0, obj.r0 / obj.alpha)
+    return (obj.z / r_sq, -obj.y / r_sq, -1.0, _OBJECT_R0 / _OBJECT_ALPHA)
 
 
 # --------------------------------------------------------------------------
@@ -617,7 +585,9 @@ def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Po
 
 class _Arm:
     """One sensor arm: its surface (one for its lifetime), pose, shear
-    anchor, filter and PID state, and servo.
+    anchor, filter and PID state, and servo.  Every arm observes through
+    the same sensor model (observe) and predicts with the deployment
+    dynamics noise.
 
     A control cycle is built from four steps: sense (contact_pose ->
     observe -> filter), servo, probe (true depth and normal angle at the
@@ -633,7 +603,6 @@ class _Arm:
         self.anchor = None
         self.cfg = cfg
         self.dt = scenario.dt
-        self.model = ObservationModel()
         self.noise = filtering.default_dynamics_noise(filtering.DEPLOYMENT_SIGMA)
         self.rng = rng
         self.filter = None
@@ -644,7 +613,7 @@ class _Arm:
         and losing contact forgets the anchor."""
         anchor, self.anchor = self.anchor, None
         true_fs, self.anchor = contact_pose(self.surface, self.pose, anchor)
-        obs = observe(self.model, true_fs, self.rng)
+        obs = observe(true_fs, self.rng)
         if self.filter is None:
             self.filter = filtering.init(obs, self.pose)
         else:
@@ -871,7 +840,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         except NoContactError:
             belief = None
         if belief is not None:
-            command, (leader.pid, bearing_state), _ = control.push_step(
+            command, (leader.pid, bearing_state) = control.push_step(
                 push_cfg, leader.pid, bearing_state, belief.mean, leader.pose, dt)
             cov_trace = float(np.trace(belief.cov))
         else:
@@ -912,13 +881,9 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         advance = max(0.0, depth_raw - _YIELD_DEPTH)
         s_y = 0.0 if prev_tip_face is None else tip_face[1] - prev_tip_face[1]
         if depth_raw >= 0.0:
-            # Re-anchor the chart at the current contact frame every step:
-            # target coordinates in the face frame, zero accumulated yaw.
-            ft = face.inverse().apply(target_w)
-            chart = push_object_step(
-                PushedObject(y=ft[1], z=ft[2]),
-                (-s_y, -advance))
-            dphi = chart.phi
+            # The object yaws with the tangential contact motion, as the
+            # pushing chart does (push_object_step).
+            dphi = _push_yaw(float(-s_y), float(-advance))
             z_f_w = face.rotation[:, 2]
             x_f_w = face.rotation[:, 0]
             face = Pose(face.rotation, face.translation + advance * z_f_w)
@@ -934,8 +899,8 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
                 follower.surface.pose = face @ face2_offset
         prev_tip_face = face.inverse().apply(tip_w) if depth_raw >= 0.0 else None
 
-        # Distances: the controller uses the contact point, the scenario
-        # terminates on the tip centre (logged both).
+        # Distances from the contact point (the controller's) and from the
+        # tip centre (termination's); both are logged.
         sensor = leader.pose
         tip_centre = sensor.translation - _TIP_RADIUS * sensor.rotation[:, 2]
         tip_distance = float(np.linalg.norm(target_w - tip_centre))
@@ -961,7 +926,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
 
         if toppled:
             break
-        if tip_distance < push_cfg.termination_radius:
+        if tip_distance < _TERMINATION_RADIUS:
             terminated = True
             break
 
@@ -993,11 +958,10 @@ def write_metrics_json(metrics: dict, path) -> None:
 def make_study_sequence(n_steps: int, rng: np.random.Generator):
     """Independent random contact poses with noisy observations, as
     (true sensor-side pose, observation) pairs for filter_study."""
-    model = ObservationModel()
     pairs = []
     for _ in range(n_steps):
         euler = sample_contact_pose(rng)
         x_fs = euler_to_pose(*euler)
-        obs = observe(model, x_fs, rng)
+        obs = observe(x_fs, rng)
         pairs.append((x_fs.inverse(), obs))
     return pairs

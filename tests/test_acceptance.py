@@ -274,7 +274,7 @@ def test_criterion_6_bearing_partials_and_sign_flip():
                         abs(fd_y - d_dy) / max(abs(d_dy), 1e-12),
                         abs(fd_z - d_dz) / max(abs(d_dz), 1e-12))
         assert d_dphi == -1.0
-        assert flip == obj.r0 / obj.alpha
+        assert flip == sim._OBJECT_R0 / sim._OBJECT_ALPHA
 
     # Rollouts: tangential pushing steers the bearing one way inside the
     # flip radius and the opposite way outside it.
@@ -285,8 +285,7 @@ def test_criterion_6_bearing_partials_and_sign_flip():
             obj = sim.push_object_step(obj, (0.5, 0.0))
         return obj.bearing - start
 
-    flip_r = sim.PushedObject(y=0.0, z=100.0).r0 / sim.PushedObject(
-        y=0.0, z=100.0).alpha
+    flip_r = sim._OBJECT_R0 / sim._OBJECT_ALPHA
     inside = net_bearing(0.7 * flip_r)
     outside = net_bearing(1.3 * flip_r)
     sign_flips = inside > 0 > outside

@@ -11,12 +11,12 @@ from se3kit import control, sim
 from se3kit.errors import (ApproximationDomainError, DivergenceError,
                            NoContactError, SingularTargetError)
 from se3kit.liegroup import Pose, euler_to_pose, exp, log, pose_to_euler
-from se3kit.sim import (DEFAULT_OBSERVATION_STD, ObservationModel,
-                        PushedObject, Scenario, SurfaceModel, TrajectoryLog,
-                        _check_pose, _cross, _integrate_body,
-                        _quaternion_from_rotation, bearing_sensitivity,
-                        contact_pose, leader_twist, make_study_sequence,
-                        observe, push_object_step, run_scenario)
+from se3kit.sim import (DEFAULT_OBSERVATION_STD, PushedObject, Scenario,
+                        SurfaceModel, TrajectoryLog, _check_pose, _cross,
+                        _integrate_body, _quaternion_from_rotation,
+                        bearing_sensitivity, contact_pose, leader_twist,
+                        make_study_sequence, observe, push_object_step,
+                        run_scenario)
 
 DT = 1.0 / 30.0
 
@@ -234,16 +234,22 @@ def test_surface_validation():
         for radius in (math.nan, math.inf, -math.inf, 1e200):
             with pytest.raises(ValueError):
                 SurfaceModel(kind, radius=radius)
+    # and of Scenario's flat surface: no radius at all
+    for radius in (math.nan, 5.0):
+        with pytest.raises(ValueError):
+            SurfaceModel("flat", radius=radius)
 
 
 # ----------------------------------------------------------------- observe
 
-def test_observe_tiny_noise_limit(rng):
-    model = ObservationModel(std=np.full(6, 1e-12))
+def test_observe_tiny_noise_limit(rng, monkeypatch):
+    std = np.full(6, 1e-12)
+    monkeypatch.setattr(sim, "DEFAULT_OBSERVATION_STD", std)
     true = euler_to_pose(1.0, -1.0, 3.0, 0.05, 0.02, -0.04)
-    obs = observe(model, true, rng)
+    obs = observe(true, rng)
     assert np.allclose(obs.mean.matrix, true.inverse().matrix, atol=1e-9)
     assert np.max(np.abs(obs.cov)) < 1e-20
+    assert np.array_equal(obs.cov, np.diag(std ** 2))
 
 
 # Whitening poses: near the identity, where any chart agrees with the
@@ -262,13 +268,12 @@ OBSERVATION_POSES = (
 def observation_errors():
     """(injected twists, whitened twists) per pose in OBSERVATION_POSES."""
     rng = np.random.default_rng(77)
-    model = ObservationModel()
     out = []
     for true in OBSERVATION_POSES:
         errors = np.empty((10000, 6))
         whitened = np.empty((10000, 6))
         for i in range(10000):
-            obs = observe(model, true, rng)
+            obs = observe(true, rng)
             err = log(obs.mean @ true)  # recovers the injected twist
             errors[i] = err
             whitened[i] = np.linalg.solve(np.linalg.cholesky(obs.cov), err)
@@ -287,24 +292,6 @@ def test_observe_reported_covariance_calibrated(observation_errors):
     for _, whitened in observation_errors:
         var = np.var(whitened, axis=0)
         assert np.all((var > 0.9) & (var < 1.1)), var
-
-
-def test_observe_multiplier_scales_cov_only():
-    true = euler_to_pose(0.5, 0.5, 2.0, 0.02, 0.0, 0.01)
-    obs1 = observe(ObservationModel(), true, np.random.default_rng(5))
-    obs4 = observe(ObservationModel(multiplier=4.0), true,
-                   np.random.default_rng(5))
-    assert np.array_equal(obs1.mean.matrix, obs4.mean.matrix)
-    assert np.array_equal(obs4.cov, 4.0 * obs1.cov)
-
-
-def test_observation_model_validation():
-    with pytest.raises(ValueError):
-        ObservationModel(std=np.zeros(6))
-    with pytest.raises(ValueError):
-        ObservationModel(std=np.ones(5))
-    with pytest.raises(ValueError):
-        ObservationModel(multiplier=0.0)
 
 
 # ------------------------------------------------------------ leader twist
@@ -332,9 +319,9 @@ def test_push_object_step_pure_advance():
 
 
 def test_push_object_step_rotation_gain():
-    obj = PushedObject(y=10.0, z=100.0, alpha=1.0, r0=50.0)
+    obj = PushedObject(y=10.0, z=100.0)
     out = push_object_step(obj, (1.0, 0.0))
-    assert out.phi == pytest.approx(0.02, rel=1e-12)
+    assert out.phi == pytest.approx(0.7 / 40.0, rel=1e-12)
 
 
 def test_push_object_step_rejects_large_steps():
@@ -346,12 +333,6 @@ def test_push_object_step_rejects_large_steps():
 
 
 def test_pushed_object_validation_and_bearing():
-    with pytest.raises(ValueError):
-        PushedObject(y=0, z=1, alpha=0.0)
-    with pytest.raises(ValueError):
-        PushedObject(y=0, z=1, alpha=1.5)
-    with pytest.raises(ValueError):
-        PushedObject(y=0, z=1, r0=-1.0)
     obj = PushedObject(y=3.0, z=4.0, phi=0.1)
     assert obj.bearing == pytest.approx(math.atan2(3, 4) - 0.1, rel=1e-15)
 
@@ -364,7 +345,7 @@ def test_push_step_bearing_first_order(rng):
         stepped = push_object_step(obj, (dy, dz))
         r_sq = obj.y ** 2 + obj.z ** 2
         predicted = (obj.z / r_sq) * dy - (obj.y / r_sq) * dz \
-            - (obj.alpha / obj.r0) * dy
+            - (sim._OBJECT_ALPHA / sim._OBJECT_R0) * dy
         assert stepped.bearing - obj.bearing == pytest.approx(predicted, abs=1e-7)
 
 
@@ -504,11 +485,17 @@ def test_follow_flat_net_displacement():
 
 def test_push_single_reaches_target():
     scenario = Scenario(task="push_single", duration=90.0)
-    _, metrics = run_scenario(scenario, np.random.default_rng(0))
+    log_, metrics = run_scenario(scenario, np.random.default_rng(0))
     assert metrics["terminated"] is True
     assert metrics["settled"] is True
     assert metrics["final_target_error_mm"] < 10.0
     assert metrics["runtime_s"] < 90.0  # stopped at the target, not by clock
+    # the one termination rule: the first leader row whose tip centre is
+    # within 20 mm of the target is the last row
+    leader = [row for row in log_.rows if row[1] == "leader"]
+    tip = log_.header.index("tip_distance_mm")
+    assert leader[-1][tip] < 20.0
+    assert all(row[tip] >= 20.0 for row in leader[:-1])
 
 
 def test_track_run_deterministic(tmp_path):
