@@ -74,18 +74,15 @@ def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
 
     # Convergence profile, measured from outside: the first iteration
     # budget whose fused mean matches the next one's to 1e-10.  All pairs
-    # fuse as one stack per budget.
+    # fuse as one stack, once: its k-th iterate is fuse(iterations=k)'s mean.
+    means = [mean for mean, _ in uncertainty._fuse_iterates(a, b, 5)]
     needed = np.full(trials, 5)
     settled = np.zeros(trials, dtype=bool)
-    prev = None
-    for k in range(1, 6):
-        mean_k = uncertainty.fuse(a, b, iterations=k).mean
-        if prev is not None:
-            step = np.linalg.norm(log(mean_k @ prev.inverse()), axis=-1)
-            now = ~settled & (step < 1e-10)
-            needed[now] = k - 1
-            settled |= now
-        prev = mean_k
+    for k, (prev, mean_k) in enumerate(zip(means, means[1:]), start=2):
+        step = np.linalg.norm(log(mean_k @ prev.inverse()), axis=-1)
+        now = ~settled & (step < 1e-10)
+        needed[now] = k - 1
+        settled |= now
     histogram = {str(k): int(np.count_nonzero(needed == k)) for k in range(1, 6)}
 
     sim.write_metrics_json(
@@ -98,14 +95,23 @@ def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
     return 0
 
 
+# gen-dataset draws, labels and writes this many samples at a time, so its
+# arrays, and its peak memory, do not grow with the sample count: labelling
+# all 5000 shipped samples as one stack raised the peak by 4 MB (500 at a
+# time by 0.4 MB), while blocks of 100 kept it at the per-sample loop's.
+_DATASET_BLOCK = 100
+
+
 def _run_gen_dataset(samples: int, seed: int, out: Path, quiet: bool):
     rng = np.random.default_rng(seed)
     with open(out, "w", newline="") as fh:
         fh.write("x,y,z,alpha,beta,gamma,xi_0,xi_1,xi_2,xi_3,xi_4,xi_5\n")
-        for _ in range(samples):
-            euler = sample_contact_pose(rng)
-            row = list(euler) + list(label_pipeline(euler))
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for start in range(0, samples, _DATASET_BLOCK):
+            euler = np.array([sample_contact_pose(rng)
+                              for _ in range(min(_DATASET_BLOCK, samples - start))])
+            # one stacked pass labels the block
+            for row in np.concatenate((euler, label_pipeline(euler)), axis=1):
+                fh.write(",".join(f"{v:.17g}" for v in row.tolist()) + "\n")
     if not quiet:
         print(f"wrote {samples} samples to {out}")
     return 0

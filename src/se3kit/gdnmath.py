@@ -179,10 +179,12 @@ def label_pipeline(euler) -> np.ndarray:
 
     The sampled pose describes the feature seen from the surface-side
     convention; the network regresses the sensor-side twist, so the pose is
-    inverted before conversion to exponential coordinates.
+    inverted before conversion to exponential coordinates.  A stack of
+    poses (..., 6) is labelled in one stacked pass, equal bit for bit to
+    labelling each pose alone.
     """
     euler = np.asarray(euler, dtype=float)
-    if euler.shape != (6,):
-        raise ValueError(f"euler must be a 6-vector, got {euler.shape}")
-    x_fs = euler_to_pose(*euler)
+    if euler.shape[-1:] != (6,):
+        raise ValueError(f"euler must be a 6-vector or a stack (..., 6), got {euler.shape}")
+    x_fs = euler_to_pose(*np.moveaxis(euler, -1, 0))
     return log(x_fs.inverse())

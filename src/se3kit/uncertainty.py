@@ -197,6 +197,14 @@ def fuse(a: PoseGaussian, b: PoseGaussian,
     CovarianceError when a covariance or the fused information matrix is
     singular (and, through PoseGaussian, when one is not finite).
     """
+    for mean, cov in _fuse_iterates(a, b, iterations):
+        pass
+    return PoseGaussian(mean, cov)
+
+
+def _fuse_iterates(a: PoseGaussian, b: PoseGaussian, iterations: int):
+    """Yield fuse's (mean, cov) after each of its passes, in order: the k-th
+    is what fuse(a, b, iterations=k) returns, by construction."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     for name, g in (("a", a), ("b", b)):
@@ -209,7 +217,7 @@ def fuse(a: PoseGaussian, b: PoseGaussian,
                 f"fuse input {label} has rotation variance {top[wide][0]:.3g} rad^2 > "
                 f"{_ROTATION_VARIANCE_LIMIT:.3g} rad^2; concentrated-Gaussian "
                 "assumptions may not hold",
-                stacklevel=2,
+                stacklevel=3,  # this generator, fuse, then fuse's caller
             )
 
     inv_means = (a.mean.inverse(), b.mean.inverse())
@@ -226,7 +234,7 @@ def fuse(a: PoseGaussian, b: PoseGaussian,
         cov = _symmetrize(_inverse(h, "fused information matrix"))
         mu = -matvec(cov, rhs)
         mean = exp(mu) @ mean
-    return PoseGaussian(mean, cov)
+        yield mean, cov
 
 
 def gaussian_product(a: EuclideanGaussian, b: EuclideanGaussian) -> EuclideanGaussian:

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from se3kit import cli, control, sim
 from se3kit.cli import main
+from se3kit.gdnmath import label_pipeline, sample_contact_pose
 from se3kit.liegroup import log
 
 from oracles import fusion_histogram_per_pair
@@ -356,6 +357,19 @@ def test_gen_dataset_layout(tmp_path, capsys):
         cells = line.split(",")
         assert len(cells) == 12
         assert all(np.isfinite(float(c)) for c in cells)
+
+
+def test_gen_dataset_matches_per_sample_loop(tmp_path):
+    # 250 samples: two full blocks of the stacked labelling and a partial one
+    assert main(["gen-dataset", "--samples", "250", "--seed", "5",
+                 "--out-dir", str(tmp_path), "--quiet"]) == 0
+    rng = np.random.default_rng(5)
+    expected = ["x,y,z,alpha,beta,gamma,xi_0,xi_1,xi_2,xi_3,xi_4,xi_5"]
+    for _ in range(250):
+        euler = sample_contact_pose(rng)
+        row = list(euler) + list(label_pipeline(euler))
+        expected.append(",".join(f"{v:.17g}" for v in row))
+    assert (tmp_path / "dataset.csv").read_text() == "\n".join(expected) + "\n"
 
 
 def test_gen_dataset_seed_semantics(tmp_path):

@@ -244,6 +244,20 @@ def test_label_pipeline_roundtrip(rng):
         assert np.allclose(exp(xi).inverse().matrix, x_fs.matrix, atol=1e-9)
 
 
+def test_label_pipeline_stack_matches_each_row_bit_for_bit(rng):
+    euler = np.array([sample_contact_pose(rng) for _ in range(300)])
+    euler[0] = 0.0
+    euler[1, 3:] = [-0.0, 1e-9, -0.0]
+    labels = label_pipeline(euler)
+    assert labels.shape == (300, 6) and labels.flags.c_contiguous
+    for row, label in zip(euler, labels):
+        assert label.tobytes() == label_pipeline(row).tobytes()
+    grid = label_pipeline(euler.reshape(3, 100, 6))
+    assert grid.shape == (3, 100, 6)
+    assert grid.tobytes() == labels.tobytes()
+
+
 def test_label_pipeline_shape_error():
-    with pytest.raises(ValueError):
-        label_pipeline(np.zeros(5))
+    for bad in (np.zeros(5), np.zeros((4, 5)), np.zeros((6, 1)), 1.0):
+        with pytest.raises(ValueError):
+            label_pipeline(bad)

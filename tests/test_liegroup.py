@@ -429,6 +429,40 @@ def test_single_hat3_and_ad_match_stacked_forms_bit_for_bit(rng):
         assert ad(x).tobytes() == ad(x[None])[0].tobytes()
 
 
+@pytest.mark.parametrize("shape", [(4,), (2000,), (1999, 4)])
+def test_stacked_kernels_are_contiguous_and_match_single_bits(rng, shape):
+    # Exact bits, not STACK_RTOL: a stacked matmul over a stack that is not
+    # C-contiguous takes another numpy loop and can round differently.
+    xi = np.concatenate([rng.uniform(-50.0, 50.0, shape + (3,)),
+                         rng.uniform(-1.5, 1.5, shape + (3,))], axis=-1)
+    flat = xi.reshape(-1, 6)
+    flat[0, 3:] = 0.0
+    flat[1, 3:] = [3e-9, -2e-9, 1e-9]
+    flat[2] = -0.0
+    flat[3, [0, 4]] = -0.0
+    poses = exp(xi)
+    stacked = {
+        "hat3": hat3(xi[..., 3:]), "ad": ad(xi), "adjoint": adjoint(poses),
+        "inv_left_jacobian": inv_left_jacobian(xi), "exp rotation": poses.rotation,
+        "exp translation": poses.translation, "log": log(poses),
+        # a stack of transposed rotations, as Pose.inverse returns them
+        "log of inverse": log(poses.inverse()),
+    }
+    for name, out in stacked.items():
+        assert out.flags.c_contiguous, name
+    for i, x in enumerate(flat):
+        p = exp(x)
+        single = {
+            "hat3": hat3(x[3:]), "ad": ad(x), "adjoint": adjoint(p),
+            "inv_left_jacobian": inv_left_jacobian(x), "exp rotation": p.rotation,
+            "exp translation": p.translation, "log": log(p),
+            "log of inverse": log(p.inverse()),
+        }
+        for name, out in single.items():
+            assert stacked[name].reshape((-1,) + out.shape)[i].tobytes() == out.tobytes(), \
+                (name, i)
+
+
 def test_exp_and_log_return_fresh_arrays(rng):
     # The identities they add to are shared module constants.
     assert not liegroup._I3.flags.writeable and not liegroup._I6.flags.writeable

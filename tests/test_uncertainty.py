@@ -8,7 +8,7 @@ import pytest
 
 from se3kit.errors import CovarianceError
 from se3kit.liegroup import (Pose, adjoint, exp, left_jacobian, log)
-from se3kit.uncertainty import (EuclideanGaussian, PoseGaussian, density, fuse,
+from se3kit.uncertainty import (EuclideanGaussian, PoseGaussian, _fuse_iterates, density, fuse,
                                 gaussian_product, sample, to_global_tangent,
                                 transform)
 
@@ -362,6 +362,21 @@ def test_stacked_fuse_matches_single(rng):
     # one observation against a stack of predictions, as filter_study fuses
     fused = fuse(a[2], PoseGaussian.stack(b))
     assert_gaussians_close(fused, [fuse(a[2], y) for y in b])
+
+
+def test_fuse_iterates_are_fuse_at_each_budget_bit_for_bit(rng):
+    a, b = fusion_inputs(rng, n=40)
+    stack_b = PoseGaussian.stack(b)
+    # a stack of pairs, and one observation against a stack of predictions
+    # as filter_study fuses
+    for first, second in ((PoseGaussian.stack(a), stack_b), (a[2], stack_b)):
+        iterates = list(_fuse_iterates(first, second, 5))
+        assert len(iterates) == 5
+        for k, (mean, cov) in enumerate(iterates, start=1):
+            fused = fuse(first, second, iterations=k)
+            assert mean.rotation.tobytes() == fused.mean.rotation.tobytes()
+            assert mean.translation.tobytes() == fused.mean.translation.tobytes()
+            assert cov.tobytes() == fused.cov.tobytes()
 
 
 def test_fuse_stack_warns_once_for_the_wide_element(rng):
