@@ -453,53 +453,38 @@ def bch_compose(xi1, xi2, small: str = "first") -> np.ndarray:
     return xi1 + np.linalg.solve(left_jacobian(-xi1), xi2)
 
 
-def _rot_x(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+# The nine entries, in C order, of the elementary rotations about x, y
+# and z by an angle with cosine c and sine s.
+def _rx_entries(c: float, s: float) -> tuple:
+    return 1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c
 
 
-def _rot_y(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def _ry_entries(c: float, s: float) -> tuple:
+    return c, 0.0, s, 0.0, 1.0, 0.0, -s, 0.0, c
 
 
-def _rot_z(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-# Elementary rotations of a stack, gathered from [0, 1, cos a, sin a, -sin a]
-# per angle: the entries _rot_x, _rot_y and _rot_z place.
-_ROT_X_INDEX = np.array([[1, 0, 0], [0, 2, 4], [0, 3, 2]])
-_ROT_Y_INDEX = np.array([[2, 0, 3], [0, 1, 0], [4, 0, 2]])
-_ROT_Z_INDEX = np.array([[2, 4, 0], [3, 2, 0], [0, 0, 1]])
-
-
-def _cos_sin(a: float) -> tuple:
-    c, s = math.cos(a), math.sin(a)
-    return 0.0, 1.0, c, s, -s
-
-
-def _rotations(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """A stack of elementary rotations, one per angle, gathered by `index`.
-    Each cosine and sine comes from math, as in _rot_x and its kin (np.cos
-    may round differently); the raveled angles' memoryview yields them as
-    floats, so no list of the whole stack is built."""
-    table = np.fromiter(chain.from_iterable(map(_cos_sin, angles.ravel().data)), float)
-    return table.reshape(angles.shape + (5,)).take(index, axis=-1)
+def _rz_entries(c: float, s: float) -> tuple:
+    return c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0
 
 
 def euler_to_pose(x, y, z, alpha, beta, gamma) -> Pose:
     """Extrinsic-xyz Euler pose: R = Rz(gamma) Ry(beta) Rx(alpha),
     translation (x, y, z) mm.  Arrays of equal shape give a stack, equal
-    bit for bit to the single pose of each element."""
-    if np.ndim(alpha) == 0:
-        rot = _rot_z(gamma) @ _rot_y(beta) @ _rot_x(alpha)
-        return Pose(rot, np.array([x, y, z], dtype=float))
-    alpha, beta, gamma = (np.asarray(a, dtype=float) for a in (alpha, beta, gamma))
-    rot = (_rotations(gamma, _ROT_Z_INDEX) @ _rotations(beta, _ROT_Y_INDEX)
-           @ _rotations(alpha, _ROT_X_INDEX))
-    return Pose(rot, np.stack([x, y, z], axis=-1))
+    bit for bit to the single pose of each element.
+
+    Each cosine and sine comes from math (np.cos may round differently),
+    each angle read as a float from its row's memoryview, so no list of
+    a whole stack is built; the entries go straight into one array whose
+    three blocks Rz, Ry, Rx are each C-contiguous, as is the translation."""
+    coords = np.array([x, y, z, gamma, beta, alpha], dtype=float)
+    batch = coords.shape[1:]
+    rows = coords.reshape(6, -1)
+    entries = (rot(math.cos(a), math.sin(a))
+               for rot, row in zip((_rz_entries, _ry_entries, _rx_entries), rows[3:])
+               for a in row.data)
+    rz, ry, rx = np.fromiter(chain.from_iterable(entries), float,
+                             27 * rows.shape[1]).reshape((3,) + batch + (3, 3))
+    return Pose(rz @ ry @ rx, np.ascontiguousarray(rows[:3].T).reshape(batch + (3,)))
 
 
 def pose_to_euler(p: Pose):

@@ -1,5 +1,7 @@
 """SE(3)/SO(3) primitives against series, scipy, and quadrature oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -315,6 +317,24 @@ def test_euler_matches_scipy_extrinsic_xyz(rng):
         p = euler_to_pose(0, 0, 0, *abg)
         ref = Rotation.from_euler("xyz", abg).as_matrix()
         assert np.allclose(p.rotation, ref, atol=1e-12)
+
+
+def test_euler_single_is_product_of_math_rotations_bit_for_bit(rng):
+    # Rz @ Ry @ Rx of 3x3 arrays built from math.cos/math.sin, the bits
+    # the dataset labels and the study sequence have always been built from.
+    def rot(axis, a):
+        c, s = math.cos(a), math.sin(a)
+        return np.array({"x": [[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]],
+                         "y": [[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]],
+                         "z": [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]}[axis])
+
+    cases = [(0, 0, 0, 0, 0, 0), (1.0, -2.0, 3.0, -0.0, 1e-9, -0.0)]
+    cases += [tuple(rng.uniform(-3.0, 3.0, 6)) for _ in range(500)]
+    for x, y, z, a, b, g in cases:
+        p = euler_to_pose(x, y, z, a, b, g)
+        expected = rot("z", g) @ rot("y", b) @ rot("x", a)
+        assert p.rotation.tobytes() == expected.tobytes()
+        assert p.translation.tobytes() == np.array([x, y, z], dtype=float).tobytes()
 
 
 def test_euler_roundtrip(rng):
