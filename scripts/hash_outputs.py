@@ -14,7 +14,9 @@ checkouts is one diff:
     diff before.txt after.txt
 
 The checkout to hash defaults to the one holding this script; its
-package is imported from its own `src/`.  Uses the standard library only.
+package is imported from its own `src/`.  `scripts/peak_rss.py` and
+`scripts/output_drift.py` run the same commands (`commands`,
+`write_outputs`).  Uses the standard library only.
 """
 
 import hashlib
@@ -28,6 +30,22 @@ SEED = "3"
 FUSION_BENCH_TRIALS = "200"
 
 
+def checkout_root(argv: list) -> Path:
+    """The checkout named on the command line, else the one holding this script."""
+    return Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
+
+
+def commands(checkout: Path) -> list:
+    """The se3kit arguments of every command, before --seed/--out-dir/--quiet:
+    `run` of each shipped config by its path relative to the checkout's
+    root, then `fusion-bench`."""
+    configs = sorted((checkout / "src" / "se3kit" / "configs").glob("*.yaml"))
+    if not configs:
+        sys.exit(f"no configs under {checkout}/src/se3kit/configs")
+    return ([("run", str(config.relative_to(checkout))) for config in configs]
+            + [("fusion-bench", "--trials", FUSION_BENCH_TRIALS)])
+
+
 def _se3kit(checkout: Path, *args: str) -> str:
     """Run the checkout's CLI from its root; returns stdout."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
@@ -38,20 +56,20 @@ def _se3kit(checkout: Path, *args: str) -> str:
     return done.stdout
 
 
+def write_outputs(checkout: Path, out_dir: Path) -> None:
+    """Run every command into out_dir, with each config's validate echo."""
+    for command in commands(checkout):
+        _se3kit(checkout, *command, "--seed", SEED, "--out-dir", str(out_dir), "--quiet")
+        if command[0] == "run":
+            (out_dir / f"{Path(command[1]).stem}_validate.txt").write_text(
+                _se3kit(checkout, "validate", command[1]))
+
+
 def main(argv: list) -> int:
-    checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
-    configs = sorted((checkout / "src" / "se3kit" / "configs").glob("*.yaml"))
-    if not configs:
-        sys.exit(f"no configs under {checkout}/src/se3kit/configs")
+    checkout = checkout_root(argv)
     with tempfile.TemporaryDirectory() as tmp:
         out_dir = Path(tmp)
-        common = ("--seed", SEED, "--out-dir", str(out_dir), "--quiet")
-        for config in configs:
-            rel = str(config.relative_to(checkout))
-            _se3kit(checkout, "run", rel, *common)
-            (out_dir / f"{config.stem}_validate.txt").write_text(
-                _se3kit(checkout, "validate", rel))
-        _se3kit(checkout, "fusion-bench", "--trials", FUSION_BENCH_TRIALS, *common)
+        write_outputs(checkout, out_dir)
         for path in sorted(out_dir.iterdir()):
             print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
     return 0

@@ -2,11 +2,12 @@
 
 Runs each `src/se3kit/configs/*.yaml` with `se3kit run <config> --seed 3`
 at its full trial count, plus `se3kit fusion-bench --trials 200 --seed 3`,
-the commands `scripts/hash_outputs.py` hashes, one at a time into a
-temporary directory.  Each command runs under a small wrapper process that
-starts the CLI, waits for it and reports its own `RUSAGE_CHILDREN` peak:
-the CLI's peak alone, since the wrapper is smaller than the CLI and no
-copy of a larger parent (a benchmark harness, say) is counted in it.
+the commands `scripts/hash_outputs.py` hashes (its `commands`), one at a
+time into a temporary directory.  Each command runs under a small wrapper
+process that starts the CLI, waits for it and reports its own
+`RUSAGE_CHILDREN` peak: the CLI's peak alone, since the wrapper is smaller
+than the CLI and no copy of a larger parent (a benchmark harness, say) is
+counted in it.
 Prints one `peak_mb  command` line per command (MB = 2^20 bytes), in run
 order.  Comparing two checkouts is one diff:
 
@@ -25,8 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SEED = "3"
-FUSION_BENCH_TRIALS = "200"
+from hash_outputs import SEED, checkout_root, commands
 
 # Started as `python -c WRAPPER <se3kit arguments>`: runs the CLI as its
 # only child and prints that child's peak RSS in KiB (Linux ru_maxrss).
@@ -51,17 +51,13 @@ def _peak_mb(checkout: Path, pycache: str, *args: str) -> float:
 
 
 def main(argv: list) -> int:
-    checkout = Path(argv[0] if argv else Path(__file__).resolve().parents[1]).resolve()
-    configs = sorted((checkout / "src" / "se3kit" / "configs").glob("*.yaml"))
-    if not configs:
-        sys.exit(f"no configs under {checkout}/src/se3kit/configs")
-    commands = [("run", str(config.relative_to(checkout))) for config in configs]
-    commands.append(("fusion-bench", "--trials", FUSION_BENCH_TRIALS))
+    checkout = checkout_root(argv)
+    runs = commands(checkout)
     with tempfile.TemporaryDirectory() as tmp:
         pycache = str(Path(tmp) / "pycache")
         # compile once, so that no reading includes compiling the package
-        _peak_mb(checkout, pycache, "validate", commands[0][1])
-        for command in commands:
+        _peak_mb(checkout, pycache, "validate", runs[0][1])
+        for command in runs:
             peak = _peak_mb(checkout, pycache, *command, "--seed", SEED, "--out-dir", tmp,
                             "--quiet")
             print(f"{peak:.2f}  {' '.join(command)}", flush=True)

@@ -33,7 +33,7 @@ import yaml
 from . import control, filtering, sim, uncertainty
 from .errors import DOMAIN_ERRORS, ConfigError, DivergenceError
 from .gdnmath import label_pipeline, sample_contact_pose
-from .liegroup import exp, log
+from .liegroup import exp
 
 # --------------------------------------------------------------------------
 # Offline routines
@@ -72,18 +72,13 @@ def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
     a = uncertainty.PoseGaussian.stack(first for first, _ in pairs)
     b = uncertainty.PoseGaussian.stack(second for _, second in pairs)
 
-    # Convergence profile, measured from outside: the first iteration
-    # budget whose fused mean matches the next one's to 1e-10.  All pairs
-    # fuse as one stack, once: its k-th iterate is fuse(iterations=k)'s mean.
-    means = [mean for mean, _ in uncertainty._fuse_iterates(a, b, 5)]
-    needed = np.full(trials, 5)
-    settled = np.zeros(trials, dtype=bool)
-    for k, (prev, mean_k) in enumerate(zip(means, means[1:]), start=2):
-        step = np.linalg.norm(log(mean_k @ prev.inverse()), axis=-1)
-        now = ~settled & (step < 1e-10)
-        needed[now] = k - 1
-        settled |= now
-    histogram = {str(k): int(np.count_nonzero(needed == k)) for k in range(1, 6)}
+    # Convergence profile: the passes fuse ran on each pair, stopping at the
+    # first whose correction is below uncertainty._FUSE_TOL.  All pairs fuse
+    # as one stack, once; each element stops on its own.
+    for _, _, passes in uncertainty._fuse_iterates(a, b):
+        pass
+    histogram = {str(k): int(np.count_nonzero(passes == k))
+                 for k in range(1, uncertainty._FUSE_ITERATIONS + 1)}
 
     sim.write_metrics_json(
         {"trials": trials, "seed": seed, "iteration_histogram": histogram}, out)

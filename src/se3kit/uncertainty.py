@@ -3,10 +3,10 @@
 A PoseGaussian stores a mean pose X̄ and a 6x6 covariance of the left
 perturbation: X = exp(eps^) X̄ with eps ~ N(0, cov).  The distribution is
 only approximately Gaussian in any chart; `density` carries the Jacobian
-determinant correction, and `fuse` runs the fixed-point iteration that
-merges two such distributions.  `EuclideanGaussian`, `to_global_tangent`
-and `gaussian_product` are the flat-space forms the SE(3) versions
-collapse to for tiny covariances.
+determinant correction, and `fuse` merges two such distributions by
+Gauss-Newton passes, stopping once a pass's correction is below 1e-8.
+`EuclideanGaussian`, `to_global_tangent` and `gaussian_product` are the
+flat-space forms the SE(3) versions collapse to for tiny covariances.
 
 PoseGaussian, transform and fuse also take stacks: a stacked mean pose
 with covariances (..., 6, 6), where a single distribution or transform
@@ -25,8 +25,13 @@ from .errors import CovarianceError
 from .liegroup import (Pose, _so3_coefficients, adjoint, exp, inv_left_jacobian,
                        left_jacobian, log, matvec)
 
-# Fixed-point iteration budget for fuse(); convergence is typically reached
-# in 3-4 steps for concentrated inputs.
+# fuse() stops after the first pass whose largest |mu| component is below
+# _FUSE_TOL, and never runs more than _FUSE_ITERATIONS passes.  Gauss-Newton
+# converges quadratically here: on a track run the largest |mu| per pass has
+# median 0.385, 1.05e-5, 4.7e-10, 5.7e-14, 4.0e-16, so a pass below 1e-8
+# leaves a next correction near 1e-15.  Concentrated inputs stop after 3
+# passes, sometimes 4.
+_FUSE_TOL = 1e-8
 _FUSE_ITERATIONS = 5
 
 # fuse() warns when the top eigenvalue of a rotation block (rad^2) exceeds
@@ -179,17 +184,17 @@ def _inverse(m: np.ndarray, what: str) -> np.ndarray:
         raise CovarianceError(f"{what} is singular") from err
 
 
-def fuse(a: PoseGaussian, b: PoseGaussian,
-         iterations: int = _FUSE_ITERATIONS) -> PoseGaussian:
-    """Merge two concentrated Gaussians by fixed-point iteration.
+def fuse(a: PoseGaussian, b: PoseGaussian) -> PoseGaussian:
+    """Merge two concentrated Gaussians by Gauss-Newton iteration.
 
     Starting from X̄ = a.mean, each pass linearizes both factors about the
     trial solution (xi_k = log(X̄ X̄_k^-1), J_k^-1 truncated at second
     order), solves the resulting weighted least-squares problem for the
-    correction mu, and re-anchors X̄ = exp(mu^) X̄.  Runs a fixed number of
-    iterations and returns the covariance computed at the last one.
-    Stacked inputs fuse element by element, a single input broadcasting
-    against a stack.
+    correction mu, and re-anchors X̄ = exp(mu^) X̄.  Stops after the first
+    pass whose largest |mu| component is below 1e-8, or after 5 passes,
+    and returns that pass's mean and covariance.  Stacked inputs fuse
+    element by element, each element stopping on its own, a single input
+    broadcasting against a stack.
 
     Warns, naming the input and its first such element, when the rotation
     block of an input covariance has an eigenvalue above (pi/3)^2 rad^2:
@@ -197,16 +202,26 @@ def fuse(a: PoseGaussian, b: PoseGaussian,
     CovarianceError when a covariance or the fused information matrix is
     singular (and, through PoseGaussian, when one is not finite).
     """
-    for mean, cov in _fuse_iterates(a, b, iterations):
+    for mean, cov, _ in _fuse_iterates(a, b):
         pass
     return PoseGaussian(mean, cov)
 
 
-def _fuse_iterates(a: PoseGaussian, b: PoseGaussian, iterations: int):
-    """Yield fuse's (mean, cov) after each of its passes, in order: the k-th
-    is what fuse(a, b, iterations=k) returns, by construction."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+def _linearized(mean: Pose, inv_mean: Pose, prec: np.ndarray):
+    """One factor's information J^-T P J^-1 and J^-T P xi about mean."""
+    xi = log(mean @ inv_mean)
+    j_inv = inv_left_jacobian(xi)
+    w = j_inv.swapaxes(-1, -2) @ prec
+    return w @ j_inv, matvec(w, xi)
+
+
+def _fuse_iterates(a: PoseGaussian, b: PoseGaussian, tol: float = _FUSE_TOL):
+    """Yield fuse's (mean, cov, passes) after each of its passes, in order;
+    the last is fuse's result.  passes counts each element's passes so far.
+    An element stops after the first pass whose largest |mu| component is
+    below tol, and keeps that pass's mean and covariance while the rest of
+    a stack goes on; the loop ends when every element has stopped, or after
+    _FUSE_ITERATIONS passes.  tol = 0 runs every element to that cap."""
     for name, g in (("a", a), ("b", b)):
         top = np.linalg.eigvalsh(g.cov[..., 3:, 3:])[..., -1]
         wide = top > _ROTATION_VARIANCE_LIMIT
@@ -220,21 +235,33 @@ def _fuse_iterates(a: PoseGaussian, b: PoseGaussian, iterations: int):
                 stacklevel=3,  # this generator, fuse, then fuse's caller
             )
 
-    inv_means = (a.mean.inverse(), b.mean.inverse())
-    precs = [_symmetrize(_inverse(g.cov, "fuse input covariance")) for g in (a, b)]
+    inv_a, inv_b = a.mean.inverse(), b.mean.inverse()
+    prec_a, prec_b = (_symmetrize(_inverse(g.cov, "fuse input covariance")) for g in (a, b))
     mean = a.mean
-    for _ in range(iterations):
-        h = rhs = 0.0
-        for inv_mean, prec in zip(inv_means, precs):
-            xi = log(mean @ inv_mean)
-            j_inv = inv_left_jacobian(xi)
-            w = j_inv.swapaxes(-1, -2) @ prec
-            h = h + w @ j_inv
-            rhs = rhs + matvec(w, xi)
-        cov = _symmetrize(_inverse(h, "fused information matrix"))
-        mu = -matvec(cov, rhs)
-        mean = exp(mu) @ mean
-        yield mean, cov
+    done = np.False_
+    passes = 0
+    for k in range(_FUSE_ITERATIONS):
+        h, rhs = _linearized(mean, inv_b, prec_b)
+        if k == 0:
+            # at a's own mean, a's residual is 0 and its J^-1 is I
+            h = prec_a + h
+        else:
+            h_a, rhs_a = _linearized(mean, inv_a, prec_a)
+            h, rhs = h_a + h, rhs_a + rhs
+        new_cov = _symmetrize(_inverse(h, "fused information matrix"))
+        mu = -matvec(new_cov, rhs)
+        new_mean = exp(mu) @ mean
+        if done.any():
+            # stacked, with elements that stopped at an earlier pass
+            new_mean = Pose(np.where(done[..., None, None], mean.rotation, new_mean.rotation),
+                            np.where(done[..., None], mean.translation, new_mean.translation))
+            new_cov = np.where(done[..., None, None], cov, new_cov)
+        mean, cov = new_mean, new_cov
+        passes = passes + ~done
+        done = done | (np.abs(mu).max(axis=-1) < tol)
+        yield mean, cov, passes
+        if done.all():
+            return
 
 
 def gaussian_product(a: EuclideanGaussian, b: EuclideanGaussian) -> EuclideanGaussian:

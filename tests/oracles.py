@@ -15,7 +15,8 @@ import numpy as np
 
 from se3kit.filtering import default_dynamics_noise, synthetic_transition
 from se3kit.liegroup import adjoint, exp, log
-from se3kit.uncertainty import EuclideanGaussian, PoseGaussian, density, fuse, transform
+from se3kit.uncertainty import (EuclideanGaussian, PoseGaussian, _fuse_iterates, density, fuse,
+                                transform)
 
 
 def quadrature_left_jacobian(xi, nodes=48):
@@ -110,17 +111,11 @@ def filter_study_per_row(pairs, sigma_grid, seed: int = 0) -> dict:
 
 
 def fusion_histogram_per_pair(pairs) -> dict:
-    """fusion-bench's histogram one pair at a time: for each pair, the first
-    iteration budget whose fused mean matches the next budget's to 1e-10."""
+    """fusion-bench's histogram one pair at a time: the passes each pair's
+    own single fuse runs before it stops."""
     histogram = {str(k): 0 for k in range(1, 6)}
     for a, b in pairs:
-        needed = 5
-        prev = None
-        for k in range(1, 6):
-            mean_k = fuse(a, b, iterations=k).mean
-            if prev is not None and np.linalg.norm(log(mean_k @ prev.inverse())) < 1e-10:
-                needed = k - 1
-                break
-            prev = mean_k
-        histogram[str(needed)] += 1
+        for _, _, passes in _fuse_iterates(a, b):
+            pass
+        histogram[str(passes)] += 1
     return histogram
