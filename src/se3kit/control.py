@@ -101,12 +101,15 @@ class ServoConfig:
     reference_contact_pose: Pose
     feedforward_twist: np.ndarray
     pid: PidConfig
+    # the reference's inverse, which every servo step composes with
+    _reference_inverse: Pose = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ff = np.asarray(self.feedforward_twist, dtype=float)
         if ff.shape != (6,):
             raise ValueError(f"feedforward_twist must have shape (6,), got {ff.shape}")
         object.__setattr__(self, "feedforward_twist", ff)
+        object.__setattr__(self, "_reference_inverse", self.reference_contact_pose.inverse())
 
 
 @dataclasses.dataclass(frozen=True)
@@ -169,7 +172,7 @@ def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt: floa
 
     Returns (command twist, new PID state, error pose).
     """
-    error_pose = observed_contact @ cfg.reference_contact_pose.inverse()
+    error_pose = observed_contact @ cfg._reference_inverse
     fb, new_pid = pid_step(cfg.pid, pid, np.zeros(6), log(error_pose), dt)
     command = fb + adjoint(error_pose) @ cfg.feedforward_twist
     return command, new_pid, error_pose

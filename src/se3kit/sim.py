@@ -122,8 +122,14 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous float vector: the sqrt of v . v, the
+    bits np.linalg.norm returns, without its fixed cost per call."""
+    return math.sqrt(v.dot(v))
+
+
 def _unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = _norm(v)
     if n == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / n
@@ -205,7 +211,7 @@ class SurfaceModel:
             axis_offset = np.array([p[1], p[2] + r])
             tau = math.atan2(axis_offset[0], axis_offset[1])
             if tau <= _RAMP_EXTENT:
-                dist = float(np.linalg.norm(axis_offset))
+                dist = _norm(axis_offset)
                 if dist == 0.0:
                     raise NoContactError("point on the ramp axis has no defined normal")
                 n_yz = axis_offset / dist
@@ -221,7 +227,7 @@ class SurfaceModel:
         # hemisphere
         centre = np.array([0.0, 0.0, self.radius])
         to_p = p - centre
-        dist = float(np.linalg.norm(to_p))
+        dist = _norm(to_p)
         if dist == 0.0:
             raise NoContactError("point at the dome centre has no defined normal")
         n = -to_p / dist  # toward the centre = into the material
@@ -232,7 +238,7 @@ class SurfaceModel:
         if self.kind == "hemisphere":
             x_apex = np.array([1.0, 0.0, 0.0])
             tangent = x_apex - np.dot(x_apex, n) * n
-            norm = np.linalg.norm(tangent)
+            norm = _norm(tangent)
             if norm < 1e-9:
                 raise NoContactError(
                     "contact is 90 degrees from the dome apex; shear convention undefined"
@@ -314,7 +320,7 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
         # Drag the anchor when tangential shear exceeds the slip limit.
         v = q_local - point
         vt = v - np.dot(v, n_local) * n_local
-        shear = float(np.linalg.norm(vt))
+        shear = _norm(vt)
         if shear > _MAX_SHEAR:
             point, _, _ = surface._project_local(q_local - (_MAX_SHEAR / shear) * vt)
         gamma = _wrap_angle(spin - anchor_spin)
@@ -555,16 +561,17 @@ def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
         s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
         q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
                       (r[1, 2] + r[2, 1]) / s, 0.25 * s])
-    q = q / np.linalg.norm(q)
+    q = q / _norm(q)
     if q[0] < 0:
         q = -q
     return q
 
 
 def _check_pose(pose: Pose, what: str) -> Pose:
-    if not (np.isfinite(pose.rotation).all() and np.isfinite(pose.translation).all()):
+    t = pose.translation.tolist()
+    if not all(map(math.isfinite, pose.rotation.ravel().tolist() + t)):
         raise DivergenceError(f"{what} pose contains non-finite values")
-    if np.max(np.abs(pose.translation)) > _WORKSPACE_LIMIT:
+    if max(map(abs, t)) > _WORKSPACE_LIMIT:
         raise DivergenceError(
             f"{what} left the workspace (|position| > {_WORKSPACE_LIMIT:g} mm)"
         )
@@ -572,7 +579,7 @@ def _check_pose(pose: Pose, what: str) -> Pose:
 
 
 def _integrate_body(pose: Pose, twist: np.ndarray, dt: float, what: str) -> Pose:
-    return _check_pose((pose @ exp(twist * dt)).renormalized(), what)
+    return _check_pose(pose @ exp(twist * dt), what)
 
 
 def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Pose:
@@ -580,7 +587,7 @@ def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Po
     about the end-effector's own origin (world axes)."""
     rot = exp(np.concatenate([np.zeros(3), v[3:] * dt])).rotation
     new = Pose(rot @ pose.rotation, pose.translation + v[:3] * dt)
-    return _check_pose(new.renormalized(), what)
+    return _check_pose(new, what)
 
 
 class _Arm:
@@ -647,7 +654,7 @@ def _column_means(rows, width: int) -> list:
 
 def _mm_deg(v: np.ndarray):
     """Translational (mm) and rotational (deg) size of a tangent error."""
-    return float(np.linalg.norm(v[:3])), math.degrees(float(np.linalg.norm(v[3:])))
+    return _norm(v[:3]), math.degrees(_norm(v[3:]))
 
 
 def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
@@ -893,7 +900,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
                 # centre of friction.
                 cof_w = q_w + _OBJECT_R0 * z_f_w
                 rot = exp(np.concatenate([np.zeros(3), x_f_w * -dphi])).rotation
-                face = (Pose(rot, cof_w - rot @ cof_w) @ face).renormalized()
+                face = Pose(rot, cof_w - rot @ cof_w) @ face
             leader.surface.pose = face
             if dual:
                 follower.surface.pose = face @ face2_offset
@@ -903,7 +910,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         # tip centre (termination's); both are logged.
         sensor = leader.pose
         tip_centre = sensor.translation - _TIP_RADIUS * sensor.rotation[:, 2]
-        tip_distance = float(np.linalg.norm(target_w - tip_centre))
+        tip_distance = _norm(target_w - tip_centre)
         contact_distance = math.hypot(target_w[1] - sensor.translation[1],
                                       target_w[2] - sensor.translation[2])
         row = {"target_distance_mm": contact_distance,
@@ -938,7 +945,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
 
     depth_err, angle = _column_means(contact_rows, 2)
     metrics = _metrics(scenario, depth_err, angle, terminated and not toppled,
-                       steps_done * dt, final_error=float(np.linalg.norm(perp)),
+                       steps_done * dt, final_error=_norm(perp),
                        tall=tall, terminated=terminated)
     if dual:
         metrics["follower_depth_worst_mm"] = max(follower_depth_err, default=None)

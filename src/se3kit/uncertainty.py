@@ -16,6 +16,7 @@ broadcasts against a stack.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -42,6 +43,13 @@ _FUSE_ITERATIONS = 5
 # The translation block (mm^2) is not compared, because exp is linear in
 # translation for a given rotation and mm^2 and rad^2 cannot share a limit.
 _ROTATION_VARIANCE_LIMIT = (math.pi / 3.0) ** 2
+
+# Every eigenvalue of a symmetric block is at most its Frobenius norm in
+# magnitude, indefinite blocks included, so fuse runs eigvalsh only on a
+# block whose squared Frobenius norm exceeds the limit squared.  The screen
+# sits 1e-9 below that, far more than the round-off of either computation,
+# so it never passes over a block that eigvalsh would find above the limit.
+_ROTATION_SCREEN = _ROTATION_VARIANCE_LIMIT ** 2 * (1.0 - 1e-9)
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
@@ -207,6 +215,50 @@ def fuse(a: PoseGaussian, b: PoseGaussian) -> PoseGaussian:
     return PoseGaussian(mean, cov)
 
 
+def _largest_frobenius_sq(block: np.ndarray) -> float:
+    """Squared Frobenius norm of a 3x3 block, or the largest in a stack; an
+    overflow reads inf without a warning."""
+    if block.ndim == 2:
+        (b0, b1, b2), (b3, b4, b5), (b6, b7, b8) = block.tolist()
+        return (b0 * b0 + b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4 + b5 * b5
+                + b6 * b6 + b7 * b7 + b8 * b8)
+    return float(np.einsum("...ij,...ij->...", block, block).max(initial=0.0))
+
+
+def _warn_if_wide(name: str, cov: np.ndarray) -> None:
+    """Warn, naming the input and its first such element, when a rotation
+    block's top eigenvalue exceeds _ROTATION_VARIANCE_LIMIT."""
+    block = cov[..., 3:, 3:]
+    if _largest_frobenius_sq(block) <= _ROTATION_SCREEN:
+        return
+    top = np.linalg.eigvalsh(block)[..., -1]
+    wide = top > _ROTATION_VARIANCE_LIMIT
+    if wide.any():
+        more = int(np.count_nonzero(wide)) - 1
+        label = name + _stack_label(wide) + (f" (and {more} more elements)" if more else "")
+        warnings.warn(
+            f"fuse input {label} has rotation variance {top[wide][0]:.3g} rad^2 > "
+            f"{_ROTATION_VARIANCE_LIMIT:.3g} rad^2; concentrated-Gaussian "
+            "assumptions may not hold",
+            stacklevel=4,  # this function, the generator, fuse, then fuse's caller
+        )
+
+
+@functools.lru_cache(maxsize=4)
+def _memo_precision(shape: tuple, data: bytes) -> np.ndarray:
+    prec = _symmetrize(_inverse(np.frombuffer(data).reshape(shape),
+                                "fuse input covariance"))
+    prec.flags.writeable = False
+    return prec
+
+
+def _precision(cov: np.ndarray) -> np.ndarray:
+    """The symmetrized inverse of a covariance, read-only.  A filter fuses
+    every observation with the same covariance, so the last few are kept,
+    keyed by shape and bytes: a repeat is a lookup, with the same bits."""
+    return _memo_precision(cov.shape, cov.tobytes())
+
+
 def _linearized(mean: Pose, inv_mean: Pose, prec: np.ndarray):
     """One factor's information J^-T P J^-1 and J^-T P xi about mean."""
     xi = log(mean @ inv_mean)
@@ -222,21 +274,10 @@ def _fuse_iterates(a: PoseGaussian, b: PoseGaussian, tol: float = _FUSE_TOL):
     below tol, and keeps that pass's mean and covariance while the rest of
     a stack goes on; the loop ends when every element has stopped, or after
     _FUSE_ITERATIONS passes.  tol = 0 runs every element to that cap."""
-    for name, g in (("a", a), ("b", b)):
-        top = np.linalg.eigvalsh(g.cov[..., 3:, 3:])[..., -1]
-        wide = top > _ROTATION_VARIANCE_LIMIT
-        if wide.any():
-            more = int(np.count_nonzero(wide)) - 1
-            label = name + _stack_label(wide) + (f" (and {more} more elements)" if more else "")
-            warnings.warn(
-                f"fuse input {label} has rotation variance {top[wide][0]:.3g} rad^2 > "
-                f"{_ROTATION_VARIANCE_LIMIT:.3g} rad^2; concentrated-Gaussian "
-                "assumptions may not hold",
-                stacklevel=3,  # this generator, fuse, then fuse's caller
-            )
-
+    _warn_if_wide("a", a.cov)
+    _warn_if_wide("b", b.cov)
     inv_a, inv_b = a.mean.inverse(), b.mean.inverse()
-    prec_a, prec_b = (_symmetrize(_inverse(g.cov, "fuse input covariance")) for g in (a, b))
+    prec_a, prec_b = _precision(a.cov), _precision(b.cov)
     mean = a.mean
     done = np.False_
     passes = 0
@@ -251,16 +292,23 @@ def _fuse_iterates(a: PoseGaussian, b: PoseGaussian, tol: float = _FUSE_TOL):
         new_cov = _symmetrize(_inverse(h, "fused information matrix"))
         mu = -matvec(new_cov, rhs)
         new_mean = exp(mu) @ mean
-        if done.any():
-            # stacked, with elements that stopped at an earlier pass
-            new_mean = Pose(np.where(done[..., None, None], mean.rotation, new_mean.rotation),
-                            np.where(done[..., None], mean.translation, new_mean.translation))
-            new_cov = np.where(done[..., None, None], cov, new_cov)
-        mean, cov = new_mean, new_cov
-        passes = passes + ~done
-        done = done | (np.abs(mu).max(axis=-1) < tol)
+        if mu.ndim == 1:
+            # a single pair, counted and tested on Python scalars; a NaN
+            # component fails the test, as it does the stack's max below
+            mean, cov, passes = new_mean, new_cov, k + 1
+            stop = all(abs(x) < tol for x in mu.tolist())
+        else:
+            if done.any():
+                # elements that stopped at an earlier pass keep that pass
+                new_mean = Pose(np.where(done[..., None, None], mean.rotation, new_mean.rotation),
+                                np.where(done[..., None], mean.translation, new_mean.translation))
+                new_cov = np.where(done[..., None, None], cov, new_cov)
+            mean, cov = new_mean, new_cov
+            passes = passes + ~done
+            done = done | (np.abs(mu).max(axis=-1) < tol)
+            stop = done.all()
         yield mean, cov, passes
-        if done.all():
+        if stop:
             return
 
 

@@ -537,12 +537,25 @@ def test_stacked_log_rejects_element_near_pi(rng):
         log(poses)
 
 
-@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
 def test_stacked_exp_rejects_non_finite_angle(rng, bad):
+    # 1e200 squares past the largest float: the angle overflows to inf
     xi = stacked_twists(rng)
     xi[3, 4] = bad
     with pytest.raises(ApproximationDomainError, match=r"stack element \[3\]"):
         exp(xi)
+    with pytest.raises(ApproximationDomainError, match=r"^rotation angle .* is not finite$"):
+        exp(xi[3])
+
+
+def test_exp_of_a_large_finite_angle_is_the_stacks_bit_for_bit(rng):
+    # 1e151 is past the bound below which a single twist skips np.errstate,
+    # yet its angle is finite: the guarded branch gives the stack's bits.
+    xi = stacked_twists(rng)
+    xi[3, 4] = 1e151
+    stacked, single = exp(xi), exp(xi[3])
+    assert single.rotation.tobytes() == stacked.rotation[3].tobytes()
+    assert single.translation.tobytes() == stacked.translation[3].tobytes()
 
 
 def test_pose_stack_shapes_must_agree():

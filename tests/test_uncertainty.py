@@ -223,11 +223,51 @@ def test_fuse_against_product_mode_oracle(rng):
     assert mean_discrepancy(fused.mean, oracle) < 1e-3
 
 
-def test_fuse_warns_on_wide_covariance(rng):
-    wide = PoseGaussian(random_pose(rng), 2.0 * np.eye(6))
+ROTATION_LIMIT = (math.pi / 3.0) ** 2
+
+# Eigenvalues of a rotation block: within 1e-12 of the (pi/3)^2 limit on
+# either side, nearly rank one (Frobenius norm = top eigenvalue), or
+# indefinite (Frobenius norm far above the limit whichever side the top
+# eigenvalue falls).  The first eigenvalue is the top one.
+ROTATION_BLOCKS = {
+    "wide": (2.0, 2.0, 2.0),
+    "just_above": (ROTATION_LIMIT * (1.0 + 1e-12), 0.01, 0.02),
+    "just_below": (ROTATION_LIMIT * (1.0 - 1e-12), 0.01, 0.02),
+    "rank_one_above": (ROTATION_LIMIT * (1.0 + 1e-12), 1e-9, 2e-9),
+    "rank_one_below": (ROTATION_LIMIT * (1.0 - 1e-12), 1e-9, 2e-9),
+    "indefinite_above": (1.5, -3.0, 0.1),
+    "indefinite_below": (0.5, -3.0, 0.1),
+    "concentrated": (0.03, 0.01, 0.02),
+}
+
+
+def with_rotation_block(rng, cov, eigenvalues):
+    """cov with its rotation block replaced by a randomly rotated diagonal."""
+    r = exp(np.concatenate([np.zeros(3), rng.normal(size=3)])).rotation
+    cov = cov.copy()
+    cov[3:, 3:] = r @ np.diag(eigenvalues) @ r.T
+    return cov
+
+
+def concentration_warnings(a, b):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fuse(a, b)
+    return [str(w.message) for w in caught if "concentrated" in str(w.message)]
+
+
+@pytest.mark.parametrize("eigenvalues", ROTATION_BLOCKS.values(), ids=ROTATION_BLOCKS)
+def test_fuse_warns_on_wide_covariance(rng, eigenvalues):
+    # fuse warns exactly when eigvalsh puts the top eigenvalue above the limit
+    wide = PoseGaussian(random_pose(rng),
+                        with_rotation_block(rng, 0.01 * np.eye(6), eigenvalues))
     tight = PoseGaussian(wide.mean, 0.01 * np.eye(6))
-    with pytest.warns(UserWarning, match="concentrated"):
-        fuse(wide, tight)
+    top = np.linalg.eigvalsh(wide.cov[3:, 3:])[-1]
+    assert (top > ROTATION_LIMIT) == (eigenvalues[0] > ROTATION_LIMIT)
+    messages = concentration_warnings(wide, tight)
+    assert len(messages) == (top > ROTATION_LIMIT)
+    assert all(m.startswith(f"fuse input a has rotation variance {top:.3g} rad^2")
+               for m in messages)
 
 
 def test_fuse_output_spd(rng):
@@ -445,17 +485,16 @@ def test_early_stopped_fuse_is_the_five_pass_mean_to_1e_10():
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
-def test_fuse_stack_warns_once_for_the_wide_element(rng):
+@pytest.mark.parametrize("eigenvalues", ROTATION_BLOCKS.values(), ids=ROTATION_BLOCKS)
+def test_fuse_stack_warns_once_for_the_wide_element(rng, eigenvalues):
     a, b = fusion_inputs(rng)
-    wide = b[4].cov.copy()
-    wide[3:, 3:] = 2.0 * np.eye(3)
-    b[4] = PoseGaussian(b[4].mean, wide)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        fuse(PoseGaussian.stack(a), PoseGaussian.stack(b))
-    messages = [str(w.message) for w in caught if "concentrated" in str(w.message)]
-    assert len(messages) == 1
-    assert messages[0].startswith("fuse input b[4] has rotation variance 2 rad^2")
+    b[4] = PoseGaussian(b[4].mean, with_rotation_block(rng, b[4].cov, eigenvalues))
+    top = np.linalg.eigvalsh(b[4].cov[3:, 3:])[-1]
+    assert (top > ROTATION_LIMIT) == (eigenvalues[0] > ROTATION_LIMIT)
+    messages = concentration_warnings(PoseGaussian.stack(a), PoseGaussian.stack(b))
+    assert len(messages) == (top > ROTATION_LIMIT)
+    assert all(m.startswith(f"fuse input b[4] has rotation variance {top:.3g} rad^2")
+               for m in messages)
 
 
 def test_fuse_concentration_check_ignores_translation_units(rng):
