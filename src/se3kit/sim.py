@@ -592,28 +592,33 @@ def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Po
 
 class _Arm:
     """One sensor arm: its surface (one for its lifetime), pose, shear
-    anchor, filter and PID state, and servo.  Every arm observes through
-    the same sensor model (observe) and predicts with the deployment
-    dynamics noise.
+    anchor, filter, PID states, belief and command.  Every arm observes
+    through the same sensor model (observe) and predicts with the
+    deployment dynamics noise.
 
-    A control cycle is built from four steps: sense (contact_pose ->
-    observe -> filter), servo, probe (true depth and normal angle at the
-    surface projection) and move (integrate a body-frame command).
+    A control step is built from four parts: cycle (sense, then command),
+    probe (true depth and normal angle at the surface projection), move
+    (integrate the command in the body frame) and row (log the step).
+    `cfg` is a PushConfig for a pushing arm, else a ServoConfig.  `lost`
+    is the command out of contact; None lets NoContactError end the run.
     """
 
-    def __init__(self, name: str, surface: SurfaceModel, pose: Pose,
-                 cfg: control.ServoConfig, scenario: Scenario,
-                 rng: np.random.Generator):
+    def __init__(self, name: str, surface: SurfaceModel, pose: Pose, cfg,
+                 scenario: Scenario, rng: np.random.Generator, lost=None):
         self.name = name
         self.surface = surface
         self.pose = pose
         self.anchor = None
         self.cfg = cfg
+        self.lost = lost
         self.dt = scenario.dt
         self.noise = filtering.default_dynamics_noise(filtering.DEPLOYMENT_SIGMA)
         self.rng = rng
         self.filter = None
+        self.belief = None
+        self.command = None
         self.pid = control.PidState.initial(6)
+        self.bearing = control.PidState.initial(1)  # push_step's bearing loop
 
     def sense(self):
         """Returns (true X_fs, belief PoseGaussian); raises NoContactError,
@@ -627,10 +632,24 @@ class _Arm:
             self.filter = filtering.step(self.filter, obs, self.pose, self.noise)
         return true_fs, self.filter.belief
 
-    def servo(self, belief: PoseGaussian) -> np.ndarray:
-        command, self.pid, _ = control.servo_step(self.cfg, self.pid, belief.mean,
-                                                  self.dt)
-        return command
+    def cycle(self):
+        """Sense, then command: returns the true X_fs, or None out of
+        contact, where the belief is None and the command is `lost`."""
+        try:
+            true_fs, self.belief = self.sense()
+        except NoContactError:
+            if self.lost is None:
+                raise
+            self.belief = None
+            self.command = self.lost
+            return None
+        if isinstance(self.cfg, control.PushConfig):
+            self.command, (self.pid, self.bearing) = control.push_step(
+                self.cfg, self.pid, self.bearing, self.belief.mean, self.pose, self.dt)
+        else:
+            self.command, self.pid, _ = control.servo_step(
+                self.cfg, self.pid, self.belief.mean, self.dt)
+        return true_fs
 
     def probe(self):
         """(surface point, depth, angle in degrees between the sensor axis
@@ -639,8 +658,14 @@ class _Arm:
         cos = float(np.dot(self.pose.rotation[:, 2], n_w))
         return q_w, depth, math.degrees(math.acos(min(1.0, max(-1.0, cos))))
 
-    def move(self, command: np.ndarray) -> None:
-        self.pose = _integrate_body(self.pose, command, self.dt, self.name)
+    def move(self) -> None:
+        self.pose = _integrate_body(self.pose, self.command, self.dt, self.name)
+
+    def row(self, log_: TrajectoryLog, t: float, scalars: dict) -> None:
+        """Log the arm's pose, command and belief covariance trace (empty
+        out of contact) with the task's scalars."""
+        cov_trace = None if self.belief is None else float(np.trace(self.belief.cov))
+        log_.add(t, self.name, self.pose, self.command, cov_trace, scalars)
 
 
 def _mean(values):
@@ -714,20 +739,16 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
         leader = _integrate_base_frame(leader, v, dt, "leader")
         follower.surface.pose = leader
 
-        true_fs, belief = follower.sense()
-        command = follower.servo(belief)
-
-        true_sf = true_fs.inverse()
+        true_sf = follower.cycle().inverse()
         track_err = _mm_deg(log(true_sf @ ref_inv))
-        est_err = _mm_deg(log(belief.mean @ true_sf.inverse()))
+        est_err = _mm_deg(log(follower.belief.mean @ true_sf.inverse()))
         _, depth, angle = follower.probe()
         if t >= steady_t:
             steady.append((abs(depth - 6.0), angle, *track_err, *est_err))
         log_.add(t, "leader", leader, v, None, {})
-        log_.add(t, "follower", follower.pose, command,
-                 float(np.trace(belief.cov)),
-                 dict(zip(log_.scalar_columns, (depth, *track_err, *est_err))))
-        follower.move(command)
+        follower.row(log_, t, dict(zip(log_.scalar_columns,
+                                       (depth, *track_err, *est_err))))
+        follower.move()
 
     depth_err, angle, track_mm, track_deg, est_mm, est_deg = _column_means(steady, 6)
     return log_, _metrics(
@@ -761,22 +782,48 @@ def _run_follow(scenario: Scenario, rng: np.random.Generator):
                       Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, rng)
         for k, step in enumerate(steps[run_idx]):
             yield step
-            _, belief = sensor.sense()
-            command = sensor.servo(belief)
+            sensor.cycle()
             _, depth, angle = sensor.probe()
             if k * dt >= transient:
                 settled.append((abs(depth - 3.0), angle))
-            log_.add(t, "sensor", sensor.pose, command,
-                     float(np.trace(belief.cov)),
-                     {"run": float(run_idx), "depth_mm": depth,
-                      "normal_angle_deg": angle})
-            sensor.move(command)
+            sensor.row(log_, t, {"run": float(run_idx), "depth_mm": depth,
+                                 "normal_angle_deg": angle})
+            sensor.move()
             t += dt
 
     depth_err, angle = _column_means(settled, 2)
     return log_, _metrics(
         scenario, depth_err, angle, depth_err is not None and depth_err < 1.0,
         scenario.n_steps * dt, surface=scenario.surface)
+
+
+def _push_plant(face: Pose, prev_tip_face, tip_w: np.ndarray):
+    """One step of the pushed object under the leader's tip at tip_w:
+    (face, tip in face coordinates), or (face, None) off the face.
+
+    The object yields past the yield depth, advancing along the face
+    normal by the excess, and rotates about its centre of friction with
+    the tangential contact motion since prev_tip_face (the previous
+    step's tip in face coordinates, None off the face), as the pushing
+    chart does (push_object_step).
+    """
+    tip_face = face.inverse().apply(tip_w)
+    if tip_face[2] < 0.0:
+        return face, None
+    advance = max(0.0, tip_face[2] - _YIELD_DEPTH)
+    s_y = 0.0 if prev_tip_face is None else tip_face[1] - prev_tip_face[1]
+    dphi = _push_yaw(float(-s_y), float(-advance))
+    z_f_w = face.rotation[:, 2]
+    x_f_w = face.rotation[:, 0]
+    face = Pose(face.rotation, face.translation + advance * z_f_w)
+    if dphi != 0.0:
+        q_w, _, _ = SurfaceModel("flat", face).probe(tip_w)
+        # Rotate the face by -dphi about the up axis through the centre of
+        # friction.
+        cof_w = q_w + _OBJECT_R0 * z_f_w
+        rot = exp(np.concatenate([np.zeros(3), x_f_w * -dphi])).rotation
+        face = Pose(rot, cof_w - rot @ cof_w) @ face
+    return face, face.inverse().apply(tip_w)
 
 
 def _run_push(scenario: Scenario, rng: np.random.Generator):
@@ -801,31 +848,30 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         bearing_pid=control.preset(presets[1]),
         target_pose_in_work=Pose(np.eye(3), target_w),
     )
-    bearing_state = control.PidState.initial(1)
     # Dual-arm: the leader starts engaged at the yield depth so the object
     # moves from the first step.  Single-arm protocol: approach from 45 mm
-    # off the face.
+    # off the face.  Out of contact the leader presses toward the face with
+    # its feedforward.
     start_depth = _YIELD_DEPTH if dual else -45.0
     leader = _Arm("leader", SurfaceModel("flat", face),
                   Pose(face.rotation, face.apply(np.array([0.0, 0.0, start_depth]))),
-                  push_cfg.servo, scenario, rng)
+                  push_cfg, scenario, rng, lost=push_cfg.servo.feedforward_twist)
 
     face2_offset = Pose(
         np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
         np.array([0.0, 0.0, _OBJECT_WIDTH]),
     )
     if dual:
-        # The follower starts at its 3 mm reference on the opposite face.
+        # The follower starts at its 3 mm reference on the opposite face;
+        # out of contact it presses in at 5 mm/s.
         face2 = face @ face2_offset
         follower = _Arm("follower", SurfaceModel("flat", face2),
                         Pose(face2.rotation, face2.apply(np.array([0.0, 0.0, 3.0]))),
-                        control.preset(presets[2]), scenario, rng)
+                        control.preset(presets[2]), scenario, rng,
+                        lost=np.array([0, 0, 5.0, 0, 0, 0]))
 
     prev_tip_face = None
-    terminated = False
-    toppled = False
-    margin = 1.0
-    steps_done = 0
+    margin = 1.0  # the tall object topples when it reaches 0
 
     log_ = TrajectoryLog(("bearing_rad", "target_distance_mm", "tip_distance_mm",
                           "depth_mm", "follower_depth_mm", "stability_margin"))
@@ -839,32 +885,10 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     for k in range(scenario.n_steps):
         yield k
         t = k * dt
-        steps_done = k + 1
-
-        # Leader perception and command.
-        try:
-            _, belief = leader.sense()
-        except NoContactError:
-            belief = None
-        if belief is not None:
-            command, (leader.pid, bearing_state) = control.push_step(
-                push_cfg, leader.pid, bearing_state, belief.mean, leader.pose, dt)
-            cov_trace = float(np.trace(belief.cov))
-        else:
-            command = push_cfg.servo.feedforward_twist  # press toward the face
-            cov_trace = None
-
-        # Follower perception and command.
+        leader.cycle()
         if dual:
-            try:
-                _, belief2 = follower.sense()
-                command2 = follower.servo(belief2)
-                cov_trace2 = float(np.trace(belief2.cov))
-                _, fdepth, _ = follower.probe()
-            except NoContactError:
-                command2 = np.array([0, 0, 5.0, 0, 0, 0])
-                cov_trace2 = None
-                fdepth = None
+            follower.cycle()
+            fdepth = None if follower.belief is None else follower.probe()[1]
             if t >= follower_window and fdepth is not None:
                 follower_depth_err.append(abs(fdepth - 3.0))
             if tall:
@@ -873,38 +897,14 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
                     margin -= _STABILITY_DECAY * dt
                 else:
                     margin = min(1.0, margin + _STABILITY_RECOVER * dt)
-                if margin <= 0.0:
-                    toppled = True
 
-        leader.move(command)
+        leader.move()
         if dual:
-            follower.move(command2)
-
-        # Plant: the object yields past the yield depth and rotates about
-        # its centre of friction in response to tangential contact motion.
-        tip_w = leader.pose.translation
-        tip_face = face.inverse().apply(tip_w)
-        depth_raw = tip_face[2]
-        advance = max(0.0, depth_raw - _YIELD_DEPTH)
-        s_y = 0.0 if prev_tip_face is None else tip_face[1] - prev_tip_face[1]
-        if depth_raw >= 0.0:
-            # The object yaws with the tangential contact motion, as the
-            # pushing chart does (push_object_step).
-            dphi = _push_yaw(float(-s_y), float(-advance))
-            z_f_w = face.rotation[:, 2]
-            x_f_w = face.rotation[:, 0]
-            face = Pose(face.rotation, face.translation + advance * z_f_w)
-            if dphi != 0.0:
-                q_w, _, _ = SurfaceModel("flat", face).probe(tip_w)
-                # Rotate the face by -dphi about the up axis through the
-                # centre of friction.
-                cof_w = q_w + _OBJECT_R0 * z_f_w
-                rot = exp(np.concatenate([np.zeros(3), x_f_w * -dphi])).rotation
-                face = Pose(rot, cof_w - rot @ cof_w) @ face
-            leader.surface.pose = face
-            if dual:
-                follower.surface.pose = face @ face2_offset
-        prev_tip_face = face.inverse().apply(tip_w) if depth_raw >= 0.0 else None
+            follower.move()
+        face, prev_tip_face = _push_plant(face, prev_tip_face, leader.pose.translation)
+        leader.surface.pose = face
+        if dual:
+            follower.surface.pose = face @ face2_offset
 
         # Distances from the contact point (the controller's) and from the
         # tip centre (termination's); both are logged.
@@ -916,7 +916,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         row = {"target_distance_mm": contact_distance,
                "tip_distance_mm": tip_distance,
                "stability_margin": margin if tall else None}
-        if belief is not None:
+        if leader.belief is not None:
             q_w, depth_now, angle = leader.probe()
             contact_rows.append((abs(depth_now - _YIELD_DEPTH), angle))
             # Bearing of the target seen from the current contact point,
@@ -925,17 +925,16 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
             row["bearing_rad"] = math.atan2(float(np.dot(d, face.rotation[:, 1])),
                                             float(np.dot(d, face.rotation[:, 2])))
             row["depth_mm"] = depth_now
-        log_.add(t, "leader", sensor, command, cov_trace, row)
+        leader.row(log_, t, row)
         if dual:
-            log_.add(t, "follower", follower.pose, command2, cov_trace2,
-                     {"follower_depth_mm": fdepth,
-                      "stability_margin": margin if tall else None})
+            follower.row(log_, t, {"follower_depth_mm": fdepth,
+                                   "stability_margin": margin if tall else None})
 
-        if toppled:
+        if margin <= 0.0 or tip_distance < _TERMINATION_RADIUS:
             break
-        if tip_distance < _TERMINATION_RADIUS:
-            terminated = True
-            break
+
+    toppled = margin <= 0.0
+    terminated = not toppled and tip_distance < _TERMINATION_RADIUS
 
     # Final target error: perpendicular distance from the target to the
     # line through the final contact point along the face normal.
@@ -944,9 +943,8 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     perp = to_target - np.dot(to_target, n_w) * n_w
 
     depth_err, angle = _column_means(contact_rows, 2)
-    metrics = _metrics(scenario, depth_err, angle, terminated and not toppled,
-                       steps_done * dt, final_error=_norm(perp),
-                       tall=tall, terminated=terminated)
+    metrics = _metrics(scenario, depth_err, angle, terminated, (k + 1) * dt,
+                       final_error=_norm(perp), tall=tall, terminated=terminated)
     if dual:
         metrics["follower_depth_worst_mm"] = max(follower_depth_err, default=None)
         metrics["follower_depth_mean_mm"] = _mean(follower_depth_err)

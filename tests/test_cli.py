@@ -307,6 +307,8 @@ def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
                  id="coarse_dt"),
     pytest.param("task: track\nduration: 1.0e+300\ndt: 1.0e+299\n", "track step ",
                  "ApproximationDomainError", id="huge_leader_step"),
+    pytest.param("task: push_single\nduration: 10\ndt: 0.5\n", "push_single step 9: ",
+                 "ApproximationDomainError", id="push_single_coarse_dt"),
     pytest.param("task: filter_study\nsteps: 3\nsigma_grid: [1.0e+154]\n", "filter_study: ",
                  "CovarianceError", id="filter_study_sigma_1e154"),
 ])

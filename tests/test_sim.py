@@ -332,6 +332,47 @@ def test_push_object_step_rejects_large_steps():
         push_object_step(obj, (0.0, -5.5))
 
 
+def test_push_plant_off_the_face_leaves_it():
+    face = euler_to_pose(5.0, -3.0, 40.0, 0.2, -0.1, 0.3)
+    tip = face.apply(np.array([1.0, 2.0, -0.5]))
+    out, tip_face = sim._push_plant(face, np.array([1.0, 2.0, 1.0]), tip)
+    assert out is face
+    assert tip_face is None
+
+
+def test_push_plant_advances_by_the_excess_depth():
+    # Pressed 2.5 mm past the yield depth with no tangential motion: the
+    # face moves 2.5 mm along its normal without turning, leaving the tip
+    # at the yield depth.
+    face = euler_to_pose(5.0, -3.0, 40.0, 0.2, -0.1, 0.3)
+    for prev in (None, np.array([1.0, 2.0, 3.0])):
+        tip = face.apply(np.array([1.0, 2.0, sim._YIELD_DEPTH + 2.5]))
+        out, tip_face = sim._push_plant(face, prev, tip)
+        assert np.array_equal(out.rotation, face.rotation)
+        assert np.allclose(out.translation, face.translation + 2.5 * face.rotation[:, 2],
+                           atol=1e-12)
+        assert np.allclose(tip_face, [1.0, 2.0, sim._YIELD_DEPTH], atol=1e-12)
+
+
+def test_push_plant_yaws_with_tangential_motion():
+    # 1 mm of tangential tip motion inside the yield depth turns the face
+    # about its x axis through the centre of friction, r0 behind the
+    # contact, by the yaw law's angle, and moves it no deeper.
+    face = Pose.identity()
+    prev = np.array([0.0, 0.0, 2.0])
+    out, tip_face = sim._push_plant(face, prev, np.array([0.0, 1.0, 2.0]))
+    angle = -sim._push_yaw(-1.0, 0.0)
+    assert angle == pytest.approx(0.7 / 40.0, rel=1e-12)
+    expected = exp(np.array([0, 0, 0, angle, 0, 0])).rotation
+    assert np.allclose(out.rotation, expected, atol=1e-15)
+    cof = np.array([0.0, 1.0, sim._OBJECT_R0])
+    assert np.allclose(out.apply(cof), cof, atol=1e-12)
+    assert np.allclose(tip_face, out.inverse().apply(np.array([0.0, 1.0, 2.0])),
+                       atol=1e-15)
+    with pytest.raises(ApproximationDomainError):
+        sim._push_plant(face, prev, np.array([0.0, 6.0, 2.0]))
+
+
 def test_pushed_object_validation_and_bearing():
     obj = PushedObject(y=3.0, z=4.0, phi=0.1)
     assert obj.bearing == pytest.approx(math.atan2(3, 4) - 0.1, rel=1e-15)
@@ -497,6 +538,66 @@ def test_push_single_reaches_target():
     tip = log_.header.index("tip_distance_mm")
     assert leader[-1][tip] < 20.0
     assert all(row[tip] >= 20.0 for row in leader[:-1])
+
+
+def test_push_follower_out_of_contact_presses_at_5_mm_per_s(tmp_path, monkeypatch):
+    # No shipped config loses the follower's contact, so force it: the
+    # follower's surface (the second one sensed) reports no contact on
+    # steps 30-44.  The follower then presses along its own z at 5 mm/s
+    # and logs empty belief and depth cells.
+    lost = range(30, 45)
+    contact_pose = sim.contact_pose
+    leader_surface = None
+    follower_calls = 0
+
+    def follower_loses_contact(surface, sensor_pose, anchor):
+        nonlocal leader_surface, follower_calls
+        leader_surface = leader_surface or surface  # the leader senses first
+        if surface is not leader_surface:
+            follower_calls += 1
+            if follower_calls - 1 in lost:
+                raise NoContactError("forced")
+        return contact_pose(surface, sensor_pose, anchor)
+
+    monkeypatch.setattr(sim, "contact_pose", follower_loses_contact)
+    log_, _ = run_scenario(Scenario(task="push_dual", duration=3.0),
+                           np.random.default_rng(0))
+    assert follower_calls == 90
+    log_.write_csv(tmp_path / "push.csv")
+    lines = (tmp_path / "push.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    follower = [dict(zip(header, ln.split(","))) for ln in lines[1:]
+                if ln.split(",")[1] == "follower"]
+    assert len(follower) == 90
+    for k, row in enumerate(follower[:lost.stop]):
+        empty = k in lost
+        assert (row["belief_cov_trace"] == "") == empty
+        assert (row["follower_depth_mm"] == "") == empty
+        if empty:
+            twist = [float(row[f"twist_{i}"]) for i in range(6)]
+            assert twist == [0.0, 0.0, 5.0, 0.0, 0.0, 0.0]
+    # Each pressing step moves the follower 5 mm/s * dt along its own z.
+    rows = [row for row in log_.rows if row[1] == "follower"]
+    for k in lost:
+        quat = [rows[k - 1][i] for i in (6, 7, 8, 5)]  # (x, y, z, w)
+        z_axis = Rotation.from_quat(quat).as_matrix()[:, 2]
+        step = np.array(rows[k][2:5]) - np.array(rows[k - 1][2:5])
+        assert np.allclose(step, 5.0 * DT * z_axis, atol=1e-9)
+
+
+def test_tall_push_topples_when_every_depth_error_is_out_of_tolerance(monkeypatch):
+    # No shipped run topples.  A negative tolerance makes every step's
+    # follower depth error count against the margin, which then decays at
+    # 0.5 per second from 1 and reaches 0 at 2 s.
+    monkeypatch.setattr(sim, "_STABILITY_TOLERANCE", -1.0)
+    scenario = Scenario(task="push_dual", duration=10.0, tall=True)
+    log_, metrics = run_scenario(scenario, np.random.default_rng(0))
+    assert metrics["runtime_s"] == 2.0
+    assert len(log_.rows) == 120
+    assert metrics["toppled"] is True
+    assert metrics["terminated"] is False
+    assert metrics["settled"] is False
+    assert metrics["stability_margin_final"] <= 0.0
 
 
 def test_track_run_deterministic(tmp_path):
