@@ -308,8 +308,7 @@ def _aggregate(per_trial: list) -> dict:
 def _run_trials(scenarios: list, stem: str, out_dir: Path, quiet: bool) -> int:
     # One after another: trials are pure-Python work bound by the
     # interpreter lock, so threads would only contend for it.
-    results = [sim.run_scenario(scn, np.random.Generator(np.random.PCG64(scn.seed)))
-               for scn in scenarios]
+    results = [sim.run_scenario(scn) for scn in scenarios]
 
     per_trial = []
     for i, ((traj, metrics), scn) in enumerate(zip(results, scenarios)):

@@ -592,39 +592,41 @@ def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Po
 
 class _Arm:
     """One sensor arm: its surface (one for its lifetime), pose, shear
-    anchor, filter, PID states, belief and command.  Every arm observes
-    through the same sensor model (observe) and predicts with the
-    deployment dynamics noise.
+    anchor, filter, PID states and command.  Every arm observes through
+    the same sensor model (observe) and predicts with the deployment
+    dynamics noise.  Its filter is None exactly when it is out of contact,
+    so that re-engaging is a first engagement.
 
     A control step is built from four parts: cycle (sense, then command),
     probe (true depth and normal angle at the surface projection), move
     (integrate the command in the body frame) and row (log the step).
-    `cfg` is a PushConfig for a pushing arm, else a ServoConfig.  `lost`
-    is the command out of contact; None lets NoContactError end the run.
+    `cfg` is a PushConfig for a pushing arm, else a ServoConfig.
     """
 
     def __init__(self, name: str, surface: SurfaceModel, pose: Pose, cfg,
-                 scenario: Scenario, rng: np.random.Generator, lost=None):
+                 scenario: Scenario, rng: np.random.Generator):
         self.name = name
         self.surface = surface
         self.pose = pose
         self.anchor = None
         self.cfg = cfg
-        self.lost = lost
         self.dt = scenario.dt
         self.noise = filtering.default_dynamics_noise(filtering.DEPLOYMENT_SIGMA)
         self.rng = rng
         self.filter = None
-        self.belief = None
         self.command = None
         self.pid = control.PidState.initial(6)
         self.bearing = control.PidState.initial(1)  # push_step's bearing loop
 
     def sense(self):
         """Returns (true X_fs, belief PoseGaussian); raises NoContactError,
-        and losing contact forgets the anchor."""
-        anchor, self.anchor = self.anchor, None
-        true_fs, self.anchor = contact_pose(self.surface, self.pose, anchor)
+        and losing contact forgets it: anchor, filter and servo PID state."""
+        try:
+            true_fs, self.anchor = contact_pose(self.surface, self.pose, self.anchor)
+        except NoContactError:
+            self.anchor = self.filter = None
+            self.pid = control.PidState.initial(6)
+            raise
         obs = observe(true_fs, self.rng)
         if self.filter is None:
             self.filter = filtering.init(obs, self.pose)
@@ -633,22 +635,21 @@ class _Arm:
         return true_fs, self.filter.belief
 
     def cycle(self):
-        """Sense, then command: returns the true X_fs, or None out of
-        contact, where the belief is None and the command is `lost`."""
+        """Sense, then command; returns the true X_fs.  Out of contact only a
+        pushing arm goes on, pressing with its feedforward, and returns None."""
         try:
-            true_fs, self.belief = self.sense()
+            true_fs, belief = self.sense()
         except NoContactError:
-            if self.lost is None:
+            if not isinstance(self.cfg, control.PushConfig):
                 raise
-            self.belief = None
-            self.command = self.lost
+            self.command = self.cfg.servo.feedforward_twist
             return None
         if isinstance(self.cfg, control.PushConfig):
             self.command, (self.pid, self.bearing) = control.push_step(
-                self.cfg, self.pid, self.bearing, self.belief.mean, self.pose, self.dt)
+                self.cfg, self.pid, self.bearing, belief.mean, self.pose, self.dt)
         else:
             self.command, self.pid, _ = control.servo_step(
-                self.cfg, self.pid, self.belief.mean, self.dt)
+                self.cfg, self.pid, belief.mean, self.dt)
         return true_fs
 
     def probe(self):
@@ -664,7 +665,7 @@ class _Arm:
     def row(self, log_: TrajectoryLog, t: float, scalars: dict) -> None:
         """Log the arm's pose, command and belief covariance trace (empty
         out of contact) with the task's scalars."""
-        cov_trace = None if self.belief is None else float(np.trace(self.belief.cov))
+        cov_trace = None if self.filter is None else float(np.trace(self.filter.belief.cov))
         log_.add(t, self.name, self.pose, self.command, cov_trace, scalars)
 
 
@@ -693,8 +694,9 @@ def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
 _STEP_ERRORS = (DivergenceError, NoContactError) + DOMAIN_ERRORS
 
 
-def run_scenario(scenario: Scenario, rng: np.random.Generator):
-    """Execute one closed-loop scenario; returns (TrajectoryLog, metrics).
+def run_scenario(scenario: Scenario):
+    """Execute one closed-loop scenario, drawing its noise from
+    PCG64(scenario.seed); returns (TrajectoryLog, metrics).
 
     Metrics always carry final_target_error_mm, mean_depth_error_mm,
     mean_normal_angle_deg, settled, and runtime_s (simulated seconds, so
@@ -705,7 +707,7 @@ def run_scenario(scenario: Scenario, rng: np.random.Generator):
     # Each runner is a generator that yields a step's index before running
     # it and returns (log, metrics).
     runner = {"track": _run_track, "follow": _run_follow}.get(scenario.task, _run_push)
-    run = runner(scenario, rng)
+    run = runner(scenario, np.random.Generator(np.random.PCG64(scenario.seed)))
     step = 0
     try:
         while True:
@@ -741,7 +743,7 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
 
         true_sf = follower.cycle().inverse()
         track_err = _mm_deg(log(true_sf @ ref_inv))
-        est_err = _mm_deg(log(follower.belief.mean @ true_sf.inverse()))
+        est_err = _mm_deg(log(follower.filter.belief.mean @ true_sf.inverse()))
         _, depth, angle = follower.probe()
         if t >= steady_t:
             steady.append((abs(depth - 6.0), angle, *track_err, *est_err))
@@ -850,12 +852,12 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     )
     # Dual-arm: the leader starts engaged at the yield depth so the object
     # moves from the first step.  Single-arm protocol: approach from 45 mm
-    # off the face.  Out of contact the leader presses toward the face with
-    # its feedforward.
+    # off the face; out of contact the leader presses toward the face with
+    # its feedforward (_Arm.cycle).
     start_depth = _YIELD_DEPTH if dual else -45.0
     leader = _Arm("leader", SurfaceModel("flat", face),
                   Pose(face.rotation, face.apply(np.array([0.0, 0.0, start_depth]))),
-                  push_cfg, scenario, rng, lost=push_cfg.servo.feedforward_twist)
+                  push_cfg, scenario, rng)
 
     face2_offset = Pose(
         np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
@@ -863,12 +865,11 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     )
     if dual:
         # The follower starts at its 3 mm reference on the opposite face;
-        # out of contact it presses in at 5 mm/s.
+        # losing it ends the run.
         face2 = face @ face2_offset
         follower = _Arm("follower", SurfaceModel("flat", face2),
                         Pose(face2.rotation, face2.apply(np.array([0.0, 0.0, 3.0]))),
-                        control.preset(presets[2]), scenario, rng,
-                        lost=np.array([0, 0, 5.0, 0, 0, 0]))
+                        control.preset(presets[2]), scenario, rng)
 
     prev_tip_face = None
     margin = 1.0  # the tall object topples when it reaches 0
@@ -888,15 +889,13 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         leader.cycle()
         if dual:
             follower.cycle()
-            fdepth = None if follower.belief is None else follower.probe()[1]
-            if t >= follower_window and fdepth is not None:
+            fdepth = follower.probe()[1]
+            if t >= follower_window:
                 follower_depth_err.append(abs(fdepth - 3.0))
-            if tall:
-                err = abs(fdepth - 3.0) if fdepth is not None else math.inf
-                if err > _STABILITY_TOLERANCE:
-                    margin -= _STABILITY_DECAY * dt
-                else:
-                    margin = min(1.0, margin + _STABILITY_RECOVER * dt)
+            if tall and abs(fdepth - 3.0) > _STABILITY_TOLERANCE:
+                margin -= _STABILITY_DECAY * dt
+            elif tall:
+                margin = min(1.0, margin + _STABILITY_RECOVER * dt)
 
         leader.move()
         if dual:
@@ -916,7 +915,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         row = {"target_distance_mm": contact_distance,
                "tip_distance_mm": tip_distance,
                "stability_margin": margin if tall else None}
-        if leader.belief is not None:
+        if leader.filter is not None:
             q_w, depth_now, angle = leader.probe()
             contact_rows.append((abs(depth_now - _YIELD_DEPTH), angle))
             # Bearing of the target seen from the current contact point,

@@ -303,9 +303,7 @@ def _run_trials(config_name: str, trials: int = 5):
     t0 = time.perf_counter()
     out = []
     for i in range(trials):
-        scn = cli._build_scenario(config, seed=i)
-        rng = np.random.Generator(np.random.PCG64(i))
-        _, metrics = sim.run_scenario(scn, rng)
+        _, metrics = sim.run_scenario(cli._build_scenario(config, seed=i))
         out.append(metrics)
     _SCENARIO_WALL.append(time.perf_counter() - t0)
     return out
@@ -458,8 +456,7 @@ def test_criterion_9_determinism(tmp_path):
     scn = sim.Scenario(task="track", duration=6.0, track_profile="static")
     outputs = []
     for run in range(2):
-        traj, metrics = sim.run_scenario(scn, np.random.Generator(
-            np.random.PCG64(0)))
+        traj, metrics = sim.run_scenario(scn)
         csv_path = tmp_path / f"direct_{run}.csv"
         json_path = tmp_path / f"direct_{run}.json"
         traj.write_csv(csv_path)

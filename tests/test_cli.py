@@ -284,10 +284,10 @@ def test_divergence_maps_to_exit_3(tmp_path, capsys, monkeypatch):
 
     run_scenario = sim.run_scenario
 
-    def second_trial_blows_up(scenario, rng):
+    def second_trial_blows_up(scenario):
         if scenario.seed == 1:
             raise DivergenceError("pose left the workspace")
-        return run_scenario(scenario, rng)
+        return run_scenario(scenario)
 
     monkeypatch.setattr(sim, "run_scenario", second_trial_blows_up)
     path = write_config(tmp_path, TRACK_STATIC)

@@ -123,11 +123,20 @@ def test_contact_pose_envelope():
         contact_pose(surface, at(3.0, 11.0), anchor)
 
 
-def test_arm_lost_contact_forgets_anchor():
+def test_arm_lost_contact_forgets_anchor(monkeypatch):
     # Engage, shear by 3 mm, leave the depth envelope, re-engage 4 mm away
     # with a 0.1 rad twist: the re-engagement plants a new anchor and reads
     # zero shear and spin.  An arm that kept its old anchor would read
-    # (4, 0, 3) and a 0.1 rad spin, both inside the slip limits.
+    # (4, 0, 3) and a 0.1 rad spin, both inside the slip limits.  It also
+    # starts a new filter, as the first engagement did: its first belief is
+    # that step's observation, not a fusion with the lost contact's belief.
+    observed = []
+
+    def recorded(true_fs, rng):
+        observed.append(observe(true_fs, rng))
+        return observed[-1]
+
+    monkeypatch.setattr(sim, "observe", recorded)
     scenario = Scenario(task="track", duration=1.0)
     at = lambda x, z, spin=0.0: Pose(rot_z(spin), np.array([x, 0.0, z]))
     for lost in (at(3.0, -0.5), at(3.0, 11.0)):
@@ -141,10 +150,38 @@ def test_arm_lost_contact_forgets_anchor():
         with pytest.raises(NoContactError):
             arm.sense()
         assert arm.anchor is None
+        assert arm.filter is None
         arm.pose = at(4.0, 3.0, 0.1)
-        true_fs, _ = arm.sense()
+        true_fs, belief = arm.sense()
         assert np.allclose(true_fs.translation, [0, 0, 3], atol=1e-12)
         assert pose_to_euler(true_fs)[5] == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(belief.mean.matrix, observed[-1].mean.matrix)
+        assert np.array_equal(belief.cov, np.diag(DEFAULT_OBSERVATION_STD ** 2))
+
+
+def test_pushing_arm_out_of_contact_restarts_its_servo_and_presses():
+    # Out of contact a pushing arm forgets the contact, restarts the contact
+    # servo's PID (so re-engaging skips the derivative, as engaging does)
+    # and presses with its feedforward.  The bearing loop tracks the
+    # target, not the contact, so it keeps its state.
+    cfg = control.PushConfig(
+        servo=control.preset("push_pid1"),
+        bearing_pid=control.preset("push_pid2_single"),
+        target_pose_in_work=Pose(np.eye(3), np.array([0.0, 100.0, 200.0])))
+    arm = sim._Arm("leader", SurfaceModel("flat"), Pose(np.eye(3), np.array([0.0, 0.0, 3.0])),
+                   cfg, Scenario(task="push_single", duration=1.0), np.random.default_rng(0))
+    assert arm.cycle() is not None
+    assert arm.pid.initialized and arm.bearing.initialized
+    bearing = arm.bearing
+    arm.pose = Pose(np.eye(3), np.array([0.0, 0.0, -1.0]))
+    assert arm.cycle() is None
+    assert arm.anchor is None and arm.filter is None
+    initial = control.PidState.initial(6)
+    assert not arm.pid.initialized
+    assert np.array_equal(arm.pid.integral, initial.integral)
+    assert np.array_equal(arm.pid.smoothed_error, initial.smoothed_error)
+    assert arm.bearing is bearing
+    assert np.array_equal(arm.command, cfg.servo.feedforward_twist)
 
 
 def test_contact_pose_slip_limits_bound_shear_and_spin():
@@ -505,7 +542,7 @@ def test_quaternion_convention(rng):
 def test_static_track_regulates_to_reference(monkeypatch):
     monkeypatch.setattr(sim, "DEFAULT_OBSERVATION_STD", np.full(6, 1e-9))
     scenario = Scenario(task="track", duration=6.0, track_profile="static")
-    log_, metrics = run_scenario(scenario, np.random.default_rng(0))
+    log_, metrics = run_scenario(scenario)
     assert metrics["task"] == "track"
     assert metrics["track_error_mm"] < 1e-6
     assert metrics["track_error_deg"] < 1e-6
@@ -516,7 +553,7 @@ def test_static_track_regulates_to_reference(monkeypatch):
 
 def test_follow_flat_net_displacement():
     scenario = Scenario(task="follow", duration=10.0, surface="flat")
-    log_, metrics = run_scenario(scenario, np.random.default_rng(0))
+    log_, metrics = run_scenario(scenario)
     assert metrics["surface"] == "flat"
     assert metrics["settled"] is True
     first, last = log_.rows[0], log_.rows[-1]
@@ -527,7 +564,7 @@ def test_follow_flat_net_displacement():
 
 def test_push_single_reaches_target():
     scenario = Scenario(task="push_single", duration=90.0)
-    log_, metrics = run_scenario(scenario, np.random.default_rng(0))
+    log_, metrics = run_scenario(scenario)
     assert metrics["terminated"] is True
     assert metrics["settled"] is True
     assert metrics["final_target_error_mm"] < 10.0
@@ -540,12 +577,11 @@ def test_push_single_reaches_target():
     assert all(row[tip] >= 20.0 for row in leader[:-1])
 
 
-def test_push_follower_out_of_contact_presses_at_5_mm_per_s(tmp_path, monkeypatch):
+def test_push_follower_lost_contact_ends_the_run(monkeypatch):
     # No shipped config loses the follower's contact, so force it: the
-    # follower's surface (the second one sensed) reports no contact on
-    # steps 30-44.  The follower then presses along its own z at 5 mm/s
-    # and logs empty belief and depth cells.
-    lost = range(30, 45)
+    # follower's surface (the second one sensed) reports no contact at its
+    # 31st sense.  Only the pushing leader re-approaches out of contact; a
+    # follower that loses the object ends the run.
     contact_pose = sim.contact_pose
     leader_surface = None
     follower_calls = 0
@@ -555,34 +591,14 @@ def test_push_follower_out_of_contact_presses_at_5_mm_per_s(tmp_path, monkeypatc
         leader_surface = leader_surface or surface  # the leader senses first
         if surface is not leader_surface:
             follower_calls += 1
-            if follower_calls - 1 in lost:
+            if follower_calls == 31:
                 raise NoContactError("forced")
         return contact_pose(surface, sensor_pose, anchor)
 
     monkeypatch.setattr(sim, "contact_pose", follower_loses_contact)
-    log_, _ = run_scenario(Scenario(task="push_dual", duration=3.0),
-                           np.random.default_rng(0))
-    assert follower_calls == 90
-    log_.write_csv(tmp_path / "push.csv")
-    lines = (tmp_path / "push.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    follower = [dict(zip(header, ln.split(","))) for ln in lines[1:]
-                if ln.split(",")[1] == "follower"]
-    assert len(follower) == 90
-    for k, row in enumerate(follower[:lost.stop]):
-        empty = k in lost
-        assert (row["belief_cov_trace"] == "") == empty
-        assert (row["follower_depth_mm"] == "") == empty
-        if empty:
-            twist = [float(row[f"twist_{i}"]) for i in range(6)]
-            assert twist == [0.0, 0.0, 5.0, 0.0, 0.0, 0.0]
-    # Each pressing step moves the follower 5 mm/s * dt along its own z.
-    rows = [row for row in log_.rows if row[1] == "follower"]
-    for k in lost:
-        quat = [rows[k - 1][i] for i in (6, 7, 8, 5)]  # (x, y, z, w)
-        z_axis = Rotation.from_quat(quat).as_matrix()[:, 2]
-        step = np.array(rows[k][2:5]) - np.array(rows[k - 1][2:5])
-        assert np.allclose(step, 5.0 * DT * z_axis, atol=1e-9)
+    with pytest.raises(DivergenceError) as err:
+        run_scenario(Scenario(task="push_dual", duration=3.0))
+    assert str(err.value).startswith("push_dual step 30: NoContactError")
 
 
 def test_tall_push_topples_when_every_depth_error_is_out_of_tolerance(monkeypatch):
@@ -591,7 +607,7 @@ def test_tall_push_topples_when_every_depth_error_is_out_of_tolerance(monkeypatc
     # 0.5 per second from 1 and reaches 0 at 2 s.
     monkeypatch.setattr(sim, "_STABILITY_TOLERANCE", -1.0)
     scenario = Scenario(task="push_dual", duration=10.0, tall=True)
-    log_, metrics = run_scenario(scenario, np.random.default_rng(0))
+    log_, metrics = run_scenario(scenario)
     assert metrics["runtime_s"] == 2.0
     assert len(log_.rows) == 120
     assert metrics["toppled"] is True
@@ -601,10 +617,10 @@ def test_tall_push_topples_when_every_depth_error_is_out_of_tolerance(monkeypatc
 
 
 def test_track_run_deterministic(tmp_path):
-    scenario = Scenario(task="track", duration=6.0, track_profile="static")
+    scenario = Scenario(task="track", duration=6.0, track_profile="static", seed=11)
     paths = []
     for name in ("a.csv", "b.csv"):
-        log_, _ = run_scenario(scenario, np.random.default_rng(11))
+        log_, _ = run_scenario(scenario)
         p = tmp_path / name
         log_.write_csv(p)
         paths.append(p)
