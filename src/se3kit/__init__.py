@@ -88,6 +88,7 @@ from .sim import (
     observe,
     push_object_step,
     run_scenario,
+    run_scenarios,
     write_metrics_json,
 )
 
@@ -113,6 +114,6 @@ __all__ = [
     "DEFAULT_OBSERVATION_STD", "PushedObject",
     "Scenario", "SurfaceModel", "TrajectoryLog", "bearing_sensitivity",
     "contact_pose", "leader_twist", "make_study_sequence", "observe",
-    "push_object_step", "run_scenario", "write_metrics_json",
+    "push_object_step", "run_scenario", "run_scenarios", "write_metrics_json",
     "__version__",
 ]

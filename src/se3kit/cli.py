@@ -306,9 +306,9 @@ def _aggregate(per_trial: list) -> dict:
 
 
 def _run_trials(scenarios: list, stem: str, out_dir: Path, quiet: bool) -> int:
-    # One after another: trials are pure-Python work bound by the
-    # interpreter lock, so threads would only contend for it.
-    results = [sim.run_scenario(scn) for scn in scenarios]
+    # In lockstep: each step observes and filters every trial's arms as one
+    # stack (sim.run_scenarios), and each trial's outputs are its own run's.
+    results = sim.run_scenarios(scenarios)
 
     per_trial = []
     for i, ((traj, metrics), scn) in enumerate(zip(results, scenarios)):

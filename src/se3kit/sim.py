@@ -6,6 +6,11 @@ contact-pose "perception" is geometry plus calibrated tangent-space noise
 standing in for a trained pose estimator.  The pushing plant is the planar
 differential model built around a centre of friction.
 
+A config's trials run in lockstep (run_scenarios): at every control step
+the sensed arms of all trials are observed as one stack and filtered by
+one stacked filtering.step, and each trial's outputs are those of running
+it alone (run_scenario, the one-trial case).
+
 Units: mm, rad, s.  Surface-local z points into the material everywhere,
 so pressing deeper along the sensor's +z axis increases contact depth.
 """
@@ -347,11 +352,15 @@ def observe(true_contact: Pose, rng: np.random.Generator) -> PoseGaussian:
     covariance is the matching left-perturbation covariance diag(std^2):
     the estimator is perfectly calibrated.
     """
+    return _observe(true_contact, rng.standard_normal(6))
+
+
+def _observe(true_contact: Pose, z: np.ndarray) -> PoseGaussian:
+    """observe's estimate for the standard-normal draw z (6,), or for a
+    stack of contacts with one draw per element, z (..., 6)."""
     std = DEFAULT_OBSERVATION_STD
-    x_sf = true_contact.inverse()
-    noise = std * rng.standard_normal(6)
-    mean = exp(noise) @ x_sf
-    return PoseGaussian(mean, np.diag(std ** 2))
+    mean = exp(std * z) @ true_contact.inverse()
+    return PoseGaussian(mean, np.broadcast_to(np.diag(std ** 2), z.shape[:-1] + (6, 6)))
 
 
 def leader_twist(t: float) -> np.ndarray:
@@ -590,17 +599,23 @@ def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Po
     return _check_pose(new, what)
 
 
+# Every arm predicts with the deployment dynamics noise.
+_DYNAMICS_NOISE = filtering.default_dynamics_noise(filtering.DEPLOYMENT_SIGMA)
+
+
 class _Arm:
     """One sensor arm: its surface (one for its lifetime), pose, shear
     anchor, filter, PID states and command.  Every arm observes through
-    the same sensor model (observe) and predicts with the deployment
-    dynamics noise.  Its filter is None exactly when it is out of contact,
-    so that re-engaging is a first engagement.
+    the same sensor model (observe) and draws its noise from its trial's
+    generator.  Its filter is None exactly when it is out of contact, so
+    that re-engaging is a first engagement.
 
-    A control step is built from four parts: cycle (sense, then command),
-    probe (true depth and normal angle at the surface projection), move
-    (integrate the command in the body frame) and row (log the step).
-    `cfg` is a PushConfig for a pushing arm, else a ServoConfig.
+    A control step is built from five parts: sense (the true contact),
+    the engine's filter update (_filter_arms, run over every sensed arm of
+    every trial at once), steer (the command from the belief), probe (true
+    depth and normal angle at the surface projection), move (integrate the
+    command in the body frame) and row (log the step).  `cfg` is a
+    PushConfig for a pushing arm, else a ServoConfig.
     """
 
     def __init__(self, name: str, surface: SurfaceModel, pose: Pose, cfg,
@@ -609,48 +624,43 @@ class _Arm:
         self.surface = surface
         self.pose = pose
         self.anchor = None
+        self.true_fs = None
         self.cfg = cfg
         self.dt = scenario.dt
-        self.noise = filtering.default_dynamics_noise(filtering.DEPLOYMENT_SIGMA)
         self.rng = rng
         self.filter = None
         self.command = None
         self.pid = control.PidState.initial(6)
         self.bearing = control.PidState.initial(1)  # push_step's bearing loop
 
-    def sense(self):
-        """Returns (true X_fs, belief PoseGaussian); raises NoContactError,
-        and losing contact forgets it: anchor, filter and servo PID state."""
+    def sense(self) -> bool:
+        """Measure the true X_fs into true_fs; True in contact.  Losing
+        contact forgets it: anchor, filter and servo PID state.  Out of
+        contact only a pushing arm goes on (False); any other raises
+        NoContactError."""
         try:
-            true_fs, self.anchor = contact_pose(self.surface, self.pose, self.anchor)
+            self.true_fs, self.anchor = contact_pose(self.surface, self.pose, self.anchor)
         except NoContactError:
-            self.anchor = self.filter = None
+            self.true_fs = self.anchor = self.filter = None
             self.pid = control.PidState.initial(6)
-            raise
-        obs = observe(true_fs, self.rng)
-        if self.filter is None:
-            self.filter = filtering.init(obs, self.pose)
-        else:
-            self.filter = filtering.step(self.filter, obs, self.pose, self.noise)
-        return true_fs, self.filter.belief
-
-    def cycle(self):
-        """Sense, then command; returns the true X_fs.  Out of contact only a
-        pushing arm goes on, pressing with its feedforward, and returns None."""
-        try:
-            true_fs, belief = self.sense()
-        except NoContactError:
             if not isinstance(self.cfg, control.PushConfig):
                 raise
+            return False
+        return True
+
+    def steer(self):
+        """Command from the filtered belief; returns the true X_fs.  Out of
+        contact a pushing arm presses with its feedforward and returns None."""
+        if self.filter is None:
             self.command = self.cfg.servo.feedforward_twist
             return None
+        mean = self.filter.belief.mean
         if isinstance(self.cfg, control.PushConfig):
             self.command, (self.pid, self.bearing) = control.push_step(
-                self.cfg, self.pid, self.bearing, belief.mean, self.pose, self.dt)
+                self.cfg, self.pid, self.bearing, mean, self.pose, self.dt)
         else:
-            self.command, self.pid, _ = control.servo_step(
-                self.cfg, self.pid, belief.mean, self.dt)
-        return true_fs
+            self.command, self.pid, _ = control.servo_step(self.cfg, self.pid, mean, self.dt)
+        return self.true_fs
 
     def probe(self):
         """(surface point, depth, angle in degrees between the sensor axis
@@ -694,6 +704,133 @@ def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
 _STEP_ERRORS = (DivergenceError, NoContactError) + DOMAIN_ERRORS
 
 
+def _sensed(*arms) -> list:
+    """Sense each arm in order; the arms in contact, whose filters the
+    engine updates before the runner resumes."""
+    return [arm for arm in arms if arm.sense()]
+
+
+def _element(g: PoseGaussian, i) -> PoseGaussian:
+    """Element i of a stacked PoseGaussian, or the sub-stack at indices i."""
+    return PoseGaussian(Pose(g.mean.rotation[i], g.mean.translation[i]), g.cov[i])
+
+
+def _observe_arms(arms) -> PoseGaussian:
+    """Each arm's observation of its true_fs, in arm order: observe for
+    one arm, else one stack, each element from its arm's own draw."""
+    if len(arms) == 1:
+        return observe(arms[0].true_fs, arms[0].rng)
+    z = np.array([arm.rng.standard_normal(6) for arm in arms])
+    return _observe(Pose.stack(arm.true_fs for arm in arms), z)
+
+
+def _filter_arms(arms, obs: PoseGaussian) -> None:
+    """Fuse each arm's observation (obs, as _observe_arms forms it) into
+    its filter: filtering.init for an arm without one, one filtering.step
+    over the rest, in single form for a single arm.  Writes no filter
+    unless every update succeeds."""
+    if len(arms) == 1:
+        (arm,) = arms
+        arm.filter = (filtering.init(obs, arm.pose) if arm.filter is None else
+                      filtering.step(arm.filter, obs, arm.pose, _DYNAMICS_NOISE))
+        return
+    fresh = [i for i, arm in enumerate(arms) if arm.filter is None]
+    going = [i for i, arm in enumerate(arms) if arm.filter is not None]
+    if len(going) == 1:
+        _filter_arms([arms[going[0]]], _element(obs, going[0]))
+    elif going:
+        stepped = [arms[i] for i in going]
+        state = filtering.FilterState(
+            PoseGaussian.stack(arm.filter.belief for arm in stepped),
+            Pose.stack(arm.filter.prev_sensor_pose for arm in stepped))
+        belief = filtering.step(state, _element(obs, going) if fresh else obs,
+                                Pose.stack(arm.pose for arm in stepped),
+                                _DYNAMICS_NOISE).belief
+        for n, arm in enumerate(stepped):
+            arm.filter = filtering.FilterState(_element(belief, n), arm.pose)
+    for i in fresh:
+        arms[i].filter = filtering.init(_element(obs, i), arms[i].pose)
+
+
+class _Trial:
+    """One scenario in the lockstep engine: its runner, its noise stream
+    PCG64(seed), the step it is in and the arms it sensed in that step.
+
+    A runner is a generator over the trial: it sets `step` as each step
+    begins, yields the step's sensed arms once every arm of the trial has
+    sensed, then commands, moves and logs once the engine has updated
+    their filters, and returns (log, metrics).
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.rng = np.random.Generator(np.random.PCG64(scenario.seed))
+        self.step = 0
+        self.sensed = []
+        self.result = None
+        runner = {"track": _run_track, "follow": _run_follow}.get(scenario.task, _run_push)
+        self.run = runner(self)
+
+    def diverged(self, e: Exception) -> DivergenceError:
+        err = DivergenceError(
+            f"{self.scenario.task} step {self.step}: {type(e).__name__}: {e}")
+        err.__cause__ = e
+        return err
+
+
+def run_scenarios(scenarios) -> list:
+    """Run closed-loop scenarios in lockstep; returns [(TrajectoryLog,
+    metrics), ...], each what run_scenario returns for its scenario.
+
+    Every step, each live trial runs until all its arms have sensed; then
+    the sensed arms of every trial are observed as one stack and filtered
+    by one stacked filtering.step (_observe_arms, _filter_arms), and the
+    trials go on to command, move and log.  Each trial draws from its own
+    PCG64(seed) in its arms' order, so it sees the draws of its own run,
+    and a stacked update gives the bits of the single ones.  A finished
+    trial leaves the batch.
+
+    Raises the DivergenceError that running the scenarios one after
+    another would: the lowest-indexed trial's.  A trial that diverges is
+    dropped with every later trial, and the earlier ones run on.  A
+    stacked update that raises is redone one arm at a time, in trial
+    order, so its error names the trial and step a single update does.
+    """
+    trials = [_Trial(s) for s in scenarios]
+    live = trials
+    error = None
+    while live:
+        stepping = []
+        for trial in live:
+            try:
+                trial.sensed = next(trial.run)
+            except StopIteration as done:
+                trial.result = done.value
+                continue
+            except _STEP_ERRORS as e:
+                error = trial.diverged(e)
+                break
+            stepping.append(trial)
+        pending = [(trial, arm) for trial in stepping for arm in trial.sensed]
+        if pending:
+            arms = [arm for _, arm in pending]
+            obs = _observe_arms(arms)
+            try:
+                _filter_arms(arms, obs)
+            except _STEP_ERRORS:
+                for i, (trial, arm) in enumerate(pending):
+                    try:
+                        _filter_arms([arm], obs if len(arms) == 1 else _element(obs, i))
+                    except _STEP_ERRORS as e:
+                        error = trial.diverged(e)
+                        stepping = stepping[:stepping.index(trial)]
+                        break
+        live = stepping
+    if error is not None:
+        raise error
+    return [trial.result for trial in trials]
+
+
 def run_scenario(scenario: Scenario):
     """Execute one closed-loop scenario, drawing its noise from
     PCG64(scenario.seed); returns (TrajectoryLog, metrics).
@@ -703,30 +840,20 @@ def run_scenario(scenario: Scenario):
     repeated runs are bitwise identical), plus task-specific extras.  A
     step that leaves the workspace, loses contact it cannot recover, or
     leaves a math domain raises DivergenceError naming the task and step.
+    This is run_scenarios of one scenario.
     """
-    # Each runner is a generator that yields a step's index before running
-    # it and returns (log, metrics).
-    runner = {"track": _run_track, "follow": _run_follow}.get(scenario.task, _run_push)
-    run = runner(scenario, np.random.Generator(np.random.PCG64(scenario.seed)))
-    step = 0
-    try:
-        while True:
-            step = next(run)
-    except StopIteration as done:
-        return done.value
-    except _STEP_ERRORS as e:
-        raise DivergenceError(
-            f"{scenario.task} step {step}: {type(e).__name__}: {e}") from e
+    return run_scenarios([scenario])[0]
 
 
-def _run_track(scenario: Scenario, rng: np.random.Generator):
+def _run_track(trial: _Trial):
+    scenario = trial.scenario
     dt = scenario.dt
     leader_velocity = _LEADER_PROFILES[scenario.track_profile]
     leader = Pose.identity()
     # Reference depth is 6 mm, so the follower engages exactly at reference.
     follower = _Arm("follower", SurfaceModel("flat", leader),
                     Pose(np.eye(3), np.array([0.0, 0.0, 6.0])),
-                    control.preset(controller_presets(scenario)[0]), scenario, rng)
+                    control.preset(controller_presets(scenario)[0]), scenario, trial.rng)
     ref_inv = follower.cfg.reference_contact_pose.inverse()
 
     log_ = TrajectoryLog(("depth_mm", "track_error_mm", "track_error_deg",
@@ -735,13 +862,14 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
     steady = []  # (|depth - 6|, normal angle, track mm, deg, estimate mm, deg)
 
     for k in range(scenario.n_steps):
-        yield k
+        trial.step = k
         t = k * dt
         v = leader_velocity(t)
         leader = _integrate_base_frame(leader, v, dt, "leader")
         follower.surface.pose = leader
 
-        true_sf = follower.cycle().inverse()
+        yield _sensed(follower)
+        true_sf = follower.steer().inverse()
         track_err = _mm_deg(log(true_sf @ ref_inv))
         est_err = _mm_deg(log(follower.filter.belief.mean @ true_sf.inverse()))
         _, depth, angle = follower.probe()
@@ -759,7 +887,8 @@ def _run_track(scenario: Scenario, rng: np.random.Generator):
         est_error_mm=est_mm, est_error_deg=est_deg)
 
 
-def _run_follow(scenario: Scenario, rng: np.random.Generator):
+def _run_follow(trial: _Trial):
+    scenario = trial.scenario
     dt = scenario.dt
     speed = _FOLLOW_SPEED
     if scenario.surface == "hemisphere":
@@ -781,10 +910,11 @@ def _run_follow(scenario: Scenario, rng: np.random.Generator):
     for run_idx, ff in enumerate(passes):
         cfg = dataclasses.replace(base, feedforward_twist=ff)
         sensor = _Arm("sensor", SurfaceModel(scenario.surface, radius=radius),
-                      Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, rng)
+                      Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, trial.rng)
         for k, step in enumerate(steps[run_idx]):
-            yield step
-            sensor.cycle()
+            trial.step = step
+            yield _sensed(sensor)
+            sensor.steer()
             _, depth, angle = sensor.probe()
             if k * dt >= transient:
                 settled.append((abs(depth - 3.0), angle))
@@ -828,7 +958,8 @@ def _push_plant(face: Pose, prev_tip_face, tip_w: np.ndarray):
     return face, face.inverse().apply(tip_w)
 
 
-def _run_push(scenario: Scenario, rng: np.random.Generator):
+def _run_push(trial: _Trial):
+    scenario = trial.scenario
     dt = scenario.dt
     dual = scenario.task == "push_dual"
     tall = scenario.tall
@@ -853,11 +984,11 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     # Dual-arm: the leader starts engaged at the yield depth so the object
     # moves from the first step.  Single-arm protocol: approach from 45 mm
     # off the face; out of contact the leader presses toward the face with
-    # its feedforward (_Arm.cycle).
+    # its feedforward (_Arm.steer).
     start_depth = _YIELD_DEPTH if dual else -45.0
     leader = _Arm("leader", SurfaceModel("flat", face),
                   Pose(face.rotation, face.apply(np.array([0.0, 0.0, start_depth]))),
-                  push_cfg, scenario, rng)
+                  push_cfg, scenario, trial.rng)
 
     face2_offset = Pose(
         np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
@@ -869,7 +1000,7 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
         face2 = face @ face2_offset
         follower = _Arm("follower", SurfaceModel("flat", face2),
                         Pose(face2.rotation, face2.apply(np.array([0.0, 0.0, 3.0]))),
-                        control.preset(presets[2]), scenario, rng)
+                        control.preset(presets[2]), scenario, trial.rng)
 
     prev_tip_face = None
     margin = 1.0  # the tall object topples when it reaches 0
@@ -884,11 +1015,12 @@ def _run_push(scenario: Scenario, rng: np.random.Generator):
     follower_window = 8.0
 
     for k in range(scenario.n_steps):
-        yield k
+        trial.step = k
         t = k * dt
-        leader.cycle()
+        yield _sensed(leader, follower) if dual else _sensed(leader)
+        leader.steer()
         if dual:
-            follower.cycle()
+            follower.steer()
             fdepth = follower.probe()[1]
             if t >= follower_window:
                 follower_depth_err.append(abs(fdepth - 3.0))

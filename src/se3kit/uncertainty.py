@@ -93,7 +93,7 @@ class PoseGaussian:
         """One stacked PoseGaussian from a sequence of single ones."""
         gaussians = list(gaussians)
         return cls(Pose.stack(g.mean for g in gaussians),
-                   np.stack([g.cov for g in gaussians]))
+                   np.array([g.cov for g in gaussians]))
 
 
 @dataclasses.dataclass(frozen=True)

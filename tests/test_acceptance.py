@@ -301,10 +301,9 @@ def test_criterion_6_bearing_partials_and_sign_flip():
 def _run_trials(config_name: str, trials: int = 5):
     config = cli.load_config(CONFIG_DIR / config_name)
     t0 = time.perf_counter()
-    out = []
-    for i in range(trials):
-        _, metrics = sim.run_scenario(cli._build_scenario(config, seed=i))
-        out.append(metrics)
+    # in lockstep, as the CLI runs a config's trials
+    out = [metrics for _, metrics in sim.run_scenarios(
+        [cli._build_scenario(config, seed=i) for i in range(trials)])]
     _SCENARIO_WALL.append(time.perf_counter() - t0)
     return out
 
@@ -332,8 +331,10 @@ def test_criterion_7_track(monkeypatch):
     deg_mean, deg_std, deg = _stats(metrics, "track_error_deg")
     est_mm, _, _ = _stats(metrics, "est_error_mm")
     est_deg, _, _ = _stats(metrics, "est_error_deg")
-    # Steady state is the second half of each trial, as in the metrics.
-    rot = np.array(servo_errors).reshape(len(metrics), -1, 6)[:, :, 3:]
+    # The trials run in lockstep, so the calls come step-major: reshape
+    # them trial-major.  Steady state is the second half of each trial, as
+    # in the metrics.
+    rot = np.array(servo_errors).reshape(-1, len(metrics), 6).swapaxes(0, 1)[:, :, 3:]
     rot = np.degrees(rot[:, rot.shape[1] // 2:].reshape(-1, 3))
     axis_deg = np.mean(np.abs(rot), axis=0)
     spin_share = float(np.sum(rot[:, 2] ** 2) / np.sum(rot ** 2))

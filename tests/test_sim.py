@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from se3kit import control, sim
-from se3kit.errors import (ApproximationDomainError, DivergenceError,
+from se3kit import control, filtering, sim
+from se3kit.errors import (ApproximationDomainError, CovarianceError, DivergenceError,
                            NoContactError, SingularTargetError)
 from se3kit.liegroup import Pose, euler_to_pose, exp, log, pose_to_euler
 from se3kit.sim import (DEFAULT_OBSERVATION_STD, PushedObject, Scenario,
@@ -123,6 +123,16 @@ def test_contact_pose_envelope():
         contact_pose(surface, at(3.0, 11.0), anchor)
 
 
+def engine_step(arm):
+    """One arm's part of a lockstep step before it steers: sense, then the
+    engine's observation and filter update.  Returns the arm's true X_fs
+    and belief, or None out of contact (a pushing arm)."""
+    if not arm.sense():
+        return None
+    sim._filter_arms([arm], sim._observe_arms([arm]))
+    return arm.true_fs, arm.filter.belief
+
+
 def test_arm_lost_contact_forgets_anchor(monkeypatch):
     # Engage, shear by 3 mm, leave the depth envelope, re-engage 4 mm away
     # with a 0.1 rad twist: the re-engagement plants a new anchor and reads
@@ -142,17 +152,17 @@ def test_arm_lost_contact_forgets_anchor(monkeypatch):
     for lost in (at(3.0, -0.5), at(3.0, 11.0)):
         arm = sim._Arm("probe", SurfaceModel("flat"), at(0.0, 3.0),
                        control.preset("tracking"), scenario, np.random.default_rng(0))
-        arm.sense()
+        engine_step(arm)
         arm.pose = at(3.0, 3.0)
-        true_fs, _ = arm.sense()
+        true_fs, _ = engine_step(arm)
         assert np.allclose(true_fs.translation, [3, 0, 3], atol=1e-12)
         arm.pose = lost
         with pytest.raises(NoContactError):
-            arm.sense()
+            engine_step(arm)
         assert arm.anchor is None
         assert arm.filter is None
         arm.pose = at(4.0, 3.0, 0.1)
-        true_fs, belief = arm.sense()
+        true_fs, belief = engine_step(arm)
         assert np.allclose(true_fs.translation, [0, 0, 3], atol=1e-12)
         assert pose_to_euler(true_fs)[5] == pytest.approx(0.0, abs=1e-12)
         assert np.array_equal(belief.mean.matrix, observed[-1].mean.matrix)
@@ -170,11 +180,13 @@ def test_pushing_arm_out_of_contact_restarts_its_servo_and_presses():
         target_pose_in_work=Pose(np.eye(3), np.array([0.0, 100.0, 200.0])))
     arm = sim._Arm("leader", SurfaceModel("flat"), Pose(np.eye(3), np.array([0.0, 0.0, 3.0])),
                    cfg, Scenario(task="push_single", duration=1.0), np.random.default_rng(0))
-    assert arm.cycle() is not None
+    assert engine_step(arm) is not None
+    assert arm.steer() is not None
     assert arm.pid.initialized and arm.bearing.initialized
     bearing = arm.bearing
     arm.pose = Pose(np.eye(3), np.array([0.0, 0.0, -1.0]))
-    assert arm.cycle() is None
+    assert engine_step(arm) is None
+    assert arm.steer() is None
     assert arm.anchor is None and arm.filter is None
     initial = control.PidState.initial(6)
     assert not arm.pid.initialized
@@ -625,6 +637,117 @@ def test_track_run_deterministic(tmp_path):
         log_.write_csv(p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# ------------------------------------------------------------ lockstep trials
+
+# Three trials each, short; the push runs at a coarse dt go on to
+# termination, whose step differs by seed (push_dual at dt 0.2: 202 and
+# 203 steps), and push_single starts with its approach, out of contact.
+# The mixed batch ends its trials at 150, 60 and 240 steps, and at
+# push_single's engagement (step 136) one update inits that leader's
+# filter while it steps push_dual's two arms.
+LOCKSTEP_BATCHES = {
+    "track_periodic": [Scenario(task="track", duration=2.0, seed=i) for i in range(3)],
+    "track_segments": [Scenario(task="track", duration=2.0, track_profile="segments",
+                                seed=i) for i in range(3)],
+    "follow_flat": [Scenario(task="follow", duration=2.0, seed=i) for i in range(3)],
+    "follow_ramp": [Scenario(task="follow", duration=2.0, surface="ramp", seed=i)
+                    for i in range(3)],
+    "follow_hemisphere": [Scenario(task="follow", duration=4.0, surface="hemisphere",
+                                   seed=i) for i in range(3)],
+    "push_single": [Scenario(task="push_single", duration=120.0, dt=0.1, seed=i)
+                    for i in range(3)],
+    "push_dual": [Scenario(task="push_dual", duration=120.0, dt=0.2, seed=i)
+                  for i in range(3)],
+    "push_tall": [Scenario(task="push_dual", duration=2.0, tall=True, seed=i)
+                  for i in range(3)],
+    "mixed": [Scenario(task="push_dual", duration=5.0, seed=4),
+              Scenario(task="push_dual", duration=2.0, tall=True, seed=5),
+              Scenario(task="push_single", duration=8.0, seed=6)],
+}
+
+
+@pytest.mark.parametrize("name", LOCKSTEP_BATCHES)
+def test_lockstep_trials_match_serial_runs(monkeypatch, name):
+    scenarios = LOCKSTEP_BATCHES[name]
+    serial = [run_scenario(s) for s in scenarios]
+    batches = []  # (arms out of contact until now, arms stepped) per engine update
+    filter_arms = sim._filter_arms
+
+    def recorded(arms, obs):
+        fresh = sum(arm.filter is None for arm in arms)
+        batches.append((fresh, len(arms) - fresh))
+        return filter_arms(arms, obs)
+
+    monkeypatch.setattr(sim, "_filter_arms", recorded)
+    lockstep = sim.run_scenarios(scenarios)
+    assert len(lockstep) == len(serial)
+    for (log_a, metrics_a), (log_b, metrics_b) in zip(lockstep, serial):
+        assert repr(log_a.rows) == repr(log_b.rows)
+        assert repr(metrics_a) == repr(metrics_b)
+    # the updates ran as stacks over the arms of every trial
+    most = max(fresh + stepped for fresh, stepped in batches)
+    if name == "mixed":
+        assert most == 4  # both push_dual runs, before the tall one ends
+        assert (1, 2) in batches
+        assert [len(log_.rows) for log_, _ in serial] == [300, 120, 240]
+    else:
+        assert most == sum(2 if s.task == "push_dual" else 1 for s in scenarios)
+    if name in ("push_single", "push_dual"):
+        # every trial terminates, not all at the same step
+        assert all(m["terminated"] for _, m in serial)
+        assert len({m["runtime_s"] for _, m in serial}) > 1
+    assert any(stepped > 1 for _, stepped in batches)
+
+
+def test_lockstep_reports_the_serial_divergence(monkeypatch):
+    # Trials 1 and 2 of three each corrupt their filter at a chosen step,
+    # trial 2 first: a previous sensor pose 1e200 mm away makes the
+    # predicted covariance overflow inside the stacked filtering.step.  A
+    # serial run stops at trial 1; lockstep must report that same error,
+    # not trial 2's, which it meets first, nor the stack's wording.
+    run_follow = sim._run_follow
+    corrupt_at = {1: 40, 2: 25}
+
+    def corrupted(trial):
+        run = run_follow(trial)
+        try:
+            while True:
+                sensed = next(run)
+                if trial.step == corrupt_at.get(trial.scenario.seed):
+                    (arm,) = sensed
+                    arm.filter = filtering.FilterState(
+                        arm.filter.belief, Pose(np.eye(3), np.full(3, 1e200)))
+                yield sensed
+        except StopIteration as done:
+            return done.value
+
+    monkeypatch.setattr(sim, "_run_follow", corrupted)
+    scenarios = [Scenario(task="follow", duration=3.0, seed=i) for i in range(3)]
+    with pytest.raises(DivergenceError) as serial:
+        for s in scenarios:
+            run_scenario(s)
+    assert str(serial.value) == "follow step 40: CovarianceError: covariance is not finite"
+
+    stacked_errors = []
+    step = filtering.step
+
+    def recorded(state, obs, pose, noise):
+        try:
+            return step(state, obs, pose, noise)
+        except CovarianceError as e:
+            stacked_errors.append(str(e))
+            raise
+
+    monkeypatch.setattr(filtering, "step", recorded)
+    with pytest.raises(DivergenceError) as lockstep:
+        sim.run_scenarios(scenarios)
+    assert str(lockstep.value) == str(serial.value)
+    assert isinstance(lockstep.value.__cause__, CovarianceError)
+    # the stacks named the element; the single redo named what a serial run does
+    assert "covariance of stack element [2] is not finite" in stacked_errors
+    assert "covariance of stack element [1] is not finite" in stacked_errors
 
 
 def test_make_study_sequence_contract(rng):
