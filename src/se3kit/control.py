@@ -6,6 +6,13 @@ mapped through the adjoint of the error pose so it is expressed in the
 frame the command acts in.  The pushing controller stacks a scalar bearing
 loop on top of the same servo.
 
+Stacks: pid_step and servo_step also run k loops at once.  PidConfig.stack
+and ServoConfig.stack hold per-row gains, clip bounds (-inf/inf for no
+clip), reference inverses and feedforwards; a stacked PidState holds
+(k, n) arrays and a (k,) initialized flag; dt may be a (k, 1) array.
+Every row gets the bits its single step gives.  The bearing loop of
+push_step (bearing_step) is one arm's, on Python floats.
+
 Gains have 1/s semantics: a proportional gain of 5 turns a millimetre of
 error into 5 mm/s of commanded velocity.
 """
@@ -17,7 +24,7 @@ import math
 
 import numpy as np
 
-from .liegroup import Pose, adjoint, euler_to_pose, log
+from .liegroup import Pose, adjoint, euler_to_pose, log, matvec
 
 # Decay of the error EWMA the PID differentiates: half the previous
 # smoothed error, half the new error.
@@ -78,11 +85,33 @@ class PidConfig:
 
     @property
     def n(self) -> int:
-        return self.kp.shape[0]
+        return self.kp.shape[-1]
+
+    @classmethod
+    def stack(cls, configs) -> "PidConfig":
+        """One PidConfig over a stack of k loops: gains (k, n), and clip
+        bounds (k, 1) with -inf/inf for a loop that has none (None when no
+        loop clips).  Each config was checked when it was made."""
+        configs = list(configs)
+        stacked = object.__new__(cls)
+        for name in ("kp", "ki", "kd"):
+            object.__setattr__(stacked, name, np.array([getattr(c, name) for c in configs]))
+        for name in ("integral_clip", "output_clip"):
+            clips = [getattr(c, name) for c in configs]
+            if all(clip is None for clip in clips):
+                object.__setattr__(stacked, name, None)
+                continue
+            lo, hi = np.array([(-math.inf, math.inf) if clip is None else clip
+                               for clip in clips]).T
+            object.__setattr__(stacked, name, (lo[:, None], hi[:, None]))
+        return stacked
 
 
 @dataclasses.dataclass(frozen=True)
 class PidState:
+    """A loop's integral, smoothed error and whether it has stepped; for a
+    stack, (k, n) arrays and a (k,) bool array."""
+
     integral: np.ndarray
     smoothed_error: np.ndarray
     initialized: bool = False
@@ -91,6 +120,14 @@ class PidState:
     def initial(cls, n: int = 6) -> "PidState":
         z = np.zeros(n)
         return cls(integral=z, smoothed_error=z.copy(), initialized=False)
+
+    @classmethod
+    def stack(cls, states) -> "PidState":
+        """One stacked PidState from a sequence of single ones."""
+        states = list(states)
+        return cls(np.array([s.integral for s in states]),
+                   np.array([s.smoothed_error for s in states]),
+                   np.array([s.initialized for s in states]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,6 +148,22 @@ class ServoConfig:
         object.__setattr__(self, "feedforward_twist", ff)
         object.__setattr__(self, "_reference_inverse", self.reference_contact_pose.inverse())
 
+    @classmethod
+    def stack(cls, configs) -> "ServoConfig":
+        """One ServoConfig over a stack of servos: stacked references and
+        their inverses, feedforwards (k, 6) and a PidConfig.stack.  The
+        inverses are the single ones' values, so each row composes with
+        the bits its single servo does."""
+        configs = list(configs)
+        stacked = object.__new__(cls)
+        for name, value in (
+                ("reference_contact_pose", Pose.stack(c.reference_contact_pose for c in configs)),
+                ("feedforward_twist", np.array([c.feedforward_twist for c in configs])),
+                ("pid", PidConfig.stack(c.pid for c in configs)),
+                ("_reference_inverse", Pose.stack(c._reference_inverse for c in configs))):
+            object.__setattr__(stacked, name, value)
+        return stacked
+
 
 @dataclasses.dataclass(frozen=True)
 class PushConfig:
@@ -127,26 +180,41 @@ def _clip(v: np.ndarray, clip) -> np.ndarray:
     return np.clip(v, clip[0], clip[1])
 
 
-def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt: float):
+def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt):
     """One backward-Euler PID update.
 
     integral <- clip(integral + e dt); the derivative acts on the EWMA of
     the error (0.5 * previous + 0.5 * current), zero on the first
     call; output = clip(v + Kp e + Ki integral + Kd derivative).
 
+    A stack of k loops takes errors (k, n), a stacked state, a feedforward
+    (n,) or (k, n) and dt a number or (k, 1); each row steps as its single
+    loop would, the first step of a row skipping its derivative.
+
     Returns (command, new state); the command is an array of width cfg.n.
     """
     error = np.asarray(error, dtype=float)
     feedforward = np.asarray(feedforward, dtype=float)
-    if error.shape != (cfg.n,) or feedforward.shape != (cfg.n,):
+    n = cfg.n
+    single = error.ndim == 1
+    if (error.shape[-1:] != (n,) or feedforward.shape[-1:] != (n,)
+            or feedforward.ndim > error.ndim or error.ndim > 2):
         raise ValueError(
-            f"error and feedforward must have shape ({cfg.n},), got "
+            f"error and feedforward must have shape ({n},), got "
             f"{error.shape} and {feedforward.shape}"
         )
-    if dt <= 0:
+    if dt <= 0 if single else (np.asarray(dt) <= 0).any():
         raise ValueError(f"dt must be positive, got {dt}")
     integral = _clip(state.integral + error * dt, cfg.integral_clip)
-    if state.initialized:
+    initialized = True if single else state.initialized
+    if not single and not initialized.all():
+        # Each row takes the branch below that its own state selects.
+        started = initialized[:, None]
+        smoothed = np.where(started, _EWMA_DECAY * state.smoothed_error
+                            + (1.0 - _EWMA_DECAY) * error, error)
+        derivative = np.where(started, (smoothed - state.smoothed_error) / dt, 0.0)
+        initialized = np.ones_like(initialized)
+    elif not single or state.initialized:
         smoothed = _EWMA_DECAY * state.smoothed_error + (1.0 - _EWMA_DECAY) * error
         derivative = (smoothed - state.smoothed_error) / dt
     else:
@@ -156,12 +224,11 @@ def pid_step(cfg: PidConfig, state: PidState, feedforward, error, dt: float):
         derivative = np.zeros_like(error)
     out = feedforward + cfg.kp * error + cfg.ki * integral + cfg.kd * derivative
     out = _clip(out, cfg.output_clip)
-    new_state = PidState(integral=integral, smoothed_error=smoothed,
-                         initialized=True)
+    new_state = PidState(integral=integral, smoothed_error=smoothed, initialized=initialized)
     return out, new_state
 
 
-def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt: float):
+def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt):
     """One cycle of the contact-pose servo.
 
     The error pose X_ss' = X_sf X_s'f^-1 carries the observed contact
@@ -170,17 +237,31 @@ def servo_step(cfg: ServoConfig, pid: PidState, observed_contact: Pose, dt: floa
     the reference sensor frame acts correctly in the current one.  Output
     clipping applies to the feedback path only.
 
+    A ServoConfig.stack steps k servos at once: a stacked PidState, k
+    observed contacts and dt a number or (k, 1).
+
     Returns (command twist, new PID state, error pose).
     """
     error_pose = observed_contact @ cfg._reference_inverse
     fb, new_pid = pid_step(cfg.pid, pid, np.zeros(6), log(error_pose), dt)
-    command = fb + adjoint(error_pose) @ cfg.feedforward_twist
+    command = fb + matvec(adjoint(error_pose), cfg.feedforward_twist)
     return command, new_pid, error_pose
 
 
 def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
               observed_contact: Pose, sensor_pose_in_work: Pose, dt: float):
-    """Servo cycle plus target alignment for pushing.
+    """Servo cycle plus target alignment for pushing: servo_step, then
+    bearing_step.  Returns (command, (servo PID state, bearing PID state)).
+    """
+    command, new_pid, error_pose = servo_step(cfg.servo, pid, observed_contact, dt)
+    command, new_bearing = bearing_step(cfg, command, bearing_pid_state, error_pose,
+                                        sensor_pose_in_work, dt)
+    return command, (new_pid, new_bearing)
+
+
+def bearing_step(cfg: PushConfig, command: np.ndarray, bearing_pid_state: PidState,
+                 error_pose: Pose, sensor_pose_in_work: Pose, dt: float):
+    """Target alignment of one pushing arm on top of its servo command.
 
     The target is re-expressed in the reference sensor frame,
     X_s't = X_ss'^-1 X_ws^-1 X_wt; its (y, z) translation gives the bearing
@@ -191,24 +272,47 @@ def push_step(cfg: PushConfig, pid: PidState, bearing_pid_state: PidState,
     once r drops below the switch-off radius.  When a push ends is not
     decided here: the simulator terminates on the tip centre's distance.
 
-    Returns (command, (servo PID state, bearing PID state)).
+    Returns (command, new bearing PID state).
     """
-    command, new_pid, error_pose = servo_step(cfg.servo, pid, observed_contact, dt)
     target_in_ref = (error_pose.inverse() @ sensor_pose_in_work.inverse()
                      @ cfg.target_pose_in_work)
-    y, z = target_in_ref.translation[1], target_in_ref.translation[2]
-    r = math.hypot(y, z)
-    new_bearing = bearing_pid_state
-    if r >= _SWITCH_OFF_RADIUS:
-        # The bearing loop's gain table is stated per degree of error;
-        # its output is a tangential speed in mm/s.
-        theta = math.degrees(math.atan2(y, z))
-        out, new_bearing = pid_step(cfg.bearing_pid, bearing_pid_state,
-                                    np.zeros(1), np.array([-theta]), dt)
-        align = np.zeros(6)
-        align[1] = out[0]
-        command = command + adjoint(error_pose) @ align
-    return command, (new_pid, new_bearing)
+    _, y, z = target_in_ref.translation.tolist()
+    if not math.hypot(y, z) >= _SWITCH_OFF_RADIUS:
+        return command, bearing_pid_state
+    # The bearing loop's gain table is stated per degree of error; its
+    # output is a tangential speed in mm/s.
+    theta = math.degrees(math.atan2(y, z))
+    out, new_bearing = _scalar_pid_step(cfg.bearing_pid, bearing_pid_state, -theta, dt)
+    align = np.zeros(6)
+    align[1] = out
+    return command + adjoint(error_pose) @ align, new_bearing
+
+
+def _clip_float(x: float, clip) -> float:
+    """np.clip of one float, bit for bit: NaN stays NaN, and a value equal
+    to a bound (a signed zero) is kept."""
+    if clip is None or x != x:
+        return x
+    lo, hi = clip
+    x = lo if lo > x else x
+    return hi if hi < x else x
+
+
+def _scalar_pid_step(cfg: PidConfig, state: PidState, error: float, dt: float):
+    """pid_step of a one-channel loop with no feedforward, on Python
+    floats: pid_step's operations in its order, so its bits, without
+    numpy's fixed cost per call.  Returns (output, new state)."""
+    (kp,), (ki,), (kd,) = cfg.kp.tolist(), cfg.ki.tolist(), cfg.kd.tolist()
+    (integral,), (smoothed,) = state.integral.tolist(), state.smoothed_error.tolist()
+    integral = _clip_float(integral + error * dt, cfg.integral_clip)
+    if state.initialized:
+        previous = smoothed
+        smoothed = _EWMA_DECAY * previous + (1.0 - _EWMA_DECAY) * error
+        derivative = (smoothed - previous) / dt
+    else:
+        smoothed, derivative = error, 0.0
+    out = _clip_float(0.0 + kp * error + ki * integral + kd * derivative, cfg.output_clip)
+    return out, PidState(np.array([integral]), np.array([smoothed]), True)
 
 
 def _servo(euler, feedforward, pid: PidConfig) -> ServoConfig:

@@ -7,9 +7,9 @@ standing in for a trained pose estimator.  The pushing plant is the planar
 differential model built around a centre of friction.
 
 A config's trials run in lockstep (run_scenarios): at every control step
-the sensed arms of all trials are observed as one stack and filtered by
-one stacked filtering.step, and each trial's outputs are those of running
-it alone (run_scenario, the one-trial case).
+the arms of all trials are sensed, observed, filtered, steered and moved
+as stacks, and each trial's outputs are those of running it alone
+(run_scenario, the one-trial case).
 
 Units: mm, rad, s.  Surface-local z points into the material everywhere,
 so pressing deeper along the sensor's +z axis increases contact depth.
@@ -34,7 +34,7 @@ from .errors import (
     SingularTargetError,
 )
 from .gdnmath import sample_contact_pose
-from .liegroup import Pose, euler_to_pose, exp, log
+from .liegroup import Pose, euler_to_pose, exp, log, matvec
 from .uncertainty import PoseGaussian
 
 DEFAULT_DT = 1.0 / 30.0
@@ -141,11 +141,29 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of two 3-vectors: np.cross's products and differences in its
-    order, so the same bits, without its fixed cost per call."""
+    """a x b of two 3-vectors, or of each row of two (k, 3) stacks:
+    np.cross's products and differences in its order, so the same bits,
+    without its fixed cost per call."""
+    if a.ndim > 1:
+        return np.array([[a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+                         for (a0, a1, a2), (b0, b1, b2) in zip(a.tolist(), b.tolist())])
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _columns(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The C-contiguous matrices [x y z] of three (k, 3) stacks of columns,
+    what np.column_stack makes of one set."""
+    m = np.empty(x.shape + (3,))
+    m[..., 0], m[..., 1], m[..., 2] = x, y, z
+    return m
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of two (k, m) stacks, (k,): the BLAS dot
+    a 1-D np.dot calls, so each row gets the bits of its single dot."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def is_number(v) -> bool:
@@ -283,6 +301,13 @@ class PushedObject:
         return math.atan2(self.y, self.z) - self.phi
 
 
+def _check_depth(depth: float) -> None:
+    if depth < 0.0 or depth > _MAX_DEPTH:
+        raise NoContactError(
+            f"contact depth {depth:.3f} mm outside the [0, {_MAX_DEPTH}] mm envelope"
+        )
+
+
 def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
     """(X_fs, anchor): the sensor's true feature-frame pose and the shear
     anchor it is measured against.
@@ -295,17 +320,25 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
     spin passes its slip limit; being surface-local, it rides with a
     moving surface.
 
+    A stack of n sensor poses takes a sequence of n surfaces, of any kinds,
+    and of n anchors, and returns (stacked X_fs, [anchor, ...]); each
+    element gets the bits of its single call.
+
     Pure: writes nothing of its arguments.  Raises NoContactError outside
-    the depth envelope [0, 10] mm; the next engagement then passes None.
+    the depth envelope [0, 10] mm (in a stack, naming the first such
+    element); the next engagement then passes None.
     """
+    if sensor_pose.rotation.ndim > 2:
+        x_fs, _, anchors, errors = _contact_poses(surface, sensor_pose, anchor)
+        for i, err in enumerate(errors):
+            if err is not None:
+                raise NoContactError(f"stack element [{i}]: {err}")
+        return x_fs, anchors
     tip_w = sensor_pose.translation
     inv = surface.pose.inverse()
     p_local = inv.apply(tip_w)
     q_local, n_local, depth = surface._project_local(p_local)
-    if depth < 0.0 or depth > _MAX_DEPTH:
-        raise NoContactError(
-            f"contact depth {depth:.3f} mm outside the [0, {_MAX_DEPTH}] mm envelope"
-        )
+    _check_depth(depth)
     x_local = surface._convention_x_local(q_local, n_local)
 
     # Spin of the sensor about the local normal, measured against the
@@ -325,12 +358,7 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
         # Drag the anchor when tangential shear exceeds the slip limit.
         v = q_local - point
         vt = v - np.dot(v, n_local) * n_local
-        shear = _norm(vt)
-        if shear > _MAX_SHEAR:
-            point, _, _ = surface._project_local(q_local - (_MAX_SHEAR / shear) * vt)
-        gamma = _wrap_angle(spin - anchor_spin)
-        if abs(gamma) > _MAX_SPIN:
-            anchor_spin = _wrap_angle(spin - math.copysign(_MAX_SPIN, gamma))
+        point, anchor_spin = _slip(surface, q_local, vt, _norm(vt), point, spin, anchor_spin)
 
     anchor_w = surface.pose.apply(point)
     # Feature frame: origin at the anchor, z along the normal at the tip
@@ -341,6 +369,104 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
     y_f = _cross(z_w, x_f)
     feature = Pose(np.column_stack([x_f, y_f, z_w]), anchor_w)
     return feature.inverse() @ sensor_pose, (point, anchor_spin)
+
+
+def _slip(surface: SurfaceModel, q_local, vt, shear: float, point, spin: float,
+          anchor_spin: float):
+    """The anchor (point, spin) after this contact's slip: the point is
+    dragged toward the tip projection q_local when the tangential shear vt
+    passes _MAX_SHEAR, the spin when the spin passes _MAX_SPIN."""
+    if shear > _MAX_SHEAR:
+        point, _, _ = surface._project_local(q_local - (_MAX_SHEAR / shear) * vt)
+    gamma = _wrap_angle(spin - anchor_spin)
+    if abs(gamma) > _MAX_SPIN:
+        anchor_spin = _wrap_angle(spin - math.copysign(_MAX_SPIN, gamma))
+    return point, anchor_spin
+
+
+def _contact_poses(surfaces, sensor_poses: Pose, anchors):
+    """contact_pose of each element of a stack of n sensor poses, each
+    against its own surface and anchor; never raises NoContactError.
+
+    Returns (X_fs of the elements in contact, stacked; their indices; the
+    n new anchors, None out of contact; the n NoContactErrors, None in
+    contact).  Every numpy product is contact_pose's own, run once over the
+    stack with each element laid out as in the single call, so each gets
+    the bits of its single call.  The projections off the flat part of a
+    surface, the trig, the angle wraps and the slip run per element, with
+    contact_pose's own code on Python floats.
+    """
+    n = len(surfaces)
+    s_pose = Pose.stack([s.pose for s in surfaces])
+    s_rot, sensor_rot = s_pose.rotation, sensor_poses.rotation
+    # inverse().apply(tip): the tip times the rotation, plus -R^T t
+    p_local = ((sensor_poses.translation[:, None, :] @ s_rot)[:, 0, :]
+               + s_pose.inverse().translation)
+    # The flat part of every surface, then the rest one element at a time.
+    q = p_local.copy()
+    q[:, 2] = 0.0
+    normal = np.zeros((n, 3))
+    normal[:, 2] = 1.0
+    x_local = np.zeros((n, 3))
+    x_local[:, 0] = 1.0
+    depth = p_local[:, 2].tolist()
+    errors = [None] * n
+    for i, surface in enumerate(surfaces):
+        try:
+            if surface.kind == "hemisphere" or (surface.kind == "ramp" and p_local[i, 1] > 0.0):
+                q[i], normal[i], depth[i] = surface._project_local(p_local[i])
+            _check_depth(depth[i])
+            if surface.kind == "hemisphere":
+                x_local[i] = surface._convention_x_local(q[i], normal[i])
+        except NoContactError as err:
+            errors[i] = err
+
+    z_w = matvec(s_rot, normal)
+    x_conv_w = matvec(s_rot, x_local)
+    y_conv_w = _cross(z_w, x_conv_w)
+    r_rel = _columns(x_conv_w, y_conv_w, z_w).swapaxes(-1, -2) @ sensor_rot
+    spins = list(map(math.atan2, r_rel[:, 1, 0].tolist(), r_rel[:, 0, 0].tolist()))
+
+    # A new contact anchors at its tip projection, where it reads no shear.
+    points = q.copy()
+    anchor_spins = spins.copy()
+    for i, anchor in enumerate(anchors):
+        if anchor is not None:
+            points[i], anchor_spins[i] = anchor
+    v = q - points
+    vt = v - _dots(v, normal)[:, None] * normal
+    shears = np.sqrt(_dots(vt, vt)).tolist()
+    for i, anchor in enumerate(anchors):
+        if anchor is not None and errors[i] is None:
+            try:
+                points[i], anchor_spins[i] = _slip(surfaces[i], q[i], vt[i], shears[i],
+                                                   points[i], spins[i], anchor_spins[i])
+            except NoContactError as err:
+                errors[i] = err
+
+    rows = [i for i, err in enumerate(errors) if err is None]
+    if len(rows) < n:
+        if not rows:
+            return None, rows, [None] * n, errors
+        s_rot, points, z_w = s_rot[rows], points[rows], z_w[rows]
+        x_conv_w, y_conv_w = x_conv_w[rows], y_conv_w[rows]
+        s_pose = Pose(s_rot, s_pose.translation[rows])
+        sensor_poses = Pose(sensor_rot[rows], sensor_poses.translation[rows])
+        anchor_spins = [anchor_spins[i] for i in rows]
+    anchor_w = (points[:, None, :] @ s_rot.swapaxes(-1, -2))[:, 0, :] + s_pose.translation
+    cs = np.array([math.cos(a) for a in anchor_spins])[:, None]
+    sn = np.array([math.sin(a) for a in anchor_spins])[:, None]
+    x_f = cs * x_conv_w + sn * y_conv_w
+    x_f = x_f - _dots(x_f, z_w)[:, None] * z_w
+    norms = np.sqrt(_dots(x_f, x_f))
+    if not norms.all():
+        raise ValueError("cannot normalize a zero vector")
+    x_f = x_f / norms[:, None]
+    feature = Pose(_columns(x_f, _cross(z_w, x_f), z_w), anchor_w)
+    new_anchors = [None] * n
+    for j, i in enumerate(rows):
+        new_anchors[i] = (points[j], anchor_spins[j])
+    return feature.inverse() @ sensor_poses, rows, new_anchors, errors
 
 
 def observe(true_contact: Pose, rng: np.random.Generator) -> PoseGaussian:
@@ -527,8 +653,8 @@ class TrajectoryLog:
         unknown = set(scalars) - set(self.scalar_columns)
         if unknown:
             raise ValueError(f"unknown scalar columns {sorted(unknown)}")
-        q = _quaternion_from_rotation(pose.rotation)
-        row = [t, arm, *pose.translation, *q, *twist, cov_trace]
+        row = [t, arm, *pose.translation.tolist(), *_quaternion_from_rotation(pose.rotation),
+               *np.asarray(twist).tolist(), cov_trace]
         row.extend(scalars.get(k) for k in self.scalar_columns)
         self.rows.append(row)
 
@@ -551,29 +677,28 @@ def _csv_cell(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0."""
-    t = float(np.trace(r))
+def _quaternion_from_rotation(r: np.ndarray) -> list:
+    """Unit quaternion [w, x, y, z] with w >= 0, as floats.  The entries
+    are read once; the trace sums in np.trace's order, (r00 + r11) + r22."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    t = r00 + r11 + r22
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
-        q = np.array([0.25 * s, (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s])
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array([(r[2, 1] - r[1, 2]) / s, 0.25 * s,
-                      (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s])
-    elif r[1, 1] > r[2, 2]:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-        q = np.array([(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s,
-                      0.25 * s, (r[1, 2] + r[2, 1]) / s])
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 > r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-        q = np.array([(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s,
-                      (r[1, 2] + r[2, 1]) / s, 0.25 * s])
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    q = np.array(q)
     q = q / _norm(q)
     if q[0] < 0:
         q = -q
-    return q
+    return q.tolist()
 
 
 def _check_pose(pose: Pose, what: str) -> Pose:
@@ -604,79 +729,350 @@ _DYNAMICS_NOISE = filtering.default_dynamics_noise(filtering.DEPLOYMENT_SIGMA)
 
 
 class _Arm:
-    """One sensor arm: its surface (one for its lifetime), pose, shear
-    anchor, filter, PID states and command.  Every arm observes through
-    the same sensor model (observe) and draws its noise from its trial's
-    generator.  Its filter is None exactly when it is out of contact, so
-    that re-engaging is a first engagement.
-
-    A control step is built from five parts: sense (the true contact),
-    the engine's filter update (_filter_arms, run over every sensed arm of
-    every trial at once), steer (the command from the belief), probe (true
-    depth and normal angle at the surface projection), move (integrate the
-    command in the body frame) and row (log the step).  `cfg` is a
-    PushConfig for a pushing arm, else a ServoConfig.
+    """One sensor arm: its name, its surface (one for its lifetime), its
+    configuration (a PushConfig for a pushing arm, else a ServoConfig),
+    time step and noise stream (its trial's generator), and a pushing
+    arm's bearing loop.  Its pose, anchor, filter, PID state and command
+    are row `row` of the engine's stacks `batch` (a _Batch); an arm starts
+    in a batch of its own, out of contact.  An arm is in contact exactly
+    when it has a filter, so that re-engaging is a first engagement.
     """
 
     def __init__(self, name: str, surface: SurfaceModel, pose: Pose, cfg,
                  scenario: Scenario, rng: np.random.Generator):
         self.name = name
         self.surface = surface
-        self.pose = pose
-        self.anchor = None
-        self.true_fs = None
         self.cfg = cfg
+        self.pushing = isinstance(cfg, control.PushConfig)
+        self.servo = cfg.servo if self.pushing else cfg
         self.dt = scenario.dt
         self.rng = rng
-        self.filter = None
-        self.command = None
-        self.pid = control.PidState.initial(6)
-        self.bearing = control.PidState.initial(1)  # push_step's bearing loop
+        self.bearing = control.PidState.initial(1)  # bearing_step's loop
+        self.batch = _Batch([self], [(pose, None, None, None)])
 
-    def sense(self) -> bool:
-        """Measure the true X_fs into true_fs; True in contact.  Losing
-        contact forgets it: anchor, filter and servo PID state.  Out of
-        contact only a pushing arm goes on (False); any other raises
-        NoContactError."""
-        try:
-            self.true_fs, self.anchor = contact_pose(self.surface, self.pose, self.anchor)
-        except NoContactError:
-            self.true_fs = self.anchor = self.filter = None
-            self.pid = control.PidState.initial(6)
-            if not isinstance(self.cfg, control.PushConfig):
-                raise
-            return False
-        return True
+    @property
+    def pose(self) -> Pose:
+        return self.batch.pose(self.row)
 
-    def steer(self):
-        """Command from the filtered belief; returns the true X_fs.  Out of
-        contact a pushing arm presses with its feedforward and returns None."""
-        if self.filter is None:
-            self.command = self.cfg.servo.feedforward_twist
-            return None
-        mean = self.filter.belief.mean
-        if isinstance(self.cfg, control.PushConfig):
-            self.command, (self.pid, self.bearing) = control.push_step(
-                self.cfg, self.pid, self.bearing, mean, self.pose, self.dt)
-        else:
-            self.command, self.pid, _ = control.servo_step(self.cfg, self.pid, mean, self.dt)
-        return self.true_fs
+    @property
+    def command(self) -> np.ndarray:
+        return self.batch.commands if self.batch.n == 1 else self.batch.commands[self.row]
+
+    @property
+    def in_contact(self) -> bool:
+        return self.row in self.batch.group
+
+    @property
+    def true_fs(self) -> Pose:
+        """The true X_fs this step sensed."""
+        batch = self.batch
+        return batch.true_fs if batch.n == 1 else _row(batch.true_fs, batch.sensed.index(self.row))
+
+    @property
+    def belief_mean(self) -> Pose:
+        """The filtered belief's mean, in contact."""
+        batch = self.batch
+        mean = batch.filter.belief.mean
+        return mean if len(batch.contact) == 1 else _row(mean, batch.group[self.row])
 
     def probe(self):
         """(surface point, depth, angle in degrees between the sensor axis
         and the surface normal) at the tip's boundary projection."""
-        q_w, n_w, depth = self.surface.probe(self.pose.translation)
-        cos = float(np.dot(self.pose.rotation[:, 2], n_w))
+        pose = self.pose
+        q_w, n_w, depth = self.surface.probe(pose.translation)
+        cos = float(np.dot(pose.rotation[:, 2], n_w))
         return q_w, depth, math.degrees(math.acos(min(1.0, max(-1.0, cos))))
 
-    def move(self) -> None:
-        self.pose = _integrate_body(self.pose, self.command, self.dt, self.name)
-
-    def row(self, log_: TrajectoryLog, t: float, scalars: dict) -> None:
+    def log_row(self, log_: TrajectoryLog, t: float, scalars: dict) -> None:
         """Log the arm's pose, command and belief covariance trace (empty
         out of contact) with the task's scalars."""
-        cov_trace = None if self.filter is None else float(np.trace(self.filter.belief.cov))
+        batch = self.batch
+        g = batch.group.get(self.row)
+        cov_trace = None
+        if g is not None:
+            cov = batch.filter.belief.cov
+            cov_trace = float(np.trace(cov if len(batch.contact) == 1 else cov[g]))
         log_.add(t, self.name, self.pose, self.command, cov_trace, scalars)
+
+
+def _row(pose: Pose, i) -> Pose:
+    """Element i of a stacked Pose, or the sub-stack at indices i."""
+    return Pose(pose.rotation[i], pose.translation[i])
+
+
+def _element(g: PoseGaussian, i) -> PoseGaussian:
+    """Element i of a stacked PoseGaussian, or the sub-stack at indices i."""
+    return PoseGaussian(_row(g.mean, i), g.cov[i])
+
+
+# Errors a control step can raise that end the run.
+_STEP_ERRORS = (DivergenceError, NoContactError) + DOMAIN_ERRORS
+
+
+class _Batch:
+    """The arms the engine steps together, in trial and arm order, with
+    their state as stacks, or as single values for one arm, so that a
+    step restacks nothing:
+
+    - poses, anchors, dt and commands: one row per arm;
+    - true_fs: X_fs of the arms this step sensed in contact (`sensed`);
+    - filter (a FilterState), pid (a PidState), servo (a ServoConfig) and
+      group_dt: one row per arm in contact (`contact`, `group` maps an
+      arm's row to its row here), single for one such arm.
+
+    Each stage runs every arm at once, in single form for one arm, and
+    returns the failures [(row, error)] a single step of each arm would
+    raise, in row order (a stack that raises is redone one arm at a time
+    for them): sense, update (observe and filter), steer, move.  A batch
+    is built from its arms' states, `state(row)` of the batch each is in,
+    whenever its arms change.
+    """
+
+    def __init__(self, arms, states):
+        """states: each arm's (pose, anchor, FilterState or None, PidState
+        or None), the last two None out of contact."""
+        self.arms = list(arms)
+        self.n = n = len(self.arms)
+        poses = [state[0] for state in states]
+        self.poses = poses[0] if n == 1 else Pose.stack(poses)
+        self._pose_rows = (None, [])
+        self.anchors = [state[1] for state in states]
+        self.dt = self.arms[0].dt if n == 1 else np.array([[arm.dt] for arm in self.arms])
+        self.commands = self.true_fs = None
+        self.sensed = []
+        contact = [row for row, state in enumerate(states) if state[2] is not None]
+        self._regroup(contact, [states[row][2:] for row in contact])
+        for row, arm in enumerate(self.arms):
+            arm.batch, arm.row = self, row
+
+    @classmethod
+    def of(cls, arms) -> "_Batch":
+        """A batch of the arms, each taken from the batch it is in."""
+        return cls(arms, [arm.batch.state(arm.row) for arm in arms])
+
+    def pose(self, row: int) -> Pose:
+        """The arm's pose; each row of a stack is built once per move."""
+        if self.n == 1:
+            return self.poses
+        if self._pose_rows[0] is not self.poses:
+            self._pose_rows = (self.poses, [Pose(r, t) for r, t in zip(
+                self.poses.rotation, self.poses.translation)])
+        return self._pose_rows[1][row]
+
+    def _poses(self, rows) -> Pose:
+        """The poses of the arms at rows, in the form a stage runs them."""
+        if len(rows) == 1:
+            return self.pose(rows[0])
+        return self.poses if len(rows) == self.n else _row(self.poses, rows)
+
+    def state(self, row: int) -> tuple:
+        """The arm's (pose, anchor, FilterState or None, PidState or None)."""
+        g = self.group.get(row)
+        group = (None, None) if g is None else self._group_states()[g]
+        return (self.pose(row), self.anchors[row]) + group
+
+    def _group_states(self) -> list:
+        """(FilterState, PidState) of each arm in contact, single."""
+        if len(self.contact) == 1:
+            return [(self.filter, self.pid)]
+        f, p = self.filter, self.pid
+        return [(filtering.FilterState(_element(f.belief, g), _row(f.prev_sensor_pose, g)),
+                 control.PidState(p.integral[g], p.smoothed_error[g], bool(p.initialized[g])))
+                for g in range(len(self.contact))]
+
+    def _regroup(self, rows, states) -> None:
+        """Make the arms at rows the arms in contact, with their single
+        (FilterState, PidState) states."""
+        filters, pids = [f for f, _ in states], [pid for _, pid in states]
+        self.contact = rows
+        self.group = {row: g for g, row in enumerate(rows)}
+        arms = [self.arms[row] for row in rows]
+        self.leaders = [(g, row) for g, row in enumerate(rows) if self.arms[row].pushing]
+        if len(rows) == 1:
+            (self.filter,), (self.pid,) = filters, pids
+            self.servo, self.group_dt = arms[0].servo, arms[0].dt
+        elif rows:
+            self.filter = filtering.FilterState(
+                PoseGaussian.stack(f.belief for f in filters),
+                Pose.stack(f.prev_sensor_pose for f in filters))
+            self.pid = control.PidState.stack(pids)
+            self.servo = control.ServoConfig.stack(arm.servo for arm in arms)
+            self.group_dt = np.array([[arm.dt] for arm in arms])
+        else:
+            self.filter = self.pid = self.servo = self.group_dt = None
+
+    def sense(self) -> list:
+        """Measure every arm's true X_fs.  Losing contact forgets it:
+        anchor, filter and servo PID state.  Out of contact only a pushing
+        arm goes on; the failures are the other arms' NoContactErrors."""
+        if self.n == 1:
+            try:
+                self.true_fs, self.anchors[0] = contact_pose(
+                    self.arms[0].surface, self.poses, self.anchors[0])
+                self.sensed, errors = [0], [None]
+            except NoContactError as err:
+                self.true_fs, self.anchors[0] = None, None
+                self.sensed, errors = [], [err]
+        else:
+            self.true_fs, self.sensed, self.anchors, errors = _contact_poses(
+                [arm.surface for arm in self.arms], self.poses, self.anchors)
+        if len(self.sensed) < self.n and self.contact:
+            kept = [g for g, row in enumerate(self.contact) if errors[row] is None]
+            if len(kept) < len(self.contact):
+                states = self._group_states()
+                self._regroup([self.contact[g] for g in kept], [states[g] for g in kept])
+        return [(row, err) for row, err in enumerate(errors)
+                if err is not None and not self.arms[row].pushing]
+
+    def update(self) -> list:
+        """Observe every arm in contact, each from its own noise stream in
+        row order, as one stack (observe for one arm), and fuse the
+        observations: one filtering.step over the arms that were in
+        contact, filtering.init for each arm that has just engaged."""
+        rows = self.sensed
+        if not rows:
+            return []
+        if len(rows) == 1:
+            arm = self.arms[rows[0]]
+            obs = observe(arm.true_fs, arm.rng)
+        else:
+            z = np.array([self.arms[row].rng.standard_normal(6) for row in rows])
+            obs = _observe(self.true_fs, z)
+        if rows == self.contact:
+            return self._step_filters(obs)
+        # Some arms have just engaged: the arms in contact are a subset.
+        going = [i for i, row in enumerate(rows) if row in self.group]
+        failures = self._step_filters(_element(obs, going if len(going) > 1 else going[0])
+                                      ) if going else []
+        states = dict(zip(self.contact, self._group_states()))
+        for i, row in enumerate(rows):
+            if row not in states:
+                states[row] = (filtering.init(obs if len(rows) == 1 else _element(obs, i),
+                                              self.pose(row)),
+                               control.PidState.initial(6))
+        self._regroup(rows, [states[row] for row in rows])
+        return failures
+
+    def _step_filters(self, obs: PoseGaussian) -> list:
+        """filtering.step of every arm in contact, with obs in their order."""
+        poses = self._poses(self.contact)
+        try:
+            self.filter = filtering.step(self.filter, obs, poses, _DYNAMICS_NOISE)
+            return []
+        except _STEP_ERRORS as err:
+            if len(self.contact) == 1:
+                return [(self.contact[0], err)]
+        # One arm at a time, for the error each arm's single step raises;
+        # an arm that fails keeps its filter.
+        failures, states = [], self._group_states()
+        for g, row in enumerate(self.contact):
+            state, pid = states[g]
+            try:
+                states[g] = (filtering.step(state, _element(obs, g), self.pose(row),
+                                            _DYNAMICS_NOISE), pid)
+            except _STEP_ERRORS as err:
+                failures.append((row, err))
+        self._regroup(self.contact, states)
+        return failures
+
+    def steer(self) -> list:
+        """Command every arm: one control.servo_step over the arms in
+        contact, then the pushing arms' bearing loops (_align).  Out of
+        contact a pushing arm presses with its feedforward."""
+        k = len(self.contact)
+        failures = []
+        if not k:
+            cmd = self._feedforwards()
+        else:
+            try:
+                cmd, self.pid, error_pose = control.servo_step(
+                    self.servo, self.pid, self.filter.belief.mean, self.group_dt)
+            except _STEP_ERRORS as err:
+                if k == 1:
+                    self.commands = self._feedforwards()
+                    return [(self.contact[0], err)]
+                cmd, error_pose, failures = self._servo_rows()
+            if self.leaders:
+                cmd = self._align(cmd, error_pose, {row for row, _ in failures})
+            if k < self.n:
+                commands = self._feedforwards()
+                commands[self.contact] = cmd
+                cmd = commands
+        self.commands = cmd
+        return failures
+
+    def _align(self, cmd: np.ndarray, error_pose: Pose, failed: set) -> np.ndarray:
+        """The servo commands cmd of the arms in contact with each pushing
+        arm's bearing loop added (control.bearing_step, one arm at a time),
+        but for the rows whose servo step failed."""
+        single = len(self.contact) == 1
+        for g, row in self.leaders:
+            if row in failed:
+                continue
+            arm = self.arms[row]
+            c, arm.bearing = control.bearing_step(
+                arm.cfg, cmd if single else cmd[g], arm.bearing,
+                error_pose if single else _row(error_pose, g), self.pose(row), arm.dt)
+            if single:
+                return c
+            cmd[g] = c
+        return cmd
+
+    def _feedforwards(self) -> np.ndarray:
+        """Every arm's feedforward twist: one arm's own, else a new (n, 6)
+        array."""
+        if self.n == 1:
+            return self.arms[0].servo.feedforward_twist
+        return np.array([arm.servo.feedforward_twist for arm in self.arms])
+
+    def _servo_rows(self) -> tuple:
+        """servo_step of each arm in contact on its own: (commands, error
+        poses, failures); a failed arm keeps its PID state and takes its
+        feedforward."""
+        cmds, errs, pids, failures = [], [], [], []
+        mean = self.filter.belief.mean
+        for g, (row, (_, pid)) in enumerate(zip(self.contact, self._group_states())):
+            arm = self.arms[row]
+            try:
+                cmd, pid, err = control.servo_step(arm.servo, pid, _row(mean, g), arm.dt)
+            except _STEP_ERRORS as e:
+                failures.append((row, e))
+                cmd, err = arm.servo.feedforward_twist, Pose.identity()
+            cmds.append(cmd)
+            errs.append(err)
+            pids.append(pid)
+        self.pid = control.PidState.stack(pids)
+        return np.array(cmds), Pose.stack(errs), failures
+
+    def move(self) -> list:
+        """Integrate every arm's command over its time step in the body
+        frame (_integrate_body)."""
+        if self.n == 1:
+            try:
+                self.poses = _integrate_body(self.poses, self.commands, self.dt,
+                                             self.arms[0].name)
+            except _STEP_ERRORS as err:
+                return [(0, err)]
+            return []
+        try:
+            moved = self.poses @ exp(self.commands * self.dt)
+            t = moved.translation
+            if (np.isfinite(moved.rotation).all() and np.isfinite(t).all()
+                    and np.abs(t).max() <= _WORKSPACE_LIMIT):
+                self.poses = moved
+                return []
+        except _STEP_ERRORS:
+            pass
+        failures, poses = [], []
+        for row, arm in enumerate(self.arms):
+            pose = self.pose(row)
+            try:
+                pose = _integrate_body(pose, self.commands[row], arm.dt, arm.name)
+            except _STEP_ERRORS as err:
+                failures.append((row, err))
+            poses.append(pose)
+        self.poses = Pose.stack(poses)
+        return failures
 
 
 def _mean(values):
@@ -700,73 +1096,22 @@ def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
                 settled=bool(settled), runtime_s=runtime_s, **extra)
 
 
-# Errors a control step can raise that end the run.
-_STEP_ERRORS = (DivergenceError, NoContactError) + DOMAIN_ERRORS
-
-
-def _sensed(*arms) -> list:
-    """Sense each arm in order; the arms in contact, whose filters the
-    engine updates before the runner resumes."""
-    return [arm for arm in arms if arm.sense()]
-
-
-def _element(g: PoseGaussian, i) -> PoseGaussian:
-    """Element i of a stacked PoseGaussian, or the sub-stack at indices i."""
-    return PoseGaussian(Pose(g.mean.rotation[i], g.mean.translation[i]), g.cov[i])
-
-
-def _observe_arms(arms) -> PoseGaussian:
-    """Each arm's observation of its true_fs, in arm order: observe for
-    one arm, else one stack, each element from its arm's own draw."""
-    if len(arms) == 1:
-        return observe(arms[0].true_fs, arms[0].rng)
-    z = np.array([arm.rng.standard_normal(6) for arm in arms])
-    return _observe(Pose.stack(arm.true_fs for arm in arms), z)
-
-
-def _filter_arms(arms, obs: PoseGaussian) -> None:
-    """Fuse each arm's observation (obs, as _observe_arms forms it) into
-    its filter: filtering.init for an arm without one, one filtering.step
-    over the rest, in single form for a single arm.  Writes no filter
-    unless every update succeeds."""
-    if len(arms) == 1:
-        (arm,) = arms
-        arm.filter = (filtering.init(obs, arm.pose) if arm.filter is None else
-                      filtering.step(arm.filter, obs, arm.pose, _DYNAMICS_NOISE))
-        return
-    fresh = [i for i, arm in enumerate(arms) if arm.filter is None]
-    going = [i for i, arm in enumerate(arms) if arm.filter is not None]
-    if len(going) == 1:
-        _filter_arms([arms[going[0]]], _element(obs, going[0]))
-    elif going:
-        stepped = [arms[i] for i in going]
-        state = filtering.FilterState(
-            PoseGaussian.stack(arm.filter.belief for arm in stepped),
-            Pose.stack(arm.filter.prev_sensor_pose for arm in stepped))
-        belief = filtering.step(state, _element(obs, going) if fresh else obs,
-                                Pose.stack(arm.pose for arm in stepped),
-                                _DYNAMICS_NOISE).belief
-        for n, arm in enumerate(stepped):
-            arm.filter = filtering.FilterState(_element(belief, n), arm.pose)
-    for i in fresh:
-        arms[i].filter = filtering.init(_element(obs, i), arms[i].pose)
-
-
 class _Trial:
     """One scenario in the lockstep engine: its runner, its noise stream
-    PCG64(seed), the step it is in and the arms it sensed in that step.
+    PCG64(seed), the step it is in and its arms.
 
     A runner is a generator over the trial: it sets `step` as each step
-    begins, yields the step's sensed arms once every arm of the trial has
-    sensed, then commands, moves and logs once the engine has updated
-    their filters, and returns (log, metrics).
+    begins and yields its arms twice per step, first to have the engine
+    sense, filter and steer them, then to have it move them, and returns
+    (log, metrics).  Between the yields and after the second it probes,
+    logs and moves everything else its step has.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.rng = np.random.Generator(np.random.PCG64(scenario.seed))
         self.step = 0
-        self.sensed = []
+        self.arms = ()
         self.result = None
         runner = {"track": _run_track, "follow": _run_follow}.get(scenario.task, _run_push)
         self.run = runner(self)
@@ -778,54 +1123,68 @@ class _Trial:
         return err
 
 
+def _advance(live: list, error):
+    """Run each live trial to its next yield: (the trials still live, the
+    error to report).  A trial that raises diverges, and it and every
+    later trial leave."""
+    going = []
+    for trial in live:
+        try:
+            trial.arms = next(trial.run)
+        except StopIteration as done:
+            trial.result = done.value
+            continue
+        except _STEP_ERRORS as e:
+            return going, trial.diverged(e)
+        going.append(trial)
+    return going, error
+
+
+def _drop(live: list, error, owners: list, failures: list):
+    """(live, error) after a stage's failures [(row, error)]: the first
+    live trial that owns one diverges, and it and every later trial leave.
+    Failures of trials that have left are not reported."""
+    for row, e in failures:
+        trial = owners[row]
+        if trial in live:
+            return live[:live.index(trial)], trial.diverged(e)
+    return live, error
+
+
 def run_scenarios(scenarios) -> list:
     """Run closed-loop scenarios in lockstep; returns [(TrajectoryLog,
     metrics), ...], each what run_scenario returns for its scenario.
 
-    Every step, each live trial runs until all its arms have sensed; then
-    the sensed arms of every trial are observed as one stack and filtered
-    by one stacked filtering.step (_observe_arms, _filter_arms), and the
-    trials go on to command, move and log.  Each trial draws from its own
-    PCG64(seed) in its arms' order, so it sees the draws of its own run,
-    and a stacked update gives the bits of the single ones.  A finished
-    trial leaves the batch.
+    Every step, each live trial runs to its first yield; then the engine
+    senses, observes, filters and steers the arms of every live trial as
+    one batch (_Batch.sense, update, steer), the trials probe and log, and
+    the engine moves every arm (_Batch.move).  The batch keeps the arms'
+    state as stacks from step to step, and is rebuilt only when its arms
+    change.  Each trial draws from its own PCG64(seed) in its arms' order,
+    so it sees the draws of its own run, and every stacked call gives each
+    element the bits of its single call.  A finished trial leaves the
+    batch.
 
     Raises the DivergenceError that running the scenarios one after
     another would: the lowest-indexed trial's.  A trial that diverges is
-    dropped with every later trial, and the earlier ones run on.  A
-    stacked update that raises is redone one arm at a time, in trial
-    order, so its error names the trial and step a single update does.
+    dropped with every later trial, and the earlier ones run on.  A stage
+    reports each arm's failure as a single step of that arm raises it, so
+    the error names the trial and step a serial run does.
     """
     trials = [_Trial(s) for s in scenarios]
-    live = trials
-    error = None
+    live, error, batch = trials, None, None
     while live:
-        stepping = []
-        for trial in live:
-            try:
-                trial.sensed = next(trial.run)
-            except StopIteration as done:
-                trial.result = done.value
-                continue
-            except _STEP_ERRORS as e:
-                error = trial.diverged(e)
-                break
-            stepping.append(trial)
-        pending = [(trial, arm) for trial in stepping for arm in trial.sensed]
-        if pending:
-            arms = [arm for _, arm in pending]
-            obs = _observe_arms(arms)
-            try:
-                _filter_arms(arms, obs)
-            except _STEP_ERRORS:
-                for i, (trial, arm) in enumerate(pending):
-                    try:
-                        _filter_arms([arm], obs if len(arms) == 1 else _element(obs, i))
-                    except _STEP_ERRORS as e:
-                        error = trial.diverged(e)
-                        stepping = stepping[:stepping.index(trial)]
-                        break
-        live = stepping
+        live, error = _advance(live, error)
+        if not live:
+            break
+        arms = [arm for trial in live for arm in trial.arms]
+        if batch is None or batch.arms != arms:
+            batch = _Batch.of(arms)
+            owners = [trial for trial in live for _ in trial.arms]
+        for stage in (batch.sense, batch.update, batch.steer):
+            live, error = _drop(live, error, owners, stage())
+        live, error = _advance(live, error)
+        live, error = _drop(live, error, owners, batch.move())
     if error is not None:
         raise error
     return [trial.result for trial in trials]
@@ -868,17 +1227,17 @@ def _run_track(trial: _Trial):
         leader = _integrate_base_frame(leader, v, dt, "leader")
         follower.surface.pose = leader
 
-        yield _sensed(follower)
-        true_sf = follower.steer().inverse()
+        yield follower,  # sensed, filtered and steered
+        true_sf = follower.true_fs.inverse()
         track_err = _mm_deg(log(true_sf @ ref_inv))
-        est_err = _mm_deg(log(follower.filter.belief.mean @ true_sf.inverse()))
+        est_err = _mm_deg(log(follower.belief_mean @ true_sf.inverse()))
         _, depth, angle = follower.probe()
         if t >= steady_t:
             steady.append((abs(depth - 6.0), angle, *track_err, *est_err))
         log_.add(t, "leader", leader, v, None, {})
-        follower.row(log_, t, dict(zip(log_.scalar_columns,
-                                       (depth, *track_err, *est_err))))
-        follower.move()
+        follower.log_row(log_, t, dict(zip(log_.scalar_columns,
+                                           (depth, *track_err, *est_err))))
+        yield follower,  # moved
 
     depth_err, angle, track_mm, track_deg, est_mm, est_deg = _column_means(steady, 6)
     return log_, _metrics(
@@ -913,14 +1272,13 @@ def _run_follow(trial: _Trial):
                       Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, trial.rng)
         for k, step in enumerate(steps[run_idx]):
             trial.step = step
-            yield _sensed(sensor)
-            sensor.steer()
+            yield sensor,  # sensed, filtered and steered
             _, depth, angle = sensor.probe()
             if k * dt >= transient:
                 settled.append((abs(depth - 3.0), angle))
-            sensor.row(log_, t, {"run": float(run_idx), "depth_mm": depth,
-                                 "normal_angle_deg": angle})
-            sensor.move()
+            sensor.log_row(log_, t, {"run": float(run_idx), "depth_mm": depth,
+                                     "normal_angle_deg": angle})
+            yield sensor,  # moved
             t += dt
 
     depth_err, angle = _column_means(settled, 2)
@@ -984,7 +1342,7 @@ def _run_push(trial: _Trial):
     # Dual-arm: the leader starts engaged at the yield depth so the object
     # moves from the first step.  Single-arm protocol: approach from 45 mm
     # off the face; out of contact the leader presses toward the face with
-    # its feedforward (_Arm.steer).
+    # its feedforward (_Batch.steer).
     start_depth = _YIELD_DEPTH if dual else -45.0
     leader = _Arm("leader", SurfaceModel("flat", face),
                   Pose(face.rotation, face.apply(np.array([0.0, 0.0, start_depth]))),
@@ -1014,13 +1372,12 @@ def _run_push(trial: _Trial):
     follower_depth_err = []
     follower_window = 8.0
 
+    arms = (leader, follower) if dual else (leader,)
     for k in range(scenario.n_steps):
         trial.step = k
         t = k * dt
-        yield _sensed(leader, follower) if dual else _sensed(leader)
-        leader.steer()
+        yield arms  # sensed, filtered and steered
         if dual:
-            follower.steer()
             fdepth = follower.probe()[1]
             if t >= follower_window:
                 follower_depth_err.append(abs(fdepth - 3.0))
@@ -1029,9 +1386,7 @@ def _run_push(trial: _Trial):
             elif tall:
                 margin = min(1.0, margin + _STABILITY_RECOVER * dt)
 
-        leader.move()
-        if dual:
-            follower.move()
+        yield arms  # moved
         face, prev_tip_face = _push_plant(face, prev_tip_face, leader.pose.translation)
         leader.surface.pose = face
         if dual:
@@ -1047,7 +1402,7 @@ def _run_push(trial: _Trial):
         row = {"target_distance_mm": contact_distance,
                "tip_distance_mm": tip_distance,
                "stability_margin": margin if tall else None}
-        if leader.filter is not None:
+        if leader.in_contact:
             q_w, depth_now, angle = leader.probe()
             contact_rows.append((abs(depth_now - _YIELD_DEPTH), angle))
             # Bearing of the target seen from the current contact point,
@@ -1056,10 +1411,10 @@ def _run_push(trial: _Trial):
             row["bearing_rad"] = math.atan2(float(np.dot(d, face.rotation[:, 1])),
                                             float(np.dot(d, face.rotation[:, 2])))
             row["depth_mm"] = depth_now
-        leader.row(log_, t, row)
+        leader.log_row(log_, t, row)
         if dual:
-            follower.row(log_, t, {"follower_depth_mm": fdepth,
-                                   "stability_margin": margin if tall else None})
+            follower.log_row(log_, t, {"follower_depth_mm": fdepth,
+                                       "stability_margin": margin if tall else None})
 
         if margin <= 0.0 or tip_distance < _TERMINATION_RADIUS:
             break

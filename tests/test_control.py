@@ -249,6 +249,72 @@ def test_two_controller_instances_share_nothing():
     assert np.array_equal(cmd_b, cmd_solo)
 
 
+# ------------------------------------------------------------------ stacks
+
+def same(a, b):
+    """Equal bit for bit, signed zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_scalar_clip_matches_np_clip():
+    # The bearing loop clips on Python floats: NaN stays, and a value on a
+    # bound (a signed zero) is kept as np.clip keeps it.
+    from se3kit.control import _clip_float
+    values = [-0.0, 0.0, 1.0, -1.0, 5.0, -5.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300]
+    bounds = [(-0.0, 0.0), (0.0, 0.0), (-0.0, -0.0), (0.0, 1.0), (-1.0, -0.0),
+              (-2.0, 2.0), (-np.inf, np.inf), None]
+    for x in values:
+        for clip in bounds:
+            want = x if clip is None else np.clip(np.array([x]), *clip)[0]
+            assert same(np.float64(_clip_float(x, clip)), want)
+
+
+def test_scalar_pid_step_matches_pid_step(rng):
+    # The bearing loop's float PID gives pid_step's bits for a one-channel
+    # loop with no feedforward, clips and engagement included.
+    from se3kit.control import _scalar_pid_step
+    for cfg in (preset("push_pid2_single"), preset("push_pid2_dual"),
+                PidConfig(kp=2.0, ki=1.0, kd=0.5)):
+        state = single = PidState.initial(1)
+        for error in rng.normal(0, 40, 30).tolist():
+            out, state = pid_step(cfg, state, np.zeros(1), np.array([error]), DT)
+            single_out, single = _scalar_pid_step(cfg, single, error, DT)
+            assert same(np.float64(single_out), out[0])
+            assert same(single.integral, state.integral)
+            assert same(single.smoothed_error, state.smoothed_error)
+
+
+def test_stacked_servo_steps_match_single_ones(rng):
+    # Five presets, with and without clips and at three time steps, as one
+    # stack over four steps: each row's command, PID state and error pose
+    # are its single step's, bit for bit, including a row that starts
+    # afresh at the third step.
+    servos = [preset(name) for name in ("tracking", "surface_follow", "push_pid1",
+                                        "stabiliser", "push_tall")]
+    servos[1] = ServoConfig(servos[1].reference_contact_pose, [0, 10, 0, 0, 0, 0],
+                            servos[1].pid)
+    dts = np.array([[DT], [0.1], [DT], [0.2], [DT]])
+    stack = ServoConfig.stack(servos)
+    singles = [PidState.initial() for _ in servos]
+    pid_stack = PidState.stack(singles)
+    for k in range(4):
+        if k == 2:  # row 3 starts afresh; the rest equal their singles
+            singles[3] = PidState.initial()
+            pid_stack = PidState.stack(singles)
+        observed = exp(rng.normal(0, 0.3, (5, 6))) @ Pose.stack(
+            s.reference_contact_pose for s in servos)
+        cmd, pid_stack, err = servo_step(stack, pid_stack, observed, dts)
+        for i, servo in enumerate(servos):
+            one = Pose(observed.rotation[i], observed.translation[i])
+            c, singles[i], e = servo_step(servo, singles[i], one, dts[i, 0])
+            assert same(cmd[i], c) and same(err.rotation[i], e.rotation)
+            assert same(err.translation[i], e.translation)
+            assert same(pid_stack.integral[i], singles[i].integral)
+            assert same(pid_stack.smoothed_error[i], singles[i].smoothed_error)
+        assert pid_stack.initialized.all()
+
+
 # ---------------------------------------------------------------- presets
 
 def test_preset_names_and_unknown():

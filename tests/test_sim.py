@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from se3kit import control, filtering, sim
+from se3kit import control, filtering, liegroup, sim, uncertainty
 from se3kit.errors import (ApproximationDomainError, CovarianceError, DivergenceError,
-                           NoContactError, SingularTargetError)
+                           NoContactError, PrincipalBranchError, SingularTargetError)
 from se3kit.liegroup import Pose, euler_to_pose, exp, log, pose_to_euler
 from se3kit.sim import (DEFAULT_OBSERVATION_STD, PushedObject, Scenario,
                         SurfaceModel, TrajectoryLog, _check_pose, _cross,
@@ -123,14 +123,58 @@ def test_contact_pose_envelope():
         contact_pose(surface, at(3.0, 11.0), anchor)
 
 
+def test_stacked_contact_pose_matches_single_calls(rng):
+    # One stack over flat, ramp (on and off its arc) and hemisphere
+    # surfaces, some posed away from the origin, with fresh anchors and
+    # anchors that slip: every element's X_fs and anchor are its single
+    # call's, bit for bit.  An element out of the envelope is named.
+    surfaces = [SurfaceModel("flat", exp(np.array([1.0, 2, 3, 0.1, -0.2, 0.3]))),
+                SurfaceModel("ramp", radius=300.0), SurfaceModel("ramp", radius=300.0),
+                SurfaceModel("hemisphere", radius=60.0), SurfaceModel("flat")]
+    tips = [[0, 0, 3.0], [0, -20, 4.0], [0, 40, 5.0], [5, 3, 5.0], [0, 0, 4.0]]
+    poses = [exp(np.array([0, 0, 0, *rng.normal(0, 0.05, 3)])) for _ in tips]
+    poses = [Pose(p.rotation, s.pose.apply(t)) for p, s, t in zip(poses, surfaces, tips)]
+    anchors = [None] * 5
+    for _ in range(3):
+        stacked, stacked_anchors = contact_pose(surfaces, Pose.stack(poses), anchors)
+        for i, (surface, pose, anchor) in enumerate(zip(surfaces, poses, anchors)):
+            single, single_anchor = contact_pose(surface, pose, anchor)
+            assert stacked.rotation[i].tobytes() == single.rotation.tobytes()
+            assert stacked.translation[i].tobytes() == single.translation.tobytes()
+            assert stacked_anchors[i][0].tobytes() == single_anchor[0].tobytes()
+            assert stacked_anchors[i][1] == single_anchor[1]
+        anchors = stacked_anchors
+        # shear past the slip limit and spin past its clamp
+        poses = [Pose(p.rotation @ rot_z(0.2), p.translation + np.array([6.0, 0, 0]))
+                 for p in poses]
+    deep = Pose.stack([Pose(np.eye(3), np.array([0, -20, z])) for z in (4.0, 30.0)])
+    with pytest.raises(NoContactError, match=r"^stack element \[1\]: contact depth 30"):
+        contact_pose(surfaces[1:3], deep, [None, None])
+
+
 def engine_step(arm):
-    """One arm's part of a lockstep step before it steers: sense, then the
-    engine's observation and filter update.  Returns the arm's true X_fs
-    and belief, or None out of contact (a pushing arm)."""
-    if not arm.sense():
+    """One arm's part of a lockstep step before it steers: its batch
+    senses, then observes and filters.  Returns the arm's true X_fs and
+    belief, or None out of contact (a pushing arm); raises the
+    NoContactError of an arm that cannot go on out of contact."""
+    batch = arm.batch
+    for _, err in batch.sense():
+        raise err
+    if not batch.sensed:
         return None
-    sim._filter_arms([arm], sim._observe_arms([arm]))
-    return arm.true_fs, arm.filter.belief
+    batch.update()
+    return arm.true_fs, filter_state(arm).belief
+
+
+def filter_state(arm):
+    """The arm's FilterState, None out of contact."""
+    return arm.batch.state(arm.row)[2]
+
+
+def place(arm, pose):
+    """Put the only arm of its batch at pose."""
+    assert arm.batch.n == 1
+    arm.batch.poses = pose
 
 
 def test_arm_lost_contact_forgets_anchor(monkeypatch):
@@ -153,15 +197,15 @@ def test_arm_lost_contact_forgets_anchor(monkeypatch):
         arm = sim._Arm("probe", SurfaceModel("flat"), at(0.0, 3.0),
                        control.preset("tracking"), scenario, np.random.default_rng(0))
         engine_step(arm)
-        arm.pose = at(3.0, 3.0)
+        place(arm, at(3.0, 3.0))
         true_fs, _ = engine_step(arm)
         assert np.allclose(true_fs.translation, [3, 0, 3], atol=1e-12)
-        arm.pose = lost
+        place(arm, lost)
         with pytest.raises(NoContactError):
             engine_step(arm)
-        assert arm.anchor is None
-        assert arm.filter is None
-        arm.pose = at(4.0, 3.0, 0.1)
+        assert arm.batch.anchors[arm.row] is None
+        assert filter_state(arm) is None
+        place(arm, at(4.0, 3.0, 0.1))
         true_fs, belief = engine_step(arm)
         assert np.allclose(true_fs.translation, [0, 0, 3], atol=1e-12)
         assert pose_to_euler(true_fs)[5] == pytest.approx(0.0, abs=1e-12)
@@ -170,30 +214,35 @@ def test_arm_lost_contact_forgets_anchor(monkeypatch):
 
 
 def test_pushing_arm_out_of_contact_restarts_its_servo_and_presses():
-    # Out of contact a pushing arm forgets the contact, restarts the contact
-    # servo's PID (so re-engaging skips the derivative, as engaging does)
-    # and presses with its feedforward.  The bearing loop tracks the
-    # target, not the contact, so it keeps its state.
+    # Out of contact a pushing arm forgets the contact, drops the contact
+    # servo's PID state (so re-engaging starts it afresh and skips the
+    # derivative, as engaging does) and presses with its feedforward.  The
+    # bearing loop tracks the target, not the contact, so it keeps its
+    # state.
     cfg = control.PushConfig(
         servo=control.preset("push_pid1"),
         bearing_pid=control.preset("push_pid2_single"),
         target_pose_in_work=Pose(np.eye(3), np.array([0.0, 100.0, 200.0])))
     arm = sim._Arm("leader", SurfaceModel("flat"), Pose(np.eye(3), np.array([0.0, 0.0, 3.0])),
                    cfg, Scenario(task="push_single", duration=1.0), np.random.default_rng(0))
+    pid = lambda: arm.batch.state(arm.row)[3]
     assert engine_step(arm) is not None
-    assert arm.steer() is not None
-    assert arm.pid.initialized and arm.bearing.initialized
+    assert arm.batch.steer() == []
+    assert pid().initialized and arm.bearing.initialized
     bearing = arm.bearing
-    arm.pose = Pose(np.eye(3), np.array([0.0, 0.0, -1.0]))
+    place(arm, Pose(np.eye(3), np.array([0.0, 0.0, -1.0])))
     assert engine_step(arm) is None
-    assert arm.steer() is None
-    assert arm.anchor is None and arm.filter is None
-    initial = control.PidState.initial(6)
-    assert not arm.pid.initialized
-    assert np.array_equal(arm.pid.integral, initial.integral)
-    assert np.array_equal(arm.pid.smoothed_error, initial.smoothed_error)
+    assert arm.batch.steer() == []
+    assert arm.batch.anchors[arm.row] is None and filter_state(arm) is None
+    assert pid() is None
     assert arm.bearing is bearing
     assert np.array_equal(arm.command, cfg.servo.feedforward_twist)
+    place(arm, Pose(np.eye(3), np.array([0.0, 0.0, 3.0])))
+    assert engine_step(arm) is not None
+    initial = control.PidState.initial(6)
+    assert not pid().initialized
+    assert np.array_equal(pid().integral, initial.integral)
+    assert np.array_equal(pid().smoothed_error, initial.smoothed_error)
 
 
 def test_contact_pose_slip_limits_bound_shear_and_spin():
@@ -591,23 +640,21 @@ def test_push_single_reaches_target():
 
 def test_push_follower_lost_contact_ends_the_run(monkeypatch):
     # No shipped config loses the follower's contact, so force it: the
-    # follower's surface (the second one sensed) reports no contact at its
-    # 31st sense.  Only the pushing leader re-approaches out of contact; a
-    # follower that loses the object ends the run.
-    contact_pose = sim.contact_pose
-    leader_surface = None
-    follower_calls = 0
+    # engine senses both arms as one stack, the follower second, and at
+    # the 31st sense the follower's surface is swapped for one 1 m away,
+    # so it reads no contact.  Only the pushing leader re-approaches out of
+    # contact; a follower that loses the object ends the run.
+    contact_poses = sim._contact_poses
+    calls = 0
 
-    def follower_loses_contact(surface, sensor_pose, anchor):
-        nonlocal leader_surface, follower_calls
-        leader_surface = leader_surface or surface  # the leader senses first
-        if surface is not leader_surface:
-            follower_calls += 1
-            if follower_calls == 31:
-                raise NoContactError("forced")
-        return contact_pose(surface, sensor_pose, anchor)
+    def follower_loses_contact(surfaces, sensor_poses, anchors):
+        nonlocal calls
+        calls += 1
+        if calls == 31:
+            surfaces = [surfaces[0], SurfaceModel("flat", Pose(np.eye(3), np.full(3, 1e3)))]
+        return contact_poses(surfaces, sensor_poses, anchors)
 
-    monkeypatch.setattr(sim, "contact_pose", follower_loses_contact)
+    monkeypatch.setattr(sim, "_contact_poses", follower_loses_contact)
     with pytest.raises(DivergenceError) as err:
         run_scenario(Scenario(task="push_dual", duration=3.0))
     assert str(err.value).startswith("push_dual step 30: NoContactError")
@@ -665,40 +712,104 @@ LOCKSTEP_BATCHES = {
     "mixed": [Scenario(task="push_dual", duration=5.0, seed=4),
               Scenario(task="push_dual", duration=2.0, tall=True, seed=5),
               Scenario(task="push_single", duration=8.0, seed=6)],
+    # every task and surface kind in one batch: one stacked sense spans
+    # flat, ramp and hemisphere, one stacked servo spans five presets
+    "every_kind": [Scenario(task="track", duration=2.0, seed=7),
+                   Scenario(task="follow", duration=3.0, surface="ramp", seed=8),
+                   Scenario(task="follow", duration=4.0, surface="hemisphere", seed=9),
+                   Scenario(task="push_single", duration=8.0, seed=10),
+                   Scenario(task="push_dual", duration=5.0, seed=11)],
 }
+
+
+def record_stage_sizes(monkeypatch) -> dict:
+    """Record each engine stage's batch size as it runs: the arms sensed
+    and moved, (arms just engaged, arms stepped) per filter update, and
+    the arms in contact per servo step."""
+    sizes = {name: [] for name in ("sense", "update", "steer", "move")}
+    measures = {
+        "sense": lambda batch: batch.n,
+        "update": lambda batch: (sum(row not in batch.group for row in batch.sensed),
+                                 sum(row in batch.group for row in batch.sensed)),
+        "steer": lambda batch: len(batch.contact),
+        "move": lambda batch: batch.n,
+    }
+    for name, measure in measures.items():
+        def recorded(batch, stage=getattr(sim._Batch, name), name=name, measure=measure):
+            sizes[name].append(measure(batch))
+            return stage(batch)
+        monkeypatch.setattr(sim._Batch, name, recorded)
+    return sizes
 
 
 @pytest.mark.parametrize("name", LOCKSTEP_BATCHES)
 def test_lockstep_trials_match_serial_runs(monkeypatch, name):
     scenarios = LOCKSTEP_BATCHES[name]
     serial = [run_scenario(s) for s in scenarios]
-    batches = []  # (arms out of contact until now, arms stepped) per engine update
-    filter_arms = sim._filter_arms
-
-    def recorded(arms, obs):
-        fresh = sum(arm.filter is None for arm in arms)
-        batches.append((fresh, len(arms) - fresh))
-        return filter_arms(arms, obs)
-
-    monkeypatch.setattr(sim, "_filter_arms", recorded)
+    sizes = record_stage_sizes(monkeypatch)
     lockstep = sim.run_scenarios(scenarios)
     assert len(lockstep) == len(serial)
     for (log_a, metrics_a), (log_b, metrics_b) in zip(lockstep, serial):
         assert repr(log_a.rows) == repr(log_b.rows)
         assert repr(metrics_a) == repr(metrics_b)
-    # the updates ran as stacks over the arms of every trial
+    # every stage ran as stacks over the arms of every trial
+    batches = sizes["update"]  # (arms out of contact until now, arms stepped)
     most = max(fresh + stepped for fresh, stepped in batches)
+    arms = sum(2 if s.task == "push_dual" else 1 for s in scenarios)
     if name == "mixed":
         assert most == 4  # both push_dual runs, before the tall one ends
         assert (1, 2) in batches
         assert [len(log_.rows) for log_, _ in serial] == [300, 120, 240]
+    elif name == "every_kind":
+        assert most == 5  # all but push_single, still approaching
+        assert (1, 2) in batches  # push_single engages beside push_dual
     else:
-        assert most == sum(2 if s.task == "push_dual" else 1 for s in scenarios)
+        assert most == arms
+    assert max(sizes["sense"]) == max(sizes["move"]) == arms
+    assert max(sizes["steer"]) == most
+    assert len(sizes["sense"]) == len(sizes["steer"]) == len(sizes["move"])
     if name in ("push_single", "push_dual"):
         # every trial terminates, not all at the same step
         assert all(m["terminated"] for _, m in serial)
         assert len({m["runtime_s"] for _, m in serial}) > 1
     assert any(stepped > 1 for _, stepped in batches)
+
+
+def sabotaged(runner, at: dict, act, phase: int, finished: list):
+    """runner, made to call act(arm) on its last arm at the step `at` names
+    for its trial's seed: before the engine senses it (phase 0) or before
+    it moves it (phase 1).  Appends the seed to finished when it returns."""
+    def run(trial):
+        steps = runner(trial)
+        yields = 0
+        try:
+            while True:
+                arms = next(steps)
+                if yields % 2 == phase and trial.step == at.get(trial.scenario.seed):
+                    act(arms[-1])
+                yields += 1
+                yield arms
+        except StopIteration as done:
+            finished.append(trial.scenario.seed)
+            return done.value
+    return run
+
+
+def serial_error(scenarios) -> str:
+    """The DivergenceError message running the scenarios one by one raises."""
+    with pytest.raises(DivergenceError) as serial:
+        for s in scenarios:
+            run_scenario(s)
+    return str(serial.value)
+
+
+def corrupt_prev_pose(arm):
+    """Move the previous sensor pose in the arm's filter 1e200 mm away."""
+    batch = arm.batch
+    prev = batch.filter.prev_sensor_pose
+    t = prev.translation.copy()
+    t[... if len(batch.contact) == 1 else batch.group[arm.row]] = 1e200
+    batch.filter = filtering.FilterState(batch.filter.belief, Pose(prev.rotation, t))
 
 
 def test_lockstep_reports_the_serial_divergence(monkeypatch):
@@ -707,28 +818,12 @@ def test_lockstep_reports_the_serial_divergence(monkeypatch):
     # predicted covariance overflow inside the stacked filtering.step.  A
     # serial run stops at trial 1; lockstep must report that same error,
     # not trial 2's, which it meets first, nor the stack's wording.
-    run_follow = sim._run_follow
-    corrupt_at = {1: 40, 2: 25}
-
-    def corrupted(trial):
-        run = run_follow(trial)
-        try:
-            while True:
-                sensed = next(run)
-                if trial.step == corrupt_at.get(trial.scenario.seed):
-                    (arm,) = sensed
-                    arm.filter = filtering.FilterState(
-                        arm.filter.belief, Pose(np.eye(3), np.full(3, 1e200)))
-                yield sensed
-        except StopIteration as done:
-            return done.value
-
-    monkeypatch.setattr(sim, "_run_follow", corrupted)
+    finished = []
+    monkeypatch.setattr(sim, "_run_follow", sabotaged(
+        sim._run_follow, {1: 40, 2: 25}, corrupt_prev_pose, 0, finished))
     scenarios = [Scenario(task="follow", duration=3.0, seed=i) for i in range(3)]
-    with pytest.raises(DivergenceError) as serial:
-        for s in scenarios:
-            run_scenario(s)
-    assert str(serial.value) == "follow step 40: CovarianceError: covariance is not finite"
+    serial = serial_error(scenarios)
+    assert serial == "follow step 40: CovarianceError: covariance is not finite"
 
     stacked_errors = []
     step = filtering.step
@@ -741,13 +836,134 @@ def test_lockstep_reports_the_serial_divergence(monkeypatch):
             raise
 
     monkeypatch.setattr(filtering, "step", recorded)
+    finished.clear()
     with pytest.raises(DivergenceError) as lockstep:
         sim.run_scenarios(scenarios)
-    assert str(lockstep.value) == str(serial.value)
+    assert str(lockstep.value) == serial
     assert isinstance(lockstep.value.__cause__, CovarianceError)
+    assert finished == [0]
     # the stacks named the element; the single redo named what a serial run does
     assert "covariance of stack element [2] is not finite" in stacked_errors
     assert "covariance of stack element [1] is not finite" in stacked_errors
+
+
+def test_lockstep_reports_a_lost_contact_as_a_serial_run_does(monkeypatch):
+    # Follow trials 1 and 2 each sink their surface 20 mm at a chosen step,
+    # trial 2 first, so the stacked sense finds their sensors past the
+    # 10 mm depth envelope.  Lockstep reports trial 1's error in the words
+    # of a serial run's single contact_pose, and trial 0 runs to its end.
+    finished = []
+    sink = lambda arm: setattr(arm.surface, "pose", Pose(np.eye(3), np.array([0, 0, -20.0])))
+    monkeypatch.setattr(sim, "_run_follow", sabotaged(
+        sim._run_follow, {1: 40, 2: 25}, sink, 0, finished))
+    scenarios = [Scenario(task="follow", duration=3.0, surface="ramp", seed=i)
+                 for i in range(3)]
+    serial = serial_error(scenarios)
+    assert serial.startswith("follow step 40: NoContactError: contact depth 2")
+    finished.clear()
+    with pytest.raises(DivergenceError) as lockstep:
+        sim.run_scenarios(scenarios)
+    assert str(lockstep.value) == serial
+    assert finished == [0]
+
+
+def test_lockstep_reports_a_move_out_of_the_workspace_as_a_serial_run_does(monkeypatch):
+    # Track trials 1 and 2 each command a 20 m jump at a chosen step, trial
+    # 2 first, so the stacked move takes their followers out of the
+    # workspace.  Lockstep reports trial 1's error in the words of a serial
+    # run's single _integrate_body, and trial 0 runs to its end.
+    finished = []
+
+    def jump(arm):
+        batch = arm.batch
+        commands = np.array(batch.commands)
+        commands[... if batch.n == 1 else arm.row] = 2e4 / arm.dt
+        batch.commands = commands
+
+    monkeypatch.setattr(sim, "_run_track", sabotaged(
+        sim._run_track, {1: 30, 2: 20}, jump, 1, finished))
+    scenarios = [Scenario(task="track", duration=2.0, seed=i) for i in range(3)]
+    serial = serial_error(scenarios)
+    assert serial == ("track step 30: DivergenceError: follower left the workspace "
+                      "(|position| > 10000 mm)")
+    finished.clear()
+    with pytest.raises(DivergenceError) as lockstep:
+        sim.run_scenarios(scenarios)
+    assert str(lockstep.value) == serial
+    assert finished == [0]
+
+
+def test_lockstep_reports_a_pushed_object_step_as_a_serial_run_does(monkeypatch):
+    # At dt 0.5 the leader's first pushes exceed the pushed object's 5 mm
+    # differential limit: seed 0 at step 0, seed 1 at step 1.  Run after a
+    # trial at dt 0.3, which does not, they fail in the stacked object step
+    # one after the other; lockstep reports trial 1's error, as a serial
+    # run does, and trial 0 runs to its end.
+    finished = []
+    monkeypatch.setattr(sim, "_run_push", sabotaged(sim._run_push, {}, None, 0, finished))
+    scenarios = [Scenario(task="push_dual", duration=10.0, dt=dt, seed=seed)
+                 for dt, seed in ((0.3, 0), (0.5, 1), (0.5, 0))]
+    serial = serial_error(scenarios)
+    assert serial.startswith("push_dual step 1: ApproximationDomainError: pusher step")
+    finished.clear()
+    with pytest.raises(DivergenceError) as lockstep:
+        sim.run_scenarios(scenarios)
+    assert str(lockstep.value) == serial
+    assert finished == [0]
+
+
+def test_a_stacked_steer_that_raises_is_redone_one_arm_at_a_time(monkeypatch):
+    # The arm whose single servo step raises is reported with that error
+    # and keeps its PID state; every other arm gets its single command.
+    scenario = Scenario(task="track", duration=1.0)
+    arms = [sim._Arm(f"arm{i}", SurfaceModel("flat"), Pose(np.eye(3), np.array([0, 0, 6.0])),
+                     control.preset("tracking"), scenario, np.random.default_rng(i))
+            for i in range(3)]
+    batch = sim._Batch.of(arms)
+    assert batch.sense() == [] and batch.update() == []
+    servo_step = control.servo_step
+
+    def failing(cfg, pid, observed, dt):
+        if observed.rotation.ndim > 2 or cfg is arms[1].servo:
+            raise PrincipalBranchError("forced")
+        return servo_step(cfg, pid, observed, dt)
+
+    monkeypatch.setattr(control, "servo_step", failing)
+    failures = batch.steer()
+    assert [(row, str(err)) for row, err in failures] == [(1, "forced")]
+    for row in (0, 2):
+        _, _, state, pid = batch.state(row)
+        cmd, single_pid, _ = servo_step(arms[row].servo, control.PidState.initial(6),
+                                        state.belief.mean, scenario.dt)
+        assert np.array_equal(batch.commands[row], cmd)
+        assert np.array_equal(pid.integral, single_pid.integral) and pid.initialized
+    assert not batch.state(1)[3].initialized
+
+
+def test_one_track_trial_runs_single_forms(monkeypatch):
+    # A stack of one costs about twice the single call (exp: 49 us against
+    # 27 us), so a run with one arm calls exp, log and servo_step on single
+    # inputs only, as it did before the lockstep stages were stacked.
+    stacked = []
+    forms = {"exp": lambda xi: np.ndim(xi) > 1,
+             "log": lambda p: p.rotation.ndim > 2,
+             "servo_step": lambda cfg, pid, observed, dt: observed.rotation.ndim > 2}
+    calls = dict.fromkeys(forms, 0)
+    modules = [sim, control, filtering, liegroup, uncertainty]
+    for name, is_stack in forms.items():
+        original = getattr(control if name == "servo_step" else liegroup, name)
+
+        def recorded(*args, original=original, name=name, is_stack=is_stack):
+            calls[name] += 1
+            if is_stack(*args):
+                stacked.append(name)
+            return original(*args)
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, recorded)
+    run_scenario(Scenario(task="track", duration=2.0))
+    assert stacked == []
+    assert all(calls.values())
 
 
 def test_make_study_sequence_contract(rng):
