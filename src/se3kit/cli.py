@@ -306,8 +306,9 @@ def _aggregate(per_trial: list) -> dict:
 
 
 def _run_trials(scenarios: list, stem: str, out_dir: Path, quiet: bool) -> int:
-    # In lockstep: each step observes and filters every trial's arms as one
-    # stack (sim.run_scenarios), and each trial's outputs are its own run's.
+    # In lockstep: each step senses, observes, filters, steers and moves
+    # every trial's arms as one stack (sim.run_scenarios), and each trial's
+    # outputs are its own run's.
     results = sim.run_scenarios(scenarios)
 
     per_trial = []

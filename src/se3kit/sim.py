@@ -320,20 +320,9 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
     spin passes its slip limit; being surface-local, it rides with a
     moving surface.
 
-    A stack of n sensor poses takes a sequence of n surfaces, of any kinds,
-    and of n anchors, and returns (stacked X_fs, [anchor, ...]); each
-    element gets the bits of its single call.
-
     Pure: writes nothing of its arguments.  Raises NoContactError outside
-    the depth envelope [0, 10] mm (in a stack, naming the first such
-    element); the next engagement then passes None.
+    the depth envelope [0, 10] mm; the next engagement then passes None.
     """
-    if sensor_pose.rotation.ndim > 2:
-        x_fs, _, anchors, errors = _contact_poses(surface, sensor_pose, anchor)
-        for i, err in enumerate(errors):
-            if err is not None:
-                raise NoContactError(f"stack element [{i}]: {err}")
-        return x_fs, anchors
     tip_w = sensor_pose.translation
     inv = surface.pose.inverse()
     p_local = inv.apply(tip_w)
@@ -821,11 +810,11 @@ class _Batch:
       arm's row to its row here), single for one such arm.
 
     Each stage runs every arm at once, in single form for one arm, and
-    returns the failures [(row, error)] a single step of each arm would
-    raise, in row order (a stack that raises is redone one arm at a time
-    for them): sense, update (observe and filter), steer, move.  A batch
-    is built from its arms' states, `state(row)` of the batch each is in,
-    whenever its arms change.
+    raises what it meets: sense, update (observe and filter), steer, move.
+    A stack that raises may name any element in any words; the engine
+    then reruns the trials one by one (run_scenarios).  A batch is built
+    from its arms' states, `state(row)` of the batch each is in, whenever
+    its arms change.
     """
 
     def __init__(self, arms, states):
@@ -901,10 +890,10 @@ class _Batch:
         else:
             self.filter = self.pid = self.servo = self.group_dt = None
 
-    def sense(self) -> list:
+    def sense(self) -> None:
         """Measure every arm's true X_fs.  Losing contact forgets it:
         anchor, filter and servo PID state.  Out of contact only a pushing
-        arm goes on; the failures are the other arms' NoContactErrors."""
+        arm goes on; any other arm's NoContactError is raised."""
         if self.n == 1:
             try:
                 self.true_fs, self.anchors[0] = contact_pose(
@@ -921,17 +910,18 @@ class _Batch:
             if len(kept) < len(self.contact):
                 states = self._group_states()
                 self._regroup([self.contact[g] for g in kept], [states[g] for g in kept])
-        return [(row, err) for row, err in enumerate(errors)
-                if err is not None and not self.arms[row].pushing]
+        for arm, err in zip(self.arms, errors):
+            if err is not None and not arm.pushing:
+                raise err
 
-    def update(self) -> list:
+    def update(self) -> None:
         """Observe every arm in contact, each from its own noise stream in
         row order, as one stack (observe for one arm), and fuse the
         observations: one filtering.step over the arms that were in
         contact, filtering.init for each arm that has just engaged."""
         rows = self.sensed
         if not rows:
-            return []
+            return
         if len(rows) == 1:
             arm = self.arms[rows[0]]
             obs = observe(arm.true_fs, arm.rng)
@@ -939,11 +929,14 @@ class _Batch:
             z = np.array([self.arms[row].rng.standard_normal(6) for row in rows])
             obs = _observe(self.true_fs, z)
         if rows == self.contact:
-            return self._step_filters(obs)
+            self.filter = filtering.step(self.filter, obs, self._poses(rows), _DYNAMICS_NOISE)
+            return
         # Some arms have just engaged: the arms in contact are a subset.
         going = [i for i, row in enumerate(rows) if row in self.group]
-        failures = self._step_filters(_element(obs, going if len(going) > 1 else going[0])
-                                      ) if going else []
+        if going:
+            self.filter = filtering.step(
+                self.filter, _element(obs, going if len(going) > 1 else going[0]),
+                self._poses(self.contact), _DYNAMICS_NOISE)
         states = dict(zip(self.contact, self._group_states()))
         for i, row in enumerate(rows):
             if row not in states:
@@ -951,64 +944,29 @@ class _Batch:
                                               self.pose(row)),
                                control.PidState.initial(6))
         self._regroup(rows, [states[row] for row in rows])
-        return failures
 
-    def _step_filters(self, obs: PoseGaussian) -> list:
-        """filtering.step of every arm in contact, with obs in their order."""
-        poses = self._poses(self.contact)
-        try:
-            self.filter = filtering.step(self.filter, obs, poses, _DYNAMICS_NOISE)
-            return []
-        except _STEP_ERRORS as err:
-            if len(self.contact) == 1:
-                return [(self.contact[0], err)]
-        # One arm at a time, for the error each arm's single step raises;
-        # an arm that fails keeps its filter.
-        failures, states = [], self._group_states()
-        for g, row in enumerate(self.contact):
-            state, pid = states[g]
-            try:
-                states[g] = (filtering.step(state, _element(obs, g), self.pose(row),
-                                            _DYNAMICS_NOISE), pid)
-            except _STEP_ERRORS as err:
-                failures.append((row, err))
-        self._regroup(self.contact, states)
-        return failures
-
-    def steer(self) -> list:
+    def steer(self) -> None:
         """Command every arm: one control.servo_step over the arms in
         contact, then the pushing arms' bearing loops (_align).  Out of
         contact a pushing arm presses with its feedforward."""
-        k = len(self.contact)
-        failures = []
-        if not k:
-            cmd = self._feedforwards()
-        else:
-            try:
-                cmd, self.pid, error_pose = control.servo_step(
-                    self.servo, self.pid, self.filter.belief.mean, self.group_dt)
-            except _STEP_ERRORS as err:
-                if k == 1:
-                    self.commands = self._feedforwards()
-                    return [(self.contact[0], err)]
-                cmd, error_pose, failures = self._servo_rows()
-            if self.leaders:
-                cmd = self._align(cmd, error_pose, {row for row, _ in failures})
-            if k < self.n:
-                commands = self._feedforwards()
-                commands[self.contact] = cmd
-                cmd = commands
+        if not self.contact:
+            self.commands = self._feedforwards()
+            return
+        cmd, self.pid, error_pose = control.servo_step(
+            self.servo, self.pid, self.filter.belief.mean, self.group_dt)
+        if self.leaders:
+            cmd = self._align(cmd, error_pose)
+        if len(self.contact) < self.n:
+            commands = self._feedforwards()
+            commands[self.contact] = cmd
+            cmd = commands
         self.commands = cmd
-        return failures
 
-    def _align(self, cmd: np.ndarray, error_pose: Pose, failed: set) -> np.ndarray:
+    def _align(self, cmd: np.ndarray, error_pose: Pose) -> np.ndarray:
         """The servo commands cmd of the arms in contact with each pushing
-        arm's bearing loop added (control.bearing_step, one arm at a time),
-        but for the rows whose servo step failed."""
+        arm's bearing loop added (control.bearing_step, one arm at a time)."""
         single = len(self.contact) == 1
         for g, row in self.leaders:
-            if row in failed:
-                continue
             arm = self.arms[row]
             c, arm.bearing = control.bearing_step(
                 arm.cfg, cmd if single else cmd[g], arm.bearing,
@@ -1025,54 +983,18 @@ class _Batch:
             return self.arms[0].servo.feedforward_twist
         return np.array([arm.servo.feedforward_twist for arm in self.arms])
 
-    def _servo_rows(self) -> tuple:
-        """servo_step of each arm in contact on its own: (commands, error
-        poses, failures); a failed arm keeps its PID state and takes its
-        feedforward."""
-        cmds, errs, pids, failures = [], [], [], []
-        mean = self.filter.belief.mean
-        for g, (row, (_, pid)) in enumerate(zip(self.contact, self._group_states())):
-            arm = self.arms[row]
-            try:
-                cmd, pid, err = control.servo_step(arm.servo, pid, _row(mean, g), arm.dt)
-            except _STEP_ERRORS as e:
-                failures.append((row, e))
-                cmd, err = arm.servo.feedforward_twist, Pose.identity()
-            cmds.append(cmd)
-            errs.append(err)
-            pids.append(pid)
-        self.pid = control.PidState.stack(pids)
-        return np.array(cmds), Pose.stack(errs), failures
-
-    def move(self) -> list:
+    def move(self) -> None:
         """Integrate every arm's command over its time step in the body
-        frame (_integrate_body)."""
+        frame (_integrate_body for one arm)."""
         if self.n == 1:
-            try:
-                self.poses = _integrate_body(self.poses, self.commands, self.dt,
-                                             self.arms[0].name)
-            except _STEP_ERRORS as err:
-                return [(0, err)]
-            return []
-        try:
-            moved = self.poses @ exp(self.commands * self.dt)
-            t = moved.translation
-            if (np.isfinite(moved.rotation).all() and np.isfinite(t).all()
-                    and np.abs(t).max() <= _WORKSPACE_LIMIT):
-                self.poses = moved
-                return []
-        except _STEP_ERRORS:
-            pass
-        failures, poses = [], []
-        for row, arm in enumerate(self.arms):
-            pose = self.pose(row)
-            try:
-                pose = _integrate_body(pose, self.commands[row], arm.dt, arm.name)
-            except _STEP_ERRORS as err:
-                failures.append((row, err))
-            poses.append(pose)
-        self.poses = Pose.stack(poses)
-        return failures
+            self.poses = _integrate_body(self.poses, self.commands, self.dt,
+                                         self.arms[0].name)
+            return
+        moved = self.poses @ exp(self.commands * self.dt)
+        if not (np.isfinite(moved.rotation).all()
+                and np.abs(moved.translation).max() <= _WORKSPACE_LIMIT):
+            raise DivergenceError("an arm left the workspace or its pose is not finite")
+        self.poses = moved
 
 
 def _mean(values):
@@ -1097,7 +1019,7 @@ def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
 
 
 class _Trial:
-    """One scenario in the lockstep engine: its runner, its noise stream
+    """One scenario in the engine: its runner, its noise stream
     PCG64(seed), the step it is in and its arms.
 
     A runner is a generator over the trial: it sets `step` as each step
@@ -1116,39 +1038,44 @@ class _Trial:
         runner = {"track": _run_track, "follow": _run_follow}.get(scenario.task, _run_push)
         self.run = runner(self)
 
-    def diverged(self, e: Exception) -> DivergenceError:
-        err = DivergenceError(
-            f"{self.scenario.task} step {self.step}: {type(e).__name__}: {e}")
-        err.__cause__ = e
-        return err
 
-
-def _advance(live: list, error):
-    """Run each live trial to its next yield: (the trials still live, the
-    error to report).  A trial that raises diverges, and it and every
-    later trial leave."""
-    going = []
-    for trial in live:
+def _advance(trials: list) -> list:
+    """Run each trial to its next yield; returns those not finished."""
+    live = []
+    for trial in trials:
         try:
             trial.arms = next(trial.run)
         except StopIteration as done:
             trial.result = done.value
-            continue
-        except _STEP_ERRORS as e:
-            return going, trial.diverged(e)
-        going.append(trial)
-    return going, error
+        else:
+            live.append(trial)
+    return live
 
 
-def _drop(live: list, error, owners: list, failures: list):
-    """(live, error) after a stage's failures [(row, error)]: the first
-    live trial that owns one diverges, and it and every later trial leave.
-    Failures of trials that have left are not reported."""
-    for row, e in failures:
-        trial = owners[row]
-        if trial in live:
-            return live[:live.index(trial)], trial.diverged(e)
-    return live, error
+def _run(trials: list, stacked: bool) -> list:
+    """Step the trials together to their ends; returns their results.
+
+    Stacked, the arms of every live trial are one batch, rebuilt only
+    when its arms change; else each arm steps alone in the batch it
+    starts in, with the single forms.  Raises the first error a stage or
+    a runner raises.
+    """
+    live, batches = trials, []
+    while True:
+        live = _advance(live)
+        if not live:
+            return [trial.result for trial in trials]
+        arms = [arm for trial in live for arm in trial.arms]
+        if not stacked:
+            batches = [arm.batch for arm in arms]
+        elif not batches or batches[0].arms != arms:
+            batches = [_Batch.of(arms)]
+        for stage in (_Batch.sense, _Batch.update, _Batch.steer):
+            for batch in batches:
+                stage(batch)
+        live = _advance(live)
+        for batch in batches:
+            batch.move()
 
 
 def run_scenarios(scenarios) -> list:
@@ -1159,35 +1086,30 @@ def run_scenarios(scenarios) -> list:
     senses, observes, filters and steers the arms of every live trial as
     one batch (_Batch.sense, update, steer), the trials probe and log, and
     the engine moves every arm (_Batch.move).  The batch keeps the arms'
-    state as stacks from step to step, and is rebuilt only when its arms
-    change.  Each trial draws from its own PCG64(seed) in its arms' order,
-    so it sees the draws of its own run, and every stacked call gives each
-    element the bits of its single call.  A finished trial leaves the
-    batch.
+    state as stacks from step to step.  Each trial draws from its own
+    PCG64(seed) in its arms' order, so it sees the draws of its own run,
+    and every stacked call gives each element the bits of its single
+    call.  A finished trial leaves the batch.
 
-    Raises the DivergenceError that running the scenarios one after
-    another would: the lowest-indexed trial's.  A trial that diverges is
-    dropped with every later trial, and the earlier ones run on.  A stage
-    reports each arm's failure as a single step of that arm raises it, so
-    the error names the trial and step a serial run does.
+    Lockstep is a faster serial run.  If any step raises, the engine
+    throws the lockstep run away and runs the scenarios one after
+    another, each arm alone, and raises that serial run's first error as
+    a DivergenceError naming its task and step.
     """
-    trials = [_Trial(s) for s in scenarios]
-    live, error, batch = trials, None, None
-    while live:
-        live, error = _advance(live, error)
-        if not live:
-            break
-        arms = [arm for trial in live for arm in trial.arms]
-        if batch is None or batch.arms != arms:
-            batch = _Batch.of(arms)
-            owners = [trial for trial in live for _ in trial.arms]
-        for stage in (batch.sense, batch.update, batch.steer):
-            live, error = _drop(live, error, owners, stage())
-        live, error = _advance(live, error)
-        live, error = _drop(live, error, owners, batch.move())
-    if error is not None:
-        raise error
-    return [trial.result for trial in trials]
+    scenarios = list(scenarios)
+    try:
+        return _run([_Trial(s) for s in scenarios], stacked=True)
+    except _STEP_ERRORS:
+        pass
+    results = []
+    for scenario in scenarios:
+        trial = _Trial(scenario)
+        try:
+            results += _run([trial], stacked=False)
+        except _STEP_ERRORS as e:
+            raise DivergenceError(
+                f"{scenario.task} step {trial.step}: {type(e).__name__}: {e}") from e
+    return results
 
 
 def run_scenario(scenario: Scenario):
@@ -1307,7 +1229,9 @@ def _push_plant(face: Pose, prev_tip_face, tip_w: np.ndarray):
     x_f_w = face.rotation[:, 0]
     face = Pose(face.rotation, face.translation + advance * z_f_w)
     if dphi != 0.0:
-        q_w, _, _ = SurfaceModel("flat", face).probe(tip_w)
+        # The tip's projection onto the advanced face.
+        x, y, _ = face.inverse().apply(tip_w).tolist()
+        q_w = face.apply(np.array([x, y, 0.0]))
         # Rotate the face by -dphi about the up axis through the centre of
         # friction.
         cof_w = q_w + _OBJECT_R0 * z_f_w

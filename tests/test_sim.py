@@ -1,6 +1,7 @@
 """Surface geometry, the synthetic observation model, pushing dynamics,
 and the closed-loop scenario runners."""
 
+import copy
 import math
 
 import numpy as np
@@ -127,7 +128,8 @@ def test_stacked_contact_pose_matches_single_calls(rng):
     # One stack over flat, ramp (on and off its arc) and hemisphere
     # surfaces, some posed away from the origin, with fresh anchors and
     # anchors that slip: every element's X_fs and anchor are its single
-    # call's, bit for bit.  An element out of the envelope is named.
+    # call's, bit for bit.  An element out of the envelope gets its single
+    # call's NoContactError, and the others stay in contact.
     surfaces = [SurfaceModel("flat", exp(np.array([1.0, 2, 3, 0.1, -0.2, 0.3]))),
                 SurfaceModel("ramp", radius=300.0), SurfaceModel("ramp", radius=300.0),
                 SurfaceModel("hemisphere", radius=60.0), SurfaceModel("flat")]
@@ -136,7 +138,9 @@ def test_stacked_contact_pose_matches_single_calls(rng):
     poses = [Pose(p.rotation, s.pose.apply(t)) for p, s, t in zip(poses, surfaces, tips)]
     anchors = [None] * 5
     for _ in range(3):
-        stacked, stacked_anchors = contact_pose(surfaces, Pose.stack(poses), anchors)
+        stacked, rows, stacked_anchors, errors = sim._contact_poses(
+            surfaces, Pose.stack(poses), anchors)
+        assert rows == list(range(5)) and errors == [None] * 5
         for i, (surface, pose, anchor) in enumerate(zip(surfaces, poses, anchors)):
             single, single_anchor = contact_pose(surface, pose, anchor)
             assert stacked.rotation[i].tobytes() == single.rotation.tobytes()
@@ -147,9 +151,18 @@ def test_stacked_contact_pose_matches_single_calls(rng):
         # shear past the slip limit and spin past its clamp
         poses = [Pose(p.rotation @ rot_z(0.2), p.translation + np.array([6.0, 0, 0]))
                  for p in poses]
-    deep = Pose.stack([Pose(np.eye(3), np.array([0, -20, z])) for z in (4.0, 30.0)])
-    with pytest.raises(NoContactError, match=r"^stack element \[1\]: contact depth 30"):
-        contact_pose(surfaces[1:3], deep, [None, None])
+    deep = [Pose(np.eye(3), np.array([0, -20, z])) for z in (4.0, 30.0)]
+    stacked, rows, stacked_anchors, errors = sim._contact_poses(
+        surfaces[1:3], Pose.stack(deep), [None, None])
+    with pytest.raises(NoContactError) as single:
+        contact_pose(surfaces[2], deep[1], None)
+    assert isinstance(errors[1], NoContactError) and str(errors[1]) == str(single.value)
+    assert str(errors[1]).startswith("contact depth 30")
+    assert rows == [0] and errors[0] is None and stacked_anchors[1] is None
+    single, single_anchor = contact_pose(surfaces[1], deep[0], None)
+    assert stacked.rotation[0].tobytes() == single.rotation.tobytes()
+    assert stacked.translation[0].tobytes() == single.translation.tobytes()
+    assert stacked_anchors[0][0].tobytes() == single_anchor[0].tobytes()
 
 
 def engine_step(arm):
@@ -158,8 +171,7 @@ def engine_step(arm):
     belief, or None out of contact (a pushing arm); raises the
     NoContactError of an arm that cannot go on out of contact."""
     batch = arm.batch
-    for _, err in batch.sense():
-        raise err
+    batch.sense()
     if not batch.sensed:
         return None
     batch.update()
@@ -227,12 +239,12 @@ def test_pushing_arm_out_of_contact_restarts_its_servo_and_presses():
                    cfg, Scenario(task="push_single", duration=1.0), np.random.default_rng(0))
     pid = lambda: arm.batch.state(arm.row)[3]
     assert engine_step(arm) is not None
-    assert arm.batch.steer() == []
+    arm.batch.steer()
     assert pid().initialized and arm.bearing.initialized
     bearing = arm.bearing
     place(arm, Pose(np.eye(3), np.array([0.0, 0.0, -1.0])))
     assert engine_step(arm) is None
-    assert arm.batch.steer() == []
+    arm.batch.steer()
     assert arm.batch.anchors[arm.row] is None and filter_state(arm) is None
     assert pid() is None
     assert arm.bearing is bearing
@@ -639,25 +651,17 @@ def test_push_single_reaches_target():
 
 
 def test_push_follower_lost_contact_ends_the_run(monkeypatch):
-    # No shipped config loses the follower's contact, so force it: the
-    # engine senses both arms as one stack, the follower second, and at
-    # the 31st sense the follower's surface is swapped for one 1 m away,
-    # so it reads no contact.  Only the pushing leader re-approaches out of
-    # contact; a follower that loses the object ends the run.
-    contact_poses = sim._contact_poses
-    calls = 0
-
-    def follower_loses_contact(surfaces, sensor_poses, anchors):
-        nonlocal calls
-        calls += 1
-        if calls == 31:
-            surfaces = [surfaces[0], SurfaceModel("flat", Pose(np.eye(3), np.full(3, 1e3)))]
-        return contact_poses(surfaces, sensor_poses, anchors)
-
-    monkeypatch.setattr(sim, "_contact_poses", follower_loses_contact)
+    # No shipped config loses the follower's contact, so force it: before
+    # step 30 is sensed the follower's surface moves 1 m away, so it reads
+    # no contact.  Only the pushing leader re-approaches out of contact; a
+    # follower that loses the object ends the run.
+    finished = []
+    away = lambda arm: setattr(arm.surface, "pose", Pose(np.eye(3), np.full(3, 1e3)))
+    monkeypatch.setattr(sim, "_run_push", sabotaged(sim._run_push, {0: 30}, away, 0, finished))
     with pytest.raises(DivergenceError) as err:
         run_scenario(Scenario(task="push_dual", duration=3.0))
     assert str(err.value).startswith("push_dual step 30: NoContactError")
+    assert finished == []
 
 
 def test_tall_push_topples_when_every_depth_error_is_out_of_tolerance(monkeypatch):
@@ -842,9 +846,8 @@ def test_lockstep_reports_the_serial_divergence(monkeypatch):
     assert str(lockstep.value) == serial
     assert isinstance(lockstep.value.__cause__, CovarianceError)
     assert finished == [0]
-    # the stacks named the element; the single redo named what a serial run does
+    # the stack named the element; the serial rerun named what a serial run does
     assert "covariance of stack element [2] is not finite" in stacked_errors
-    assert "covariance of stack element [1] is not finite" in stacked_errors
 
 
 def test_lockstep_reports_a_lost_contact_as_a_serial_run_does(monkeypatch):
@@ -912,32 +915,49 @@ def test_lockstep_reports_a_pushed_object_step_as_a_serial_run_does(monkeypatch)
     assert finished == [0]
 
 
-def test_a_stacked_steer_that_raises_is_redone_one_arm_at_a_time(monkeypatch):
-    # The arm whose single servo step raises is reported with that error
-    # and keeps its PID state; every other arm gets its single command.
-    scenario = Scenario(task="track", duration=1.0)
-    arms = [sim._Arm(f"arm{i}", SurfaceModel("flat"), Pose(np.eye(3), np.array([0, 0, 6.0])),
-                     control.preset("tracking"), scenario, np.random.default_rng(i))
-            for i in range(3)]
-    batch = sim._Batch.of(arms)
-    assert batch.sense() == [] and batch.update() == []
-    servo_step = control.servo_step
+def negate_reference(arm):
+    """Negate the reference rotation the arm's servo composes with: the
+    error pose's trace then reads about -3, past the log's pi branch."""
+    batch = arm.batch
+    servo = copy.copy(batch.servo)
+    ref = servo._reference_inverse
+    rotation = ref.rotation.copy()
+    rotation[... if len(batch.contact) == 1 else batch.group[arm.row]] *= -1.0
+    object.__setattr__(servo, "_reference_inverse", Pose(rotation, ref.translation))
+    batch.servo = servo
 
-    def failing(cfg, pid, observed, dt):
-        if observed.rotation.ndim > 2 or cfg is arms[1].servo:
-            raise PrincipalBranchError("forced")
-        return servo_step(cfg, pid, observed, dt)
 
-    monkeypatch.setattr(control, "servo_step", failing)
-    failures = batch.steer()
-    assert [(row, str(err)) for row, err in failures] == [(1, "forced")]
-    for row in (0, 2):
-        _, _, state, pid = batch.state(row)
-        cmd, single_pid, _ = servo_step(arms[row].servo, control.PidState.initial(6),
-                                        state.belief.mean, scenario.dt)
-        assert np.array_equal(batch.commands[row], cmd)
-        assert np.array_equal(pid.integral, single_pid.integral) and pid.initialized
-    assert not batch.state(1)[3].initialized
+def test_lockstep_reports_a_steer_failure_as_a_serial_run_does(monkeypatch):
+    # Follow trials 1 and 2 each negate their servo's reference rotation at
+    # a chosen step, trial 2 first, so the stacked servo step's log meets
+    # its pi branch.  Lockstep reports trial 1's error in the words of a
+    # serial run's single servo step, and trial 0 runs to its end.
+    finished = []
+    monkeypatch.setattr(sim, "_run_follow", sabotaged(
+        sim._run_follow, {1: 40, 2: 25}, negate_reference, 0, finished))
+    scenarios = [Scenario(task="follow", duration=3.0, seed=i) for i in range(3)]
+    serial = serial_error(scenarios)
+    assert serial.startswith("follow step 40: PrincipalBranchError: rotation angle")
+    finished.clear()
+    with pytest.raises(DivergenceError) as lockstep:
+        sim.run_scenarios(scenarios)
+    assert str(lockstep.value) == serial
+    assert isinstance(lockstep.value.__cause__, PrincipalBranchError)
+    assert finished == [0]
+
+
+def test_a_run_that_does_not_diverge_runs_each_trial_once(monkeypatch):
+    # Only a step that raises makes the engine rerun the trials one by one.
+    started = []
+
+    def counted(trial):
+        started.append(trial.scenario.seed)
+        return run_track(trial)
+
+    run_track = sim._run_track
+    monkeypatch.setattr(sim, "_run_track", counted)
+    sim.run_scenarios([Scenario(task="track", duration=1.0, seed=i) for i in range(3)])
+    assert started == [0, 1, 2]
 
 
 def test_one_track_trial_runs_single_forms(monkeypatch):
