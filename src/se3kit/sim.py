@@ -18,6 +18,7 @@ so pressing deeper along the sensor's +z axis increases contact depth.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -473,14 +474,29 @@ def observe(true_contact: Pose, rng: np.random.Generator) -> PoseGaussian:
 def _observe(true_contact: Pose, z: np.ndarray) -> PoseGaussian:
     """observe's estimate for the standard-normal draw z (6,), or for a
     stack of contacts with one draw per element, z (..., 6)."""
-    std = DEFAULT_OBSERVATION_STD
+    std = np.asarray(DEFAULT_OBSERVATION_STD, dtype=float)
     mean = exp(std * z) @ true_contact.inverse()
-    return PoseGaussian(mean, np.broadcast_to(np.diag(std ** 2), z.shape[:-1] + (6, 6)))
+    cov = _observation_cov(std.tobytes())
+    if z.ndim > 1:
+        cov = np.broadcast_to(cov, z.shape[:-1] + (6, 6))
+    return PoseGaussian._symmetric(mean, cov)
 
 
-def leader_twist(t: float) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _observation_cov(std: bytes) -> np.ndarray:
+    """diag(std^2) of the float stds with these bytes, read-only: every
+    observation made with one DEFAULT_OBSERVATION_STD value shares it."""
+    with np.errstate(over="ignore"):  # an overflowing square is rejected as not finite
+        cov = np.diag(np.frombuffer(std) ** 2)
+    cov.flags.writeable = False
+    return cov
+
+
+def leader_twist(t) -> np.ndarray:
     """Sinusoidal leader velocity (2 pi b / T) cos(2 pi t / T + phase), with
-    the PERIODIC_AMPLITUDE b, PERIODIC_PHASE and PERIODIC_PERIOD T."""
+    the PERIODIC_AMPLITUDE b, PERIODIC_PHASE and PERIODIC_PERIOD T; an
+    array of times (k,) gives (k, 6)."""
+    t = np.asarray(t, dtype=float)[..., None]
     return ((2.0 * math.pi * PERIODIC_AMPLITUDE / PERIODIC_PERIOD)
             * np.cos(2.0 * math.pi * t / PERIODIC_PERIOD + PERIODIC_PHASE))
 
@@ -528,11 +544,12 @@ def _segment_twist(t: float) -> np.ndarray:
     return _SEGMENT_TWISTS[seg] if seg < len(_SEGMENT_TWISTS) else np.zeros(6)
 
 
-# Track profile -> base-frame leader velocity at time t.
+# Track profile -> base-frame leader velocities at an array of times (k,),
+# as a (k, 6) array.
 _LEADER_PROFILES = {
     "periodic": leader_twist,
-    "segments": _segment_twist,
-    "static": lambda t: np.zeros(6),
+    "segments": lambda ts: np.array([_segment_twist(t) for t in ts.tolist()]),
+    "static": lambda ts: np.zeros(ts.shape + (6,)),
 }
 TRACK_PROFILES = tuple(_LEADER_PROFILES)
 
@@ -635,17 +652,43 @@ class TrajectoryLog:
         self._last_t = {}
 
     def add(self, t: float, arm: str, pose: Pose, twist, cov_trace, scalars):
+        """Append one row; a stacked pose of k elements appends k rows in
+        its order, and then t, arm and cov_trace are sequences of k,
+        twist is (k, 6) and each scalar a sequence of k."""
+        if pose.rotation.ndim > 2:
+            self._add_block(t, arm, pose, twist, cov_trace, scalars)
+            return
+        self._check_columns(scalars)
         last = self._last_t.get(arm)
         if last is not None and t <= last:
             raise ValueError(f"timestamps must strictly increase per arm ({arm})")
         self._last_t[arm] = t
-        unknown = set(scalars) - set(self.scalar_columns)
-        if unknown:
-            raise ValueError(f"unknown scalar columns {sorted(unknown)}")
         row = [t, arm, *pose.translation.tolist(), *_quaternion_from_rotation(pose.rotation),
                *np.asarray(twist).tolist(), cov_trace]
         row.extend(scalars.get(k) for k in self.scalar_columns)
         self.rows.append(row)
+
+    def _add_block(self, ts, arms, pose, twists, cov_traces, scalars):
+        """add's stacked form: every check before any row is appended, the
+        quaternions as one stack (_quaternions)."""
+        self._check_columns(scalars)
+        last = dict(self._last_t)
+        for t, arm in zip(ts, arms, strict=True):
+            if arm in last and t <= last[arm]:
+                raise ValueError(f"timestamps must strictly increase per arm ({arm})")
+            last[arm] = t
+        self._last_t = last
+        none = [None] * len(arms)
+        columns = [scalars.get(k, none) for k in self.scalar_columns]
+        for t, arm, p, q, twist, cov_trace, *values in zip(
+                ts, arms, pose.translation.tolist(), _quaternions(pose.rotation).tolist(),
+                np.asarray(twists).tolist(), cov_traces, *columns, strict=True):
+            self.rows.append([t, arm, *p, *q, *twist, cov_trace, *values])
+
+    def _check_columns(self, scalars) -> None:
+        unknown = set(scalars) - set(self.scalar_columns)
+        if unknown:
+            raise ValueError(f"unknown scalar columns {sorted(unknown)}")
 
     @property
     def header(self):
@@ -690,6 +733,27 @@ def _quaternion_from_rotation(r: np.ndarray) -> list:
     return q.tolist()
 
 
+def _quaternions(r: np.ndarray) -> np.ndarray:
+    """_quaternion_from_rotation of each rotation of a (k, 3, 3) stack, as
+    (k, 4): its branches and operations elementwise and its norm through
+    _dots, so each row gets the bits of its single call."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.transpose(1, 2, 0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # every branch for every rotation; each row takes the first that holds
+        s = [np.sqrt(r00 + r11 + r22 + 1.0) * 2.0,
+             np.sqrt(1.0 + r00 - r11 - r22) * 2.0,
+             np.sqrt(1.0 + r11 - r00 - r22) * 2.0,
+             np.sqrt(1.0 + r22 - r00 - r11) * 2.0]
+        q = np.select(
+            [r00 + r11 + r22 > 0.0, (r00 > r11) & (r00 > r22), r11 > r22],
+            [[0.25 * s[0], (r21 - r12) / s[0], (r02 - r20) / s[0], (r10 - r01) / s[0]],
+             [(r21 - r12) / s[1], 0.25 * s[1], (r01 + r10) / s[1], (r02 + r20) / s[1]],
+             [(r02 - r20) / s[2], (r01 + r10) / s[2], 0.25 * s[2], (r12 + r21) / s[2]]],
+            [(r10 - r01) / s[3], (r02 + r20) / s[3], (r12 + r21) / s[3], 0.25 * s[3]]).T.copy()
+    q = q / np.sqrt(_dots(q, q))[:, None]
+    return np.where(q[:, :1] < 0, -q, q)
+
+
 def _check_pose(pose: Pose, what: str) -> Pose:
     t = pose.translation.tolist()
     if not all(map(math.isfinite, pose.rotation.ravel().tolist() + t)):
@@ -705,10 +769,13 @@ def _integrate_body(pose: Pose, twist: np.ndarray, dt: float, what: str) -> Pose
     return _check_pose(pose @ exp(twist * dt), what)
 
 
-def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str) -> Pose:
+def _integrate_base_frame(pose: Pose, v: np.ndarray, dt: float, what: str,
+                          rot: np.ndarray | None = None) -> Pose:
     """Base-frame Cartesian velocity: translation in world axes, rotation
-    about the end-effector's own origin (world axes)."""
-    rot = exp(np.concatenate([np.zeros(3), v[3:] * dt])).rotation
+    about the end-effector's own origin (world axes).  rot, if given, is
+    the rotation step exp((0, v[3:] dt)), computed beforehand."""
+    if rot is None:
+        rot = exp(np.concatenate([np.zeros(3), v[3:] * dt])).rotation
     new = Pose(rot @ pose.rotation, pose.translation + v[:3] * dt)
     return _check_pose(new, what)
 
@@ -772,16 +839,20 @@ class _Arm:
         cos = float(np.dot(pose.rotation[:, 2], n_w))
         return q_w, depth, math.degrees(math.acos(min(1.0, max(-1.0, cos))))
 
+    @property
+    def cov_trace(self):
+        """The trace of the belief covariance, None out of contact."""
+        batch = self.batch
+        g = batch.group.get(self.row)
+        if g is None:
+            return None
+        cov = batch.filter.belief.cov
+        return float(np.trace(cov if len(batch.contact) == 1 else cov[g]))
+
     def log_row(self, log_: TrajectoryLog, t: float, scalars: dict) -> None:
         """Log the arm's pose, command and belief covariance trace (empty
         out of contact) with the task's scalars."""
-        batch = self.batch
-        g = batch.group.get(self.row)
-        cov_trace = None
-        if g is not None:
-            cov = batch.filter.belief.cov
-            cov_trace = float(np.trace(cov if len(batch.contact) == 1 else cov[g]))
-        log_.add(t, self.name, self.pose, self.command, cov_trace, scalars)
+        log_.add(t, self.name, self.pose, self.command, self.cov_trace, scalars)
 
 
 def _row(pose: Pose, i) -> Pose:
@@ -1007,8 +1078,11 @@ def _column_means(rows, width: int) -> list:
 
 
 def _mm_deg(v: np.ndarray):
-    """Translational (mm) and rotational (deg) size of a tangent error."""
-    return _norm(v[:3]), math.degrees(_norm(v[3:]))
+    """Translational (mm) and rotational (deg) sizes of a stack of tangent
+    errors (k, 6), as lists: each norm with _norm's bits."""
+    mm = np.sqrt(_dots(v[:, :3], v[:, :3])).tolist()
+    rad = np.sqrt(_dots(v[:, 3:], v[:, 3:])).tolist()
+    return mm, [math.degrees(x) for x in rad]
 
 
 def _metrics(scenario: Scenario, depth_error, normal_angle, settled: bool,
@@ -1026,7 +1100,10 @@ class _Trial:
     begins and yields its arms twice per step, first to have the engine
     sense, filter and steer them, then to have it move them, and returns
     (log, metrics).  Between the yields and after the second it probes,
-    logs and moves everything else its step has.
+    logs and moves everything else its step has; the track runner records
+    its steps and logs them in blocks (_log_track_steps).  A runner thrown
+    an error at a yield raises it, or the error of an earlier step it has
+    not logged yet, with `step` naming that step.
     """
 
     def __init__(self, scenario: Scenario):
@@ -1058,24 +1135,32 @@ def _run(trials: list, stacked: bool) -> list:
     Stacked, the arms of every live trial are one batch, rebuilt only
     when its arms change; else each arm steps alone in the batch it
     starts in, with the single forms.  Raises the first error a stage or
-    a runner raises.
+    a runner raises, after throwing it into the live runners, so that a
+    runner's own earlier error comes first.
     """
     live, batches = trials, []
-    while True:
-        live = _advance(live)
-        if not live:
-            return [trial.result for trial in trials]
-        arms = [arm for trial in live for arm in trial.arms]
-        if not stacked:
-            batches = [arm.batch for arm in arms]
-        elif not batches or batches[0].arms != arms:
-            batches = [_Batch.of(arms)]
-        for stage in (_Batch.sense, _Batch.update, _Batch.steer):
+    try:
+        while True:
+            live = _advance(live)
+            if not live:
+                return [trial.result for trial in trials]
+            arms = [arm for trial in live for arm in trial.arms]
+            if not stacked:
+                batches = [arm.batch for arm in arms]
+            elif not batches or batches[0].arms != arms:
+                batches = [_Batch.of(arms)]
+            for stage in (_Batch.sense, _Batch.update, _Batch.steer):
+                for batch in batches:
+                    stage(batch)
+            live = _advance(live)
             for batch in batches:
-                stage(batch)
-        live = _advance(live)
-        for batch in batches:
-            batch.move()
+                batch.move()
+    except _STEP_ERRORS as err:
+        # A runner that logs in blocks holds steps it has not logged; thrown
+        # the error, it logs them first and raises the first error.
+        for trial in live:
+            trial.run.throw(err)
+        raise
 
 
 def run_scenarios(scenarios) -> list:
@@ -1126,10 +1211,95 @@ def run_scenario(scenario: Scenario):
     return run_scenarios([scenario])[0]
 
 
+# The track runner logs its steps in blocks of this many.  Each step copies
+# what it logs into arrays made once (55 floats); each block's errors,
+# probes and rows are then computed as stacks, whose temporaries grow with
+# the block.  On a 2700-step run (track_periodic, one trial) the CLI's
+# peak RSS read 42.3 MB logging each step as it went, 42.5 MB in blocks
+# of 128, 42.7 MB in blocks of 256 and 47.0 MB in one block for the whole
+# run, which was no faster.
+_LOG_BLOCK = 128
+
+
+class _TrackSteps:
+    """The steps the track runner has recorded and not logged yet, at most
+    _LOG_BLOCK, in arrays made once: each step's leader pose, and the
+    follower's pose, command, belief covariance trace, true X_fs and
+    belief mean."""
+
+    def __init__(self, size: int):
+        # leader, follower, true X_fs, belief mean
+        self.rotations = np.empty((4, size, 3, 3))
+        self.translations = np.empty((4, size, 3))
+        self.commands = np.empty((size, 6))
+        self.cov_traces = np.empty(size)
+
+    def record(self, i: int, leader: Pose, follower: _Arm) -> None:
+        for j, pose in enumerate((leader, follower.pose, follower.true_fs,
+                                  follower.belief_mean)):
+            self.rotations[j, i] = pose.rotation
+            self.translations[j, i] = pose.translation
+        self.commands[i] = follower.command
+        self.cov_traces[i] = follower.cov_trace
+
+
+def _track_errors(true_fs: Pose, belief: Pose, ref_inv: Pose):
+    """The tracking error log(X_sf ref^-1) and the estimate error
+    log(belief X_sf^-1) of the true contact; single or stacked."""
+    true_sf = true_fs.inverse()
+    return log(true_sf @ ref_inv), log(belief @ true_sf.inverse())
+
+
+def _log_track_steps(trial: _Trial, log_: TrajectoryLog, steps: _TrackSteps, start: int,
+                     v: np.ndarray, ref_inv: Pose, steady_t: float) -> np.ndarray:
+    """Log the recorded steps start, start + 1, ..., one per row of the
+    leader velocities v, as stacks: each step's leader row, then its
+    follower row.  Returns (|depth - 6|, normal angle, track mm, deg,
+    estimate mm, deg) of each step from steady_t on, (6, m).
+
+    Every stacked call gives each step the bits of its single call.  If
+    the errors' stack raises, the steps are redone one at a time with the
+    single forms, so the error names its step (trial.step) in the words
+    of a run that logs each step as it goes."""
+    n = len(v)
+    leader, follower, true_fs, belief = (
+        Pose(r[:n], t[:n]) for r, t in zip(steps.rotations, steps.translations))
+    try:
+        track, est = _track_errors(true_fs, belief, ref_inv)
+    except DOMAIN_ERRORS:
+        for i in range(n):
+            trial.step = start + i
+            _track_errors(_row(true_fs, i), _row(belief, i), ref_inv)
+        raise
+    track_mm, track_deg = _mm_deg(track)
+    est_mm, est_deg = _mm_deg(est)
+    # _Arm.probe of the follower on the flat surface riding on the leader
+    depth = ((follower.translation[:, None, :] @ leader.rotation)[:, 0, :]
+             + leader.inverse().translation)[:, 2]
+    cos = _dots(follower.rotation[:, :, 2], leader.rotation @ np.array([0.0, 0.0, 1.0]))
+    angle = [math.degrees(math.acos(min(1.0, max(-1.0, c)))) for c in cos.tolist()]
+
+    t = np.arange(start, start + n) * trial.scenario.dt
+    ts, none = t.tolist(), [None] * n
+
+    def both(leader_cells, follower_cells):
+        return [cell for pair in zip(leader_cells, follower_cells) for cell in pair]
+
+    scalars = (depth.tolist(), track_mm, track_deg, est_mm, est_deg)
+    log_.add(both(ts, ts), ["leader", "follower"] * n,
+             Pose(steps.rotations[:2, :n].swapaxes(0, 1).reshape(-1, 3, 3),
+                  steps.translations[:2, :n].swapaxes(0, 1).reshape(-1, 3)),
+             np.stack((v, steps.commands[:n]), axis=1).reshape(-1, 6),
+             both(none, steps.cov_traces[:n].tolist()),
+             {k: both(none, cells) for k, cells in zip(log_.scalar_columns, scalars)})
+    return np.array([np.abs(depth - 6.0), angle, track_mm, track_deg, est_mm, est_deg])[
+        :, t >= steady_t]
+
+
 def _run_track(trial: _Trial):
     scenario = trial.scenario
     dt = scenario.dt
-    leader_velocity = _LEADER_PROFILES[scenario.track_profile]
+    leader_velocities = _LEADER_PROFILES[scenario.track_profile]
     leader = Pose.identity()
     # Reference depth is 6 mm, so the follower engages exactly at reference.
     follower = _Arm("follower", SurfaceModel("flat", leader),
@@ -1140,28 +1310,39 @@ def _run_track(trial: _Trial):
     log_ = TrajectoryLog(("depth_mm", "track_error_mm", "track_error_deg",
                           "est_error_mm", "est_error_deg"))
     steady_t = min(max(5.0, 0.5 * scenario.duration), scenario.duration)
-    steady = []  # (|depth - 6|, normal angle, track mm, deg, estimate mm, deg)
+    steady = []  # each block's steady-state values (_log_track_steps)
+    steps = _TrackSteps(min(_LOG_BLOCK, scenario.n_steps))
+    recorded = 0  # steps of this block recorded so far
+    try:
+        for start in range(0, scenario.n_steps, _LOG_BLOCK):
+            v = leader_velocities(np.arange(start, min(start + _LOG_BLOCK, scenario.n_steps))
+                                  * dt)
+            xi = np.zeros_like(v)
+            xi[:, 3:] = v[:, 3:] * dt
+            try:
+                turns = exp(xi).rotation
+            except ApproximationDomainError:
+                turns = [None] * len(v)  # each step's own exp raises, at its step
+            for i, turn in enumerate(turns):
+                trial.step = start + i
+                leader = _integrate_base_frame(leader, v[i], dt, "leader", turn)
+                follower.surface.pose = leader
+                yield follower,  # sensed, filtered and steered
+                steps.record(i, leader, follower)
+                recorded = i + 1
+                yield follower,  # moved
+            recorded = 0
+            steady.append(_log_track_steps(trial, log_, steps, start, v, ref_inv, steady_t))
+    except _STEP_ERRORS:
+        # The run ends at this error, but a step recorded before it may
+        # raise when logged, as it would have first in a run that logs each
+        # step as it goes.
+        if recorded:
+            _log_track_steps(trial, log_, steps, start, v[:recorded], ref_inv, steady_t)
+        raise
 
-    for k in range(scenario.n_steps):
-        trial.step = k
-        t = k * dt
-        v = leader_velocity(t)
-        leader = _integrate_base_frame(leader, v, dt, "leader")
-        follower.surface.pose = leader
-
-        yield follower,  # sensed, filtered and steered
-        true_sf = follower.true_fs.inverse()
-        track_err = _mm_deg(log(true_sf @ ref_inv))
-        est_err = _mm_deg(log(follower.belief_mean @ true_sf.inverse()))
-        _, depth, angle = follower.probe()
-        if t >= steady_t:
-            steady.append((abs(depth - 6.0), angle, *track_err, *est_err))
-        log_.add(t, "leader", leader, v, None, {})
-        follower.log_row(log_, t, dict(zip(log_.scalar_columns,
-                                           (depth, *track_err, *est_err))))
-        yield follower,  # moved
-
-    depth_err, angle, track_mm, track_deg, est_mm, est_deg = _column_means(steady, 6)
+    depth_err, angle, track_mm, track_deg, est_mm, est_deg = (
+        float(np.mean(c)) if c.size else None for c in np.concatenate(steady, axis=1))
     return log_, _metrics(
         scenario, depth_err, angle, track_mm is not None and track_mm < 5.0,
         scenario.n_steps * dt, track_error_mm=track_mm, track_error_deg=track_deg,

@@ -69,6 +69,11 @@ def _as_cov(cov, batch: tuple) -> np.ndarray:
     # an entry that overflows here is rejected as not finite just below
     with np.errstate(over="ignore", invalid="ignore"):
         cov = _symmetrize(cov)
+    return _finite(cov)
+
+
+def _finite(cov: np.ndarray) -> np.ndarray:
+    """cov, or CovarianceError naming the first element that is not finite."""
     if not np.isfinite(cov).all():
         where = _stack_label(~np.isfinite(cov).all(axis=(-2, -1)))
         what = f"covariance of stack element {where}" if where else "covariance"
@@ -87,6 +92,15 @@ class PoseGaussian:
 
     def __post_init__(self):
         object.__setattr__(self, "cov", _as_cov(self.cov, self.mean.rotation.shape[:-2]))
+
+    @classmethod
+    def _symmetric(cls, mean: Pose, cov: np.ndarray) -> "PoseGaussian":
+        """A PoseGaussian whose covariances are symmetric by construction and
+        shaped for the mean: checked finite, not symmetrized again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "mean", mean)
+        object.__setattr__(g, "cov", _finite(cov))
+        return g
 
     @classmethod
     def stack(cls, gaussians) -> "PoseGaussian":
@@ -212,7 +226,7 @@ def fuse(a: PoseGaussian, b: PoseGaussian) -> PoseGaussian:
     """
     for mean, cov, _ in _fuse_iterates(a, b):
         pass
-    return PoseGaussian(mean, cov)
+    return PoseGaussian._symmetric(mean, cov)  # _fuse_iterates symmetrized cov
 
 
 def _largest_frobenius_sq(block: np.ndarray) -> float:

@@ -362,6 +362,23 @@ def test_observe_tiny_noise_limit(rng, monkeypatch):
     assert np.array_equal(obs.cov, np.diag(std ** 2))
 
 
+def test_observations_share_one_read_only_covariance(rng, monkeypatch):
+    # diag(std^2) is built once per DEFAULT_OBSERVATION_STD value, read at
+    # call time, and still checked finite on every observation.
+    true = euler_to_pose(1.0, -1.0, 3.0, 0.05, 0.02, -0.04)
+    first, second = observe(true, rng), observe(true, rng)
+    assert first.cov is second.cov
+    assert not first.cov.flags.writeable
+    assert np.array_equal(first.cov, np.diag(DEFAULT_OBSERVATION_STD ** 2))
+    stacked = sim._observe(Pose.stack([true] * 3), rng.standard_normal((3, 6)))
+    assert np.array_equal(stacked.cov, np.broadcast_to(first.cov, (3, 6, 6)))
+    monkeypatch.setattr(sim, "DEFAULT_OBSERVATION_STD", 2.0 * DEFAULT_OBSERVATION_STD)
+    assert np.array_equal(observe(true, rng).cov, np.diag(4.0 * DEFAULT_OBSERVATION_STD ** 2))
+    monkeypatch.setattr(sim, "DEFAULT_OBSERVATION_STD", np.full(6, 1e200))
+    with pytest.raises(CovarianceError, match="^covariance is not finite"):
+        sim._observe(true, np.zeros(6))  # a zero draw, so that only std^2 overflows
+
+
 # Whitening poses: near the identity, where any chart agrees with the
 # left-perturbation one, and at the edge of the filter study's sampling
 # range (5 mm off-axis, 25 deg tilt), where a covariance reported in
@@ -577,6 +594,9 @@ def test_log_rejects_unknown_scalar():
     with pytest.raises(ValueError):
         log_.add(0.0, "leader", Pose.identity(), np.zeros(6), 1.0,
                  {"speed": 1.0})
+    # the rejected row took no timestamp
+    log_.add(0.0, "leader", Pose.identity(), np.zeros(6), 1.0, {"depth_mm": 3.0})
+    assert len(log_.rows) == 1
 
 
 def test_log_csv_layout(tmp_path):
@@ -608,6 +628,58 @@ def test_quaternion_convention(rng):
         if ref[0] < 0:
             ref = -ref
         assert np.allclose(q, ref, atol=1e-9)
+
+
+def test_log_block_form_appends_the_single_forms_rows(rng):
+    # Rows for two arms, interleaved, with a None cell and a missing scalar.
+    arms = ["leader", "follower"] * 3
+    times = [0.0, 0.0, DT, DT, 2 * DT, 2 * DT]
+    poses = [exp(rng.normal(size=6)) for _ in arms]
+    twists = rng.normal(size=(6, 6))
+    traces = [None, 1.5, None, 2.5, None, 3.5]
+    depths = [None, 3.0, None, 3.25, None, 3.5]
+    single = TrajectoryLog(("depth_mm", "bearing_rad"))
+    for t, arm, pose, twist, trace, depth in zip(times, arms, poses, twists, traces, depths):
+        single.add(t, arm, pose, twist, trace, {"depth_mm": depth})
+    block = TrajectoryLog(("depth_mm", "bearing_rad"))
+    block.add(times, arms, Pose.stack(poses), twists, traces, {"depth_mm": depths})
+    assert repr(block.rows) == repr(single.rows)
+    # a block keeps both checks, and appends nothing when one fails
+    p = Pose.stack(poses[:2])
+    with pytest.raises(ValueError, match="strictly increase"):
+        block.add([3 * DT, 2 * DT], ["leader"] * 2, p, twists[:2], [None] * 2, {})
+    with pytest.raises(ValueError, match="strictly increase"):
+        block.add([3 * DT, 3 * DT], ["leader"] * 2, p, twists[:2], [None] * 2, {})
+    with pytest.raises(ValueError, match="unknown scalar"):
+        block.add([3 * DT] * 2, arms[:2], p, twists[:2], [None] * 2, {"speed": [1.0] * 2})
+    assert len(block.rows) == 6
+    block.add([3 * DT] * 2, arms[:2], p, twists[:2], [None] * 2, {})
+    assert len(block.rows) == 8
+
+
+def test_quaternions_match_the_single_form_bit_for_bit(rng):
+    # Random rotations, half and near-half turns about each axis (the
+    # branches off the positive trace, where w may come out negative and
+    # the quaternion flips), the identity, and entries of -0.0.
+    rotations = [Rotation.random(random_state=rng).as_matrix() for _ in range(400)]
+    for axis in np.eye(3):
+        for angle in (math.pi, math.pi - 1e-3, -(math.pi - 1e-3), 2.5, -2.5):
+            rotations.append(Rotation.from_rotvec(angle * axis).as_matrix())
+    rotations += [np.eye(3), np.diag([1.0, -1.0, -1.0]), -np.diag([1.0, 1.0, -1.0])]
+    rotations.append(np.array([[-0.0, -1.0, 0.0], [1.0, -0.0, -0.0], [0.0, 0.0, 1.0]]))
+    r = np.array(rotations)
+    stacked = sim._quaternions(r)
+    single = np.array([_quaternion_from_rotation(m) for m in r])
+    assert stacked.tobytes() == single.tobytes()
+    # every branch and the sign flip were taken
+    trace = r[:, 0, 0] + r[:, 1, 1] + r[:, 2, 2]
+    x_first = (trace <= 0) & (r[:, 0, 0] > r[:, 1, 1]) & (r[:, 0, 0] > r[:, 2, 2])
+    y_first = (trace <= 0) & ~x_first & (r[:, 1, 1] > r[:, 2, 2])
+    z_first = (trace <= 0) & ~x_first & ~y_first
+    assert min(np.count_nonzero(b) for b in (trace > 0, x_first, y_first, z_first)) >= 5
+    w = np.select([x_first, y_first, z_first],
+                  [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], 0.0)
+    assert np.count_nonzero(w < 0) >= 5
 
 
 # ------------------------------------------------------------ scenario runs
@@ -677,6 +749,82 @@ def test_tall_push_topples_when_every_depth_error_is_out_of_tolerance(monkeypatc
     assert metrics["terminated"] is False
     assert metrics["settled"] is False
     assert metrics["stability_margin_final"] <= 0.0
+
+
+@pytest.mark.parametrize("duration,profile", [
+    (2.0, "periodic"),    # 60 steps: shorter than a block, 8 blocks of 7 and 4 steps
+    (2.1, "periodic"),    # 63 steps: 9 whole blocks of 7
+    (10.5, "segments"),   # 315 steps: 2 blocks of 128 and 59 steps, a segment change
+])
+def test_track_logs_the_same_rows_in_any_block_length(monkeypatch, duration, profile):
+    scenario = Scenario(task="track", duration=duration, track_profile=profile, seed=4)
+    expected_log, expected_metrics = run_scenario(scenario)
+    for block in (1, 7):
+        monkeypatch.setattr(sim, "_LOG_BLOCK", block)
+        log_, metrics = run_scenario(scenario)
+        assert repr(log_.rows) == repr(expected_log.rows)
+        assert repr(metrics) == repr(expected_metrics)
+
+
+def test_a_logged_error_names_its_own_step(monkeypatch):
+    # Only the track runner's logging calls sim.log.  Step 13's logged
+    # tracking error is turned into a half turn, where log has no single
+    # value: the run stops at step 13 in a single log's words, whatever
+    # the block length, and also when the engine diverges at step 15, in
+    # the same block, before the block is logged.
+    scenario = Scenario(task="track", duration=2.0, seed=3)
+    real_log = sim.log
+    inputs = []
+    monkeypatch.setattr(sim, "log", lambda p: inputs.append(p) or real_log(p))
+    run_scenario(scenario)
+    target = inputs[0].translation[13]  # the tracking errors of steps 0-59
+
+    def half_turn_at_13(p):
+        hit = (p.translation == target).all(axis=-1)
+        return real_log(Pose(np.where(hit[..., None, None], np.diag([1.0, -1.0, -1.0]),
+                                      p.rotation), p.translation))
+
+    integrate, run_track = sim._integrate_body, sim._run_track
+    moves = []  # the follower's moves in this trial's run
+
+    def jump_at_15(pose, twist, dt, what):
+        moves.append(what)
+        if len(moves) == 16:
+            twist = twist + np.array([2e4 / dt, 0, 0, 0, 0, 0])
+        return integrate(pose, twist, dt, what)
+
+    def counted(trial):
+        moves.clear()  # the engine reruns a trial that diverges
+        return run_track(trial)
+
+    monkeypatch.setattr(sim, "_run_track", counted)
+
+    def error(block, jump):
+        monkeypatch.setattr(sim, "_LOG_BLOCK", block)
+        monkeypatch.setattr(sim, "_integrate_body", jump_at_15 if jump else integrate)
+        with pytest.raises(DivergenceError) as err:
+            run_scenario(scenario)
+        return err.value
+
+    assert str(error(256, True)) == ("track step 15: DivergenceError: follower left the "
+                                     "workspace (|position| > 10000 mm)")
+    monkeypatch.setattr(sim, "log", half_turn_at_13)
+    for block in (1, 7, 256):
+        for jump in (False, True):
+            err = error(block, jump)
+            assert str(err) == ("track step 13: PrincipalBranchError: rotation angle "
+                                "3.141592654 rad is within 1e-6 of pi; log is not "
+                                "single-valued there")
+            assert isinstance(err.__cause__, PrincipalBranchError)
+
+
+def test_a_leader_step_out_of_the_exp_domain_names_its_step():
+    # The leader's rotation steps are one stacked exp per block; an angle
+    # that overflows is reported at its step in a single exp's words.
+    with pytest.raises(DivergenceError) as err:
+        run_scenario(Scenario(task="track", duration=1e300, dt=1e299))
+    assert str(err.value) == ("track step 0: ApproximationDomainError: rotation angle inf "
+                              "is not finite")
 
 
 def test_track_run_deterministic(tmp_path):
@@ -963,8 +1111,12 @@ def test_a_run_that_does_not_diverge_runs_each_trial_once(monkeypatch):
 def test_one_track_trial_runs_single_forms(monkeypatch):
     # A stack of one costs about twice the single call (exp: 49 us against
     # 27 us), so a run with one arm calls exp, log and servo_step on single
-    # inputs only, as it did before the lockstep stages were stacked.
-    stacked = []
+    # inputs in every step, as it did before the lockstep stages were
+    # stacked.  The track runner's logging runs once per block of steps:
+    # one stacked exp for the leader's rotation steps and two stacked logs
+    # for the logged errors.  60 steps in blocks of 16 are 4 blocks.
+    monkeypatch.setattr(sim, "_LOG_BLOCK", 16)
+    stacked = dict(exp=0, log=0, servo_step=0)
     forms = {"exp": lambda xi: np.ndim(xi) > 1,
              "log": lambda p: p.rotation.ndim > 2,
              "servo_step": lambda cfg, pid, observed, dt: observed.rotation.ndim > 2}
@@ -976,14 +1128,14 @@ def test_one_track_trial_runs_single_forms(monkeypatch):
         def recorded(*args, original=original, name=name, is_stack=is_stack):
             calls[name] += 1
             if is_stack(*args):
-                stacked.append(name)
+                stacked[name] += 1
             return original(*args)
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, recorded)
     run_scenario(Scenario(task="track", duration=2.0))
-    assert stacked == []
-    assert all(calls.values())
+    assert stacked == {"exp": 4, "log": 8, "servo_step": 0}
+    assert all(calls[name] - stacked[name] >= 60 for name in forms)
 
 
 def test_make_study_sequence_contract(rng):

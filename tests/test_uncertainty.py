@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from se3kit import uncertainty
 from se3kit.errors import CovarianceError
 from se3kit.liegroup import (Pose, adjoint, exp, left_jacobian, log)
 from se3kit.uncertainty import (EuclideanGaussian, PoseGaussian, _fuse_iterates, density, fuse,
@@ -522,6 +523,25 @@ def test_non_finite_covariance_raises_per_stack_element(rng):
     qs[3] = 1e308 * np.eye(6)
     with pytest.raises(CovarianceError, match=r"stack element \[3\] is not finite"):
         transform(a[0], Pose.stack(g.mean for g in a), qs)
+
+
+def test_fuse_returns_its_last_pass_without_symmetrizing_it_again(rng, monkeypatch):
+    # The last pass's covariance is symmetric by construction: fuse returns
+    # that very array, and still rejects it, naming the element, when it
+    # is not finite.
+    a, b = fusion_inputs(rng)
+    stack_a, stack_b = PoseGaussian.stack(a), PoseGaussian.stack(b)
+    mean, cov, passes = list(_fuse_iterates(stack_a, stack_b))[-1]
+
+    def fused_with(cov):
+        monkeypatch.setattr(uncertainty, "_fuse_iterates", lambda a, b: iter([(mean, cov, passes)]))
+        return fuse(stack_a, stack_b)
+
+    assert fused_with(cov).cov is cov
+    cov = cov.copy()
+    cov[2, 4, 4] = np.inf
+    with pytest.raises(CovarianceError, match=r"stack element \[2\] is not finite"):
+        fused_with(cov)
 
 
 def test_fuse_rejects_singular_stack_element(rng):
