@@ -2,9 +2,9 @@
 
 Runs the commands `scripts/hash_outputs.py` hashes (every shipped config
 with `--seed 3` at its full trial count, `fusion-bench --trials 200
---seed 3`, and each config's `validate` echo) once for each checkout, each
-into its own temporary directory, and prints one line per file, sorted by
-name:
+--seed 3`, each config's `validate` echo, and the exit code and stderr of
+two diverging configs) once for each checkout, each into its own
+temporary directory, and prints one line per file, sorted by name:
 
     <filename>  identical
     <filename>  <largest relative difference>  line <n>: <before> -> <after>

@@ -654,11 +654,12 @@ class TrajectoryLog:
     def add(self, t: float, arm: str, pose: Pose, twist, cov_trace, scalars):
         """Append one row; a stacked pose of k elements appends k rows in
         its order, and then t, arm and cov_trace are sequences of k,
-        twist is (k, 6) and each scalar a sequence of k."""
+        twist is (k, 6) and each scalar a sequence of k.  Every check
+        runs before any row is appended or any timestamp taken."""
         if pose.rotation.ndim > 2:
             self._add_block(t, arm, pose, twist, cov_trace, scalars)
             return
-        self._check_columns(scalars)
+        self._check(scalars, twist, ())
         last = self._last_t.get(arm)
         if last is not None and t <= last:
             raise ValueError(f"timestamps must strictly increase per arm ({arm})")
@@ -669,26 +670,35 @@ class TrajectoryLog:
         self.rows.append(row)
 
     def _add_block(self, ts, arms, pose, twists, cov_traces, scalars):
-        """add's stacked form: every check before any row is appended, the
-        quaternions as one stack (_quaternions)."""
-        self._check_columns(scalars)
+        """add's stacked form, with the quaternions as one stack
+        (_quaternions)."""
+        k = len(pose.translation)
+        self._check(scalars, twists, (k,))
+        for name, cells in (("t", ts), ("arm", arms), ("cov_trace", cov_traces),
+                            *scalars.items()):
+            if len(cells) != k:
+                raise ValueError(f"{name} has {len(cells)} cells for a block of {k} rows")
         last = dict(self._last_t)
-        for t, arm in zip(ts, arms, strict=True):
+        for t, arm in zip(ts, arms):
             if arm in last and t <= last[arm]:
                 raise ValueError(f"timestamps must strictly increase per arm ({arm})")
             last[arm] = t
         self._last_t = last
-        none = [None] * len(arms)
-        columns = [scalars.get(k, none) for k in self.scalar_columns]
+        none = [None] * k
+        columns = [scalars.get(name, none) for name in self.scalar_columns]
         for t, arm, p, q, twist, cov_trace, *values in zip(
                 ts, arms, pose.translation.tolist(), _quaternions(pose.rotation).tolist(),
-                np.asarray(twists).tolist(), cov_traces, *columns, strict=True):
+                np.asarray(twists).tolist(), cov_traces, *columns):
             self.rows.append([t, arm, *p, *q, *twist, cov_trace, *values])
 
-    def _check_columns(self, scalars) -> None:
+    def _check(self, scalars, twist, rows: tuple) -> None:
+        """Reject an unknown scalar column and a twist not of shape
+        rows + (6,)."""
         unknown = set(scalars) - set(self.scalar_columns)
         if unknown:
             raise ValueError(f"unknown scalar columns {sorted(unknown)}")
+        if np.shape(twist) != rows + (6,):
+            raise ValueError(f"twist has shape {np.shape(twist)}, not {rows + (6,)}")
 
     @property
     def header(self):
@@ -1101,13 +1111,13 @@ class _Trial:
     sense, filter and steer them, then to have it move them, and returns
     (log, metrics).  Between the yields and after the second it probes,
     logs and moves everything else its step has; the track runner records
-    its steps and logs them in blocks (_log_track_steps).  A runner thrown
-    an error at a yield raises it, or the error of an earlier step it has
-    not logged yet, with `step` naming that step.
+    its steps and logs them in blocks of `log_block` steps
+    (_log_track_steps), each block before its last step's move.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, log_block: int):
         self.scenario = scenario
+        self.log_block = log_block
         self.rng = np.random.Generator(np.random.PCG64(scenario.seed))
         self.step = 0
         self.arms = ()
@@ -1135,32 +1145,24 @@ def _run(trials: list, stacked: bool) -> list:
     Stacked, the arms of every live trial are one batch, rebuilt only
     when its arms change; else each arm steps alone in the batch it
     starts in, with the single forms.  Raises the first error a stage or
-    a runner raises, after throwing it into the live runners, so that a
-    runner's own earlier error comes first.
+    a runner raises.
     """
     live, batches = trials, []
-    try:
-        while True:
-            live = _advance(live)
-            if not live:
-                return [trial.result for trial in trials]
-            arms = [arm for trial in live for arm in trial.arms]
-            if not stacked:
-                batches = [arm.batch for arm in arms]
-            elif not batches or batches[0].arms != arms:
-                batches = [_Batch.of(arms)]
-            for stage in (_Batch.sense, _Batch.update, _Batch.steer):
-                for batch in batches:
-                    stage(batch)
-            live = _advance(live)
+    while True:
+        live = _advance(live)
+        if not live:
+            return [trial.result for trial in trials]
+        arms = [arm for trial in live for arm in trial.arms]
+        if not stacked:
+            batches = [arm.batch for arm in arms]
+        elif not batches or batches[0].arms != arms:
+            batches = [_Batch.of(arms)]
+        for stage in (_Batch.sense, _Batch.update, _Batch.steer):
             for batch in batches:
-                batch.move()
-    except _STEP_ERRORS as err:
-        # A runner that logs in blocks holds steps it has not logged; thrown
-        # the error, it logs them first and raises the first error.
-        for trial in live:
-            trial.run.throw(err)
-        raise
+                stage(batch)
+        live = _advance(live)
+        for batch in batches:
+            batch.move()
 
 
 def run_scenarios(scenarios) -> list:
@@ -1178,17 +1180,18 @@ def run_scenarios(scenarios) -> list:
 
     Lockstep is a faster serial run.  If any step raises, the engine
     throws the lockstep run away and runs the scenarios one after
-    another, each arm alone, and raises that serial run's first error as
-    a DivergenceError naming its task and step.
+    another, each arm alone and each track step logged as it goes, and
+    raises that serial run's first error as a DivergenceError naming its
+    task and step.
     """
     scenarios = list(scenarios)
     try:
-        return _run([_Trial(s) for s in scenarios], stacked=True)
+        return _run([_Trial(s, _LOG_BLOCK) for s in scenarios], stacked=True)
     except _STEP_ERRORS:
         pass
     results = []
     for scenario in scenarios:
-        trial = _Trial(scenario)
+        trial = _Trial(scenario, 1)
         try:
             results += _run([trial], stacked=False)
         except _STEP_ERRORS as e:
@@ -1211,19 +1214,20 @@ def run_scenario(scenario: Scenario):
     return run_scenarios([scenario])[0]
 
 
-# The track runner logs its steps in blocks of this many.  Each step copies
-# what it logs into arrays made once (55 floats); each block's errors,
-# probes and rows are then computed as stacks, whose temporaries grow with
-# the block.  On a 2700-step run (track_periodic, one trial) the CLI's
-# peak RSS read 42.3 MB logging each step as it went, 42.5 MB in blocks
-# of 128, 42.7 MB in blocks of 256 and 47.0 MB in one block for the whole
-# run, which was no faster.
+# A lockstep run's track runner logs its steps in blocks of this many; the
+# serial rerun of a run that diverges logs each step before it moves, in
+# blocks of one.  Each step copies what it logs into arrays made once (55
+# floats); each block's errors, probes and rows are then computed as
+# stacks, whose temporaries grow with the block.  On a 2700-step run
+# (track_periodic, one trial) the CLI's peak RSS read 42.3 MB logging each
+# step as it went, 42.5 MB in blocks of 128, 42.7 MB in blocks of 256 and
+# 47.0 MB in one block for the whole run, which was no faster.
 _LOG_BLOCK = 128
 
 
 class _TrackSteps:
     """The steps the track runner has recorded and not logged yet, at most
-    _LOG_BLOCK, in arrays made once: each step's leader pose, and the
+    a log block, in arrays made once: each step's leader pose, and the
     follower's pose, command, belief covariance trace, true X_fs and
     belief mean."""
 
@@ -1311,35 +1315,26 @@ def _run_track(trial: _Trial):
                           "est_error_mm", "est_error_deg"))
     steady_t = min(max(5.0, 0.5 * scenario.duration), scenario.duration)
     steady = []  # each block's steady-state values (_log_track_steps)
-    steps = _TrackSteps(min(_LOG_BLOCK, scenario.n_steps))
-    recorded = 0  # steps of this block recorded so far
-    try:
-        for start in range(0, scenario.n_steps, _LOG_BLOCK):
-            v = leader_velocities(np.arange(start, min(start + _LOG_BLOCK, scenario.n_steps))
-                                  * dt)
-            xi = np.zeros_like(v)
-            xi[:, 3:] = v[:, 3:] * dt
-            try:
-                turns = exp(xi).rotation
-            except ApproximationDomainError:
-                turns = [None] * len(v)  # each step's own exp raises, at its step
-            for i, turn in enumerate(turns):
-                trial.step = start + i
-                leader = _integrate_base_frame(leader, v[i], dt, "leader", turn)
-                follower.surface.pose = leader
-                yield follower,  # sensed, filtered and steered
-                steps.record(i, leader, follower)
-                recorded = i + 1
-                yield follower,  # moved
-            recorded = 0
-            steady.append(_log_track_steps(trial, log_, steps, start, v, ref_inv, steady_t))
-    except _STEP_ERRORS:
-        # The run ends at this error, but a step recorded before it may
-        # raise when logged, as it would have first in a run that logs each
-        # step as it goes.
-        if recorded:
-            _log_track_steps(trial, log_, steps, start, v[:recorded], ref_inv, steady_t)
-        raise
+    block = trial.log_block
+    steps = _TrackSteps(min(block, scenario.n_steps))
+    for start in range(0, scenario.n_steps, block):
+        v = leader_velocities(np.arange(start, min(start + block, scenario.n_steps)) * dt)
+        xi = np.zeros_like(v)
+        xi[:, 3:] = v[:, 3:] * dt
+        try:
+            turns = exp(xi).rotation
+        except ApproximationDomainError:
+            turns = [None] * len(v)  # each step's own exp raises, at its step
+        for i, turn in enumerate(turns):
+            trial.step = start + i
+            leader = _integrate_base_frame(leader, v[i], dt, "leader", turn)
+            follower.surface.pose = leader
+            yield follower,  # sensed, filtered and steered
+            steps.record(i, leader, follower)
+            if i == len(v) - 1:
+                steady.append(_log_track_steps(trial, log_, steps, start, v, ref_inv,
+                                               steady_t))
+            yield follower,  # moved
 
     depth_err, angle, track_mm, track_deg, est_mm, est_deg = (
         float(np.mean(c)) if c.size else None for c in np.concatenate(steady, axis=1))

@@ -655,6 +655,23 @@ def test_log_block_form_appends_the_single_forms_rows(rng):
     assert len(block.rows) == 6
     block.add([3 * DT] * 2, arms[:2], p, twists[:2], [None] * 2, {})
     assert len(block.rows) == 8
+    # a sequence whose length is not the stack's, or a twist not six wide,
+    # is rejected before any row is appended or any timestamp taken
+    p3, t3, arms3 = Pose.stack(poses[:3]), [4 * DT, 4 * DT, 5 * DT], arms[:3]
+    with pytest.raises(ValueError, match="cov_trace has 2 cells for a block of 3 rows"):
+        block.add(t3, arms3, p3, twists[:3], [None, 1.0], {})
+    with pytest.raises(ValueError, match="depth_mm has 2 cells for a block of 3 rows"):
+        block.add(t3, arms3, p3, twists[:3], [None] * 3, {"depth_mm": [1.0, 2.0]})
+    with pytest.raises(ValueError, match="arm has 2 cells for a block of 3 rows"):
+        block.add(t3, arms3[:2], p3, twists[:3], [None] * 3, {})
+    with pytest.raises(ValueError, match=r"twist has shape \(2, 7\), not \(2, 6\)"):
+        block.add(t3[:2], arms3[:2], p, rng.normal(size=(2, 7)), [None] * 2, {})
+    with pytest.raises(ValueError, match=r"twist has shape \(5,\), not \(6,\)"):
+        block.add(t3[0], arms3[0], poses[0], np.zeros(5), None, {})
+    assert len(block.rows) == 8
+    block.add(t3, arms3, p3, twists[:3], [None, 1.0, None], {})
+    block.add(6 * DT, "leader", poses[0], np.zeros(6), None, {})
+    assert len(block.rows) == 12
 
 
 def test_quaternions_match_the_single_form_bit_for_bit(rng):
@@ -766,32 +783,41 @@ def test_track_logs_the_same_rows_in_any_block_length(monkeypatch, duration, pro
         assert repr(metrics) == repr(expected_metrics)
 
 
-def test_a_logged_error_names_its_own_step(monkeypatch):
-    # Only the track runner's logging calls sim.log.  Step 13's logged
-    # tracking error is turned into a half turn, where log has no single
-    # value: the run stops at step 13 in a single log's words, whatever
-    # the block length, and also when the engine diverges at step 15, in
-    # the same block, before the block is logged.
-    scenario = Scenario(task="track", duration=2.0, seed=3)
+def half_turn_log(scenario: Scenario, step: int):
+    """A stand-in for sim.log that turns the scenario's logged tracking
+    error of `step` into a half turn, where log has no single value.  Only
+    the track runner's logging calls sim.log."""
     real_log = sim.log
     inputs = []
-    monkeypatch.setattr(sim, "log", lambda p: inputs.append(p) or real_log(p))
-    run_scenario(scenario)
-    target = inputs[0].translation[13]  # the tracking errors of steps 0-59
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "log", lambda p: inputs.append(p) or real_log(p))
+        run_scenario(scenario)
+    target = inputs[0].translation[step]  # the tracking errors of the first block
 
-    def half_turn_at_13(p):
+    def half_turn(p):
         hit = (p.translation == target).all(axis=-1)
         return real_log(Pose(np.where(hit[..., None, None], np.diag([1.0, -1.0, -1.0]),
                                       p.rotation), p.translation))
+    return half_turn
 
+
+def test_a_logged_error_names_its_own_step(monkeypatch):
+    # Step 13's logged tracking error is turned into a half turn: the run
+    # stops at step 13 in a single log's words, whatever the block length,
+    # also when the engine diverges at step 15, in the same block, before
+    # the block is logged, and when step 13's own move diverges.
+    scenario = Scenario(task="track", duration=2.0, seed=3)
+    half_turn_at_13 = half_turn_log(scenario, 13)
     integrate, run_track = sim._integrate_body, sim._run_track
     moves = []  # the follower's moves in this trial's run
 
-    def jump_at_15(pose, twist, dt, what):
-        moves.append(what)
-        if len(moves) == 16:
-            twist = twist + np.array([2e4 / dt, 0, 0, 0, 0, 0])
-        return integrate(pose, twist, dt, what)
+    def jump_at(step):
+        def jump(pose, twist, dt, what):
+            moves.append(what)
+            if len(moves) == step + 1:
+                twist = twist + np.array([2e4 / dt, 0, 0, 0, 0, 0])
+            return integrate(pose, twist, dt, what)
+        return jump
 
     def counted(trial):
         moves.clear()  # the engine reruns a trial that diverges
@@ -801,16 +827,16 @@ def test_a_logged_error_names_its_own_step(monkeypatch):
 
     def error(block, jump):
         monkeypatch.setattr(sim, "_LOG_BLOCK", block)
-        monkeypatch.setattr(sim, "_integrate_body", jump_at_15 if jump else integrate)
+        monkeypatch.setattr(sim, "_integrate_body", integrate if jump is None else jump_at(jump))
         with pytest.raises(DivergenceError) as err:
             run_scenario(scenario)
         return err.value
 
-    assert str(error(256, True)) == ("track step 15: DivergenceError: follower left the "
-                                     "workspace (|position| > 10000 mm)")
+    assert str(error(256, 15)) == ("track step 15: DivergenceError: follower left the "
+                                   "workspace (|position| > 10000 mm)")
     monkeypatch.setattr(sim, "log", half_turn_at_13)
     for block in (1, 7, 256):
-        for jump in (False, True):
+        for jump in (None, 15, 13):
             err = error(block, jump)
             assert str(err) == ("track step 13: PrincipalBranchError: rotation angle "
                                 "3.141592654 rad is within 1e-6 of pi; log is not "
@@ -1018,21 +1044,22 @@ def test_lockstep_reports_a_lost_contact_as_a_serial_run_does(monkeypatch):
     assert finished == [0]
 
 
+def jump_away(arm):
+    """Command the arm a 20 m jump in its next move."""
+    batch = arm.batch
+    commands = np.array(batch.commands)
+    commands[... if batch.n == 1 else arm.row] = 2e4 / arm.dt
+    batch.commands = commands
+
+
 def test_lockstep_reports_a_move_out_of_the_workspace_as_a_serial_run_does(monkeypatch):
     # Track trials 1 and 2 each command a 20 m jump at a chosen step, trial
     # 2 first, so the stacked move takes their followers out of the
     # workspace.  Lockstep reports trial 1's error in the words of a serial
     # run's single _integrate_body, and trial 0 runs to its end.
     finished = []
-
-    def jump(arm):
-        batch = arm.batch
-        commands = np.array(batch.commands)
-        commands[... if batch.n == 1 else arm.row] = 2e4 / arm.dt
-        batch.commands = commands
-
     monkeypatch.setattr(sim, "_run_track", sabotaged(
-        sim._run_track, {1: 30, 2: 20}, jump, 1, finished))
+        sim._run_track, {1: 30, 2: 20}, jump_away, 1, finished))
     scenarios = [Scenario(task="track", duration=2.0, seed=i) for i in range(3)]
     serial = serial_error(scenarios)
     assert serial == ("track step 30: DivergenceError: follower left the workspace "
@@ -1041,6 +1068,26 @@ def test_lockstep_reports_a_move_out_of_the_workspace_as_a_serial_run_does(monke
     with pytest.raises(DivergenceError) as lockstep:
         sim.run_scenarios(scenarios)
     assert str(lockstep.value) == serial
+    assert finished == [0]
+
+
+def test_lockstep_reports_a_logged_error_as_a_serial_run_does(monkeypatch):
+    # Track trial 1's logged tracking error at step 13 is a half turn, and
+    # trial 2's follower jumps 20 m at step 5, before trial 1 logs step 13
+    # in any block length.  Lockstep reports trial 1's logged error, as a
+    # serial run does, and trial 0 runs to its end.
+    scenarios = [Scenario(task="track", duration=2.0, seed=i) for i in range(3)]
+    monkeypatch.setattr(sim, "log", half_turn_log(scenarios[1], 13))
+    finished = []
+    monkeypatch.setattr(sim, "_run_track", sabotaged(
+        sim._run_track, {2: 5}, jump_away, 1, finished))
+    serial = serial_error(scenarios)
+    assert serial.startswith("track step 13: PrincipalBranchError: rotation angle")
+    finished.clear()
+    with pytest.raises(DivergenceError) as lockstep:
+        sim.run_scenarios(scenarios)
+    assert str(lockstep.value) == serial
+    assert isinstance(lockstep.value.__cause__, PrincipalBranchError)
     assert finished == [0]
 
 
