@@ -33,7 +33,7 @@ import yaml
 from . import control, filtering, sim, uncertainty
 from .errors import DOMAIN_ERRORS, ConfigError, DivergenceError
 from .gdnmath import label_pipeline, sample_contact_pose
-from .liegroup import exp
+from .liegroup import exp, stack
 
 # --------------------------------------------------------------------------
 # Offline routines
@@ -69,8 +69,7 @@ def _random_concentrated_pair(rng):
 def _run_fusion_bench(trials: int, seed: int, out: Path, quiet: bool):
     rng = np.random.default_rng(seed)
     pairs = [_random_concentrated_pair(rng) for _ in range(trials)]
-    a = uncertainty.PoseGaussian.stack(first for first, _ in pairs)
-    b = uncertainty.PoseGaussian.stack(second for _, second in pairs)
+    a, b = stack(pairs)
 
     # Convergence profile: the passes fuse ran on each pair, stopping at the
     # first whose correction is below uncertainty._FUSE_TOL.  All pairs fuse

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .liegroup import Pose, adjoint, euler_to_pose, log, matvec
+from .liegroup import Pose, adjoint, euler_to_pose, log, matvec, stack
 
 # Decay of the error EWMA the PID differentiates: half the previous
 # smoothed error, half the new error.
@@ -121,13 +121,7 @@ class PidState:
         z = np.zeros(n)
         return cls(integral=z, smoothed_error=z.copy(), initialized=False)
 
-    @classmethod
-    def stack(cls, states) -> "PidState":
-        """One stacked PidState from a sequence of single ones."""
-        states = list(states)
-        return cls(np.array([s.integral for s in states]),
-                   np.array([s.smoothed_error for s in states]),
-                   np.array([s.initialized for s in states]))
+    stack = staticmethod(stack)  # liegroup.stack
 
 
 @dataclasses.dataclass(frozen=True)

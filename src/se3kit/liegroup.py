@@ -14,12 +14,14 @@ exp and log have one body for both: the shape decides only whether the
 angle and trig coefficients come through `math` or through the same
 scalar helpers over each element of a stack.
 matvec, hat3, vee3 and ad keep a single-input form (see the note at matvec).
+stack and take build stacks of Poses and dataclasses of them, and read rows.
 
 Units are mm and rad throughout the package.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 from itertools import chain
@@ -67,6 +69,43 @@ _I6 = np.eye(6)
 _I6.flags.writeable = False
 
 
+def _tree_map(fn, *trees):
+    """fn of the matching leaves of trees of one structure, in it, as JAX's
+    jax.tree_util.tree_map maps pytrees: a Pose's two arrays, a dataclass's
+    fields and a tuple's items are parts, the rest leaves.  Nodes are built
+    through object.__new__: parts of checked values are not checked again."""
+    first = trees[0]
+    if isinstance(first, tuple):
+        return tuple([_tree_map(fn, *parts) for parts in zip(*trees)])
+    if isinstance(first, Pose):  # the engine's commonest node, read every step
+        out = object.__new__(Pose)
+        out.rotation = fn(*[t.rotation for t in trees])
+        out.translation = fn(*[t.translation for t in trees])
+        return out
+    if not dataclasses.is_dataclass(first):
+        return fn(*trees)
+    out = object.__new__(type(first))
+    for f in dataclasses.fields(first):
+        object.__setattr__(out, f.name, _tree_map(fn, *[getattr(t, f.name) for t in trees]))
+    return out
+
+
+def stack(items):
+    """One stack of single values of one kind (Poses, PoseGaussians, filter
+    or PID states, tuples of them): each leaf one new array over the items,
+    made by np.array, a fraction of np.stack's fixed cost per call."""
+    return _tree_map(lambda *leaves: np.array(leaves), *items)
+
+
+def take(stacked, rows):
+    """Row `rows` of a stack as a single value, whose arrays view the stack's
+    and whose scalars are Python's, or for a list of rows a sub-stack copy."""
+    def row(leaf):
+        value = leaf[rows]
+        return value.item() if isinstance(value, np.generic) else value
+    return _tree_map(row, stacked)
+
+
 class Pose:
     """Element of SE(3): 3x3 rotation plus translation in mm, or a stack of
     them (rotation (..., 3, 3), translation (..., 3)).
@@ -101,14 +140,7 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    @classmethod
-    def stack(cls, poses) -> "Pose":
-        """One stacked Pose from a sequence of single poses."""
-        poses = list(poses)
-        # np.array copies a short list of arrays for a fraction of np.stack's
-        # fixed cost per call; the closed loop stacks every step.
-        return cls(np.array([p.rotation for p in poses]),
-                   np.array([p.translation for p in poses]))
+    stack = staticmethod(stack)  # one stacked Pose from single ones
 
     @property
     def matrix(self) -> np.ndarray:

@@ -35,7 +35,7 @@ from .errors import (
     SingularTargetError,
 )
 from .gdnmath import sample_contact_pose
-from .liegroup import Pose, euler_to_pose, exp, log, matvec
+from .liegroup import Pose, euler_to_pose, exp, log, matvec, stack, take
 from .uncertainty import PoseGaussian
 
 DEFAULT_DT = 1.0 / 30.0
@@ -438,12 +438,11 @@ def _contact_poses(surfaces, sensor_poses: Pose, anchors):
     if len(rows) < n:
         if not rows:
             return None, rows, [None] * n, errors
-        s_rot, points, z_w = s_rot[rows], points[rows], z_w[rows]
-        x_conv_w, y_conv_w = x_conv_w[rows], y_conv_w[rows]
-        s_pose = Pose(s_rot, s_pose.translation[rows])
-        sensor_poses = Pose(sensor_rot[rows], sensor_poses.translation[rows])
+        s_pose, sensor_poses, points, z_w, x_conv_w, y_conv_w = take(
+            (s_pose, sensor_poses, points, z_w, x_conv_w, y_conv_w), rows)
         anchor_spins = [anchor_spins[i] for i in rows]
-    anchor_w = (points[:, None, :] @ s_rot.swapaxes(-1, -2))[:, 0, :] + s_pose.translation
+    anchor_w = ((points[:, None, :] @ s_pose.rotation.swapaxes(-1, -2))[:, 0, :]
+                + s_pose.translation)
     cs = np.array([math.cos(a) for a in anchor_spins])[:, None]
     sn = np.array([math.sin(a) for a in anchor_spins])[:, None]
     x_f = cs * x_conv_w + sn * y_conv_w
@@ -822,7 +821,7 @@ class _Arm:
 
     @property
     def command(self) -> np.ndarray:
-        return self.batch.commands if self.batch.n == 1 else self.batch.commands[self.row]
+        return _member(self.batch.commands, self.batch.n, self.row)
 
     @property
     def in_contact(self) -> bool:
@@ -831,15 +830,13 @@ class _Arm:
     @property
     def true_fs(self) -> Pose:
         """The true X_fs this step sensed."""
-        batch = self.batch
-        return batch.true_fs if batch.n == 1 else _row(batch.true_fs, batch.sensed.index(self.row))
+        return _member(self.batch.true_fs, self.batch.n, self.batch.sensed.index(self.row))
 
     @property
     def belief_mean(self) -> Pose:
         """The filtered belief's mean, in contact."""
         batch = self.batch
-        mean = batch.filter.belief.mean
-        return mean if len(batch.contact) == 1 else _row(mean, batch.group[self.row])
+        return _member(batch.filter.belief.mean, len(batch.contact), batch.group[self.row])
 
     def probe(self):
         """(surface point, depth, angle in degrees between the sensor axis
@@ -852,12 +849,9 @@ class _Arm:
     @property
     def cov_trace(self):
         """The trace of the belief covariance, None out of contact."""
-        batch = self.batch
-        g = batch.group.get(self.row)
-        if g is None:
-            return None
-        cov = batch.filter.belief.cov
-        return float(np.trace(cov if len(batch.contact) == 1 else cov[g]))
+        g = self.batch.group.get(self.row)
+        return None if g is None else float(np.trace(
+            _member(self.batch.filter.belief.cov, len(self.batch.contact), g)))
 
     def log_row(self, log_: TrajectoryLog, t: float, scalars: dict) -> None:
         """Log the arm's pose, command and belief covariance trace (empty
@@ -865,14 +859,13 @@ class _Arm:
         log_.add(t, self.name, self.pose, self.command, self.cov_trace, scalars)
 
 
-def _row(pose: Pose, i) -> Pose:
-    """Element i of a stacked Pose, or the sub-stack at indices i."""
-    return Pose(pose.rotation[i], pose.translation[i])
-
-
-def _element(g: PoseGaussian, i) -> PoseGaussian:
-    """Element i of a stacked PoseGaussian, or the sub-stack at indices i."""
-    return PoseGaussian(_row(g.mean, i), g.cov[i])
+def _member(value, n: int, i: int):
+    """Member i of a group of n the engine holds as one value: the value
+    itself for a group of one, which is held single, else its row i (an
+    array's by plain indexing, a fraction of take's cost per call)."""
+    if n == 1:
+        return value
+    return value[i] if isinstance(value, np.ndarray) else take(value, i)
 
 
 # Errors a control step can raise that end the run.
@@ -886,9 +879,9 @@ class _Batch:
 
     - poses, anchors, dt and commands: one row per arm;
     - true_fs: X_fs of the arms this step sensed in contact (`sensed`);
-    - filter (a FilterState), pid (a PidState), servo (a ServoConfig) and
-      group_dt: one row per arm in contact (`contact`, `group` maps an
-      arm's row to its row here), single for one such arm.
+    - filter and pid (a FilterState, PidState pair), servo and group_dt:
+      one row per arm in contact (`contact`, `group` maps an arm's row to
+      its row here), single for one such arm (_member).
 
     Each stage runs every arm at once, in single form for one arm, and
     raises what it meets: sense, update (observe and filter), steer, move.
@@ -933,39 +926,30 @@ class _Batch:
         """The poses of the arms at rows, in the form a stage runs them."""
         if len(rows) == 1:
             return self.pose(rows[0])
-        return self.poses if len(rows) == self.n else _row(self.poses, rows)
+        return self.poses if len(rows) == self.n else take(self.poses, rows)
 
     def state(self, row: int) -> tuple:
         """The arm's (pose, anchor, FilterState or None, PidState or None)."""
         g = self.group.get(row)
-        group = (None, None) if g is None else self._group_states()[g]
+        group = (None, None) if g is None else self._group_state(g)
         return (self.pose(row), self.anchors[row]) + group
 
-    def _group_states(self) -> list:
-        """(FilterState, PidState) of each arm in contact, single."""
-        if len(self.contact) == 1:
-            return [(self.filter, self.pid)]
-        f, p = self.filter, self.pid
-        return [(filtering.FilterState(_element(f.belief, g), _row(f.prev_sensor_pose, g)),
-                 control.PidState(p.integral[g], p.smoothed_error[g], bool(p.initialized[g])))
-                for g in range(len(self.contact))]
+    def _group_state(self, g: int) -> tuple:
+        """The single (FilterState, PidState) of the arm in contact at g."""
+        return _member((self.filter, self.pid), len(self.contact), g)
 
     def _regroup(self, rows, states) -> None:
         """Make the arms at rows the arms in contact, with their single
         (FilterState, PidState) states."""
-        filters, pids = [f for f, _ in states], [pid for _, pid in states]
         self.contact = rows
         self.group = {row: g for g, row in enumerate(rows)}
         arms = [self.arms[row] for row in rows]
         self.leaders = [(g, row) for g, row in enumerate(rows) if self.arms[row].pushing]
         if len(rows) == 1:
-            (self.filter,), (self.pid,) = filters, pids
+            (self.filter, self.pid), = states
             self.servo, self.group_dt = arms[0].servo, arms[0].dt
         elif rows:
-            self.filter = filtering.FilterState(
-                PoseGaussian.stack(f.belief for f in filters),
-                Pose.stack(f.prev_sensor_pose for f in filters))
-            self.pid = control.PidState.stack(pids)
+            self.filter, self.pid = stack(states)
             self.servo = control.ServoConfig.stack(arm.servo for arm in arms)
             self.group_dt = np.array([[arm.dt] for arm in arms])
         else:
@@ -986,11 +970,9 @@ class _Batch:
         else:
             self.true_fs, self.sensed, self.anchors, errors = _contact_poses(
                 [arm.surface for arm in self.arms], self.poses, self.anchors)
-        if len(self.sensed) < self.n and self.contact:
-            kept = [g for g, row in enumerate(self.contact) if errors[row] is None]
-            if len(kept) < len(self.contact):
-                states = self._group_states()
-                self._regroup([self.contact[g] for g in kept], [states[g] for g in kept])
+        kept = [g for g, row in enumerate(self.contact) if errors[row] is None]
+        if len(kept) < len(self.contact):
+            self._regroup([self.contact[g] for g in kept], [self._group_state(g) for g in kept])
         for arm, err in zip(self.arms, errors):
             if err is not None and not arm.pushing:
                 raise err
@@ -1016,15 +998,13 @@ class _Batch:
         going = [i for i, row in enumerate(rows) if row in self.group]
         if going:
             self.filter = filtering.step(
-                self.filter, _element(obs, going if len(going) > 1 else going[0]),
+                self.filter, take(obs, going if len(going) > 1 else going[0]),
                 self._poses(self.contact), _DYNAMICS_NOISE)
-        states = dict(zip(self.contact, self._group_states()))
-        for i, row in enumerate(rows):
-            if row not in states:
-                states[row] = (filtering.init(obs if len(rows) == 1 else _element(obs, i),
-                                              self.pose(row)),
-                               control.PidState.initial(6))
-        self._regroup(rows, [states[row] for row in rows])
+        self._regroup(rows, [
+            self._group_state(self.group[row]) if row in self.group
+            else (filtering.init(_member(obs, len(rows), i), self.pose(row)),
+                  control.PidState.initial(6))
+            for i, row in enumerate(rows)])
 
     def steer(self) -> None:
         """Command every arm: one control.servo_step over the arms in
@@ -1046,13 +1026,13 @@ class _Batch:
     def _align(self, cmd: np.ndarray, error_pose: Pose) -> np.ndarray:
         """The servo commands cmd of the arms in contact with each pushing
         arm's bearing loop added (control.bearing_step, one arm at a time)."""
-        single = len(self.contact) == 1
+        n = len(self.contact)
         for g, row in self.leaders:
             arm = self.arms[row]
             c, arm.bearing = control.bearing_step(
-                arm.cfg, cmd if single else cmd[g], arm.bearing,
-                error_pose if single else _row(error_pose, g), self.pose(row), arm.dt)
-            if single:
+                arm.cfg, _member(cmd, n, g), arm.bearing, _member(error_pose, n, g),
+                self.pose(row), arm.dt)
+            if n == 1:
                 return c
             cmd[g] = c
         return cmd
@@ -1273,7 +1253,7 @@ def _log_track_steps(trial: _Trial, log_: TrajectoryLog, steps: _TrackSteps, sta
     except DOMAIN_ERRORS:
         for i in range(n):
             trial.step = start + i
-            _track_errors(_row(true_fs, i), _row(belief, i), ref_inv)
+            _track_errors(take(true_fs, i), take(belief, i), ref_inv)
         raise
     track_mm, track_deg = _mm_deg(track)
     est_mm, est_deg = _mm_deg(est)

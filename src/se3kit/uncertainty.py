@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import CovarianceError
 from .liegroup import (Pose, _so3_coefficients, adjoint, exp, inv_left_jacobian,
-                       left_jacobian, log, matvec)
+                       left_jacobian, log, matvec, stack)
 
 # fuse() stops after the first pass whose largest |mu| component is below
 # _FUSE_TOL, and never runs more than _FUSE_ITERATIONS passes.  Gauss-Newton
@@ -102,12 +102,7 @@ class PoseGaussian:
         object.__setattr__(g, "cov", _finite(cov))
         return g
 
-    @classmethod
-    def stack(cls, gaussians) -> "PoseGaussian":
-        """One stacked PoseGaussian from a sequence of single ones."""
-        gaussians = list(gaussians)
-        return cls(Pose.stack(g.mean for g in gaussians),
-                   np.array([g.cov for g in gaussians]))
+    stack = staticmethod(stack)  # liegroup.stack
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """SE(3)/SO(3) primitives against series, scipy, and quadrature oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,9 +12,13 @@ from scipy.spatial.transform import Rotation
 from se3kit.errors import (ApproximationDomainError, GimbalLockError,
                            PrincipalBranchError, StructureError)
 from se3kit import liegroup
+from se3kit.control import PidState
+from se3kit.filtering import FilterState
 from se3kit.liegroup import (Pose, ad, adjoint, bch_compose,
                              euler_to_pose, exp, hat, hat3, inv_left_jacobian,
-                             left_jacobian, log, pose_to_euler, vee, vee3)
+                             left_jacobian, log, pose_to_euler, stack, take,
+                             vee, vee3)
+from se3kit.uncertainty import PoseGaussian
 
 from conftest import random_pose, random_twist
 from oracles import quadrature_left_jacobian
@@ -563,3 +568,72 @@ def test_pose_stack_shapes_must_agree():
         Pose(np.tile(np.eye(3), (4, 1, 1)), np.zeros((3, 3)))
     with pytest.raises(ValueError, match=r"shape \(6,\)"):
         exp(np.zeros((4, 5)))
+
+
+def leaves(value) -> list:
+    """A value's node types and leaves in order, spelled out field by field
+    (the oracle for stack and take's generic map)."""
+    if isinstance(value, tuple):
+        return [tuple] + [leaf for part in value for leaf in leaves(part)]
+    if isinstance(value, Pose):
+        return [Pose, value.rotation, value.translation]
+    if dataclasses.is_dataclass(value):
+        return [type(value)] + leaves(tuple(getattr(value, f.name)
+                                            for f in dataclasses.fields(value)))
+    return [value]
+
+
+def bits(value) -> list:
+    """Every node type, and every leaf's type, dtype, shape and bytes."""
+    return [leaf if isinstance(leaf, type) else
+            (type(leaf), np.asarray(leaf).dtype, np.shape(leaf), np.asarray(leaf).tobytes())
+            for leaf in leaves(value)]
+
+
+def odd_pose(rng) -> Pose:
+    """A random pose with a -0.0 and a sub-1e-8 entry in each array."""
+    p = exp(random_twist(rng))
+    rotation, translation = p.rotation.copy(), p.translation.copy()
+    rotation[2, 0], rotation[0, 2], translation[1], translation[2] = -0.0, 3e-9, -0.0, -7e-10
+    return Pose(rotation, translation)
+
+
+def odd_gaussian(rng) -> PoseGaussian:
+    a = rng.normal(size=(6, 6))
+    cov = a @ a.T
+    cov[0, 1] = cov[1, 0] = -0.0
+    cov[2, 5] = cov[5, 2] = 4e-9
+    return PoseGaussian(odd_pose(rng), cov)
+
+
+def odd_pid(rng, initialized: bool) -> PidState:
+    integral, smoothed = rng.normal(size=6), rng.normal(size=6)
+    integral[0], smoothed[3] = -0.0, -2e-9
+    return PidState(integral, smoothed, initialized)
+
+
+STACKABLE = {
+    "pose": odd_pose,
+    "gaussian": odd_gaussian,
+    "filter": lambda rng: FilterState(odd_gaussian(rng), odd_pose(rng)),
+    "pid": lambda rng: odd_pid(rng, bool(rng.integers(2))),
+    "pair": lambda rng: (FilterState(odd_gaussian(rng), odd_pose(rng)),
+                         odd_pid(rng, bool(rng.integers(2)))),
+}
+
+
+@pytest.mark.parametrize("kind", STACKABLE)
+def test_stack_and_take_round_trip_bit_for_bit(rng, kind):
+    items = [STACKABLE[kind](rng) for _ in range(4)]
+    before = [bits(item) for item in items]
+    stacked = stack(items)
+    for i, item in enumerate(items):
+        assert bits(take(stacked, i)) == bits(item)
+    for rows in ([2, 0], [3], [1, 2, 3, 0]):
+        assert bits(take(stacked, rows)) == bits(stack([items[r] for r in rows]))
+    # the stack holds copies: writing to it reaches no item
+    for leaf in leaves(stacked):
+        if isinstance(leaf, np.ndarray):
+            leaf[...] = ~leaf if leaf.dtype == bool else np.nan
+    assert [bits(item) for item in items] == before
+

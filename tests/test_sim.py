@@ -1,8 +1,11 @@
 """Surface geometry, the synthetic observation model, pushing dynamics,
 and the closed-loop scenario runners."""
 
+import ast
 import copy
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -987,7 +990,7 @@ def corrupt_prev_pose(arm):
     prev = batch.filter.prev_sensor_pose
     t = prev.translation.copy()
     t[... if len(batch.contact) == 1 else batch.group[arm.row]] = 1e200
-    batch.filter = filtering.FilterState(batch.filter.belief, Pose(prev.rotation, t))
+    batch.filter = dataclasses.replace(batch.filter, prev_sensor_pose=Pose(prev.rotation, t))
 
 
 def test_lockstep_reports_the_serial_divergence(monkeypatch):
@@ -1205,3 +1208,17 @@ def test_scenario_validation():
         Scenario(task="track", duration=5.0, track_profile="spiral")
     with pytest.raises(ValueError):
         Scenario(task="follow", duration=5.0, surface="torus")
+
+
+def test_the_engine_holds_filter_and_pid_states_whole():
+    # The engine stacks and takes each contact group's (FilterState,
+    # PidState) whole (liegroup.stack, take), so a change of either
+    # state's fields leaves sim.py as it is: the file names no field of
+    # either and builds neither itself.
+    tree = ast.parse(Path(sim.__file__).read_text())
+    names = {getattr(node, attr) for node in ast.walk(tree)
+             for attr in ("id", "attr", "arg", "name") if isinstance(getattr(node, attr, None), str)}
+    assert names & {"prev_sensor_pose", "integral", "smoothed_error", "initialized"} == set()
+    calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert calls & {"FilterState", "PidState"} == set()
