@@ -8,8 +8,8 @@ differential model built around a centre of friction.
 
 A config's trials run in lockstep (run_scenarios): at every control step
 the arms of all trials are sensed, observed, filtered, steered and moved
-as stacks, and each trial's outputs are those of running it alone
-(run_scenario, the one-trial case).
+as stacks, every runner logs the steps it records in blocks, as stacks,
+and each trial's outputs are those of running it alone (run_scenario).
 
 Units: mm, rad, s.  Surface-local z points into the material everywhere,
 so pressing deeper along the sensor's +z axis increases contact depth.
@@ -374,6 +374,40 @@ def _slip(surface: SurfaceModel, q_local, vt, shear: float, point, spin: float,
     return point, anchor_spin
 
 
+def _project(surfaces, s_pose: Pose, points: np.ndarray):
+    """SurfaceModel._project_local of each of n world points in the frame of
+    its surface at its pose in s_pose: (q, inward normals, depths, the n
+    NoContactErrors, None where it projects), the flat part as one stack
+    and the rest one element at a time, each with its single call's bits."""
+    n = len(surfaces)
+    # inverse().apply(point): the point times the rotation, plus -R^T t
+    p_local = (points[:, None, :] @ s_pose.rotation)[:, 0, :] + s_pose.inverse().translation
+    q = p_local.copy()
+    q[:, 2] = 0.0
+    normal = np.array([[0.0, 0.0, 1.0]] * n)
+    depth = p_local[:, 2].tolist()
+    errors = [None] * n
+    for i, surface in enumerate(surfaces):
+        if surface.kind == "hemisphere" or (surface.kind == "ramp" and p_local[i, 1] > 0.0):
+            try:
+                q[i], normal[i], depth[i] = surface._project_local(p_local[i])
+            except NoContactError as err:
+                errors[i] = err
+    return q, normal, depth, errors
+
+
+def _probe(surface: SurfaceModel, poses: Pose, s_pose: Pose):
+    """SurfaceModel.probe of the tip of each of k sensor poses on the
+    surface at its pose in s_pose, with the angle between the sensor axis
+    and the surface normal: (surface points (k, 3), depths, angles in
+    degrees), each with its single call's bits.  Every tip projects: it
+    was sensed in contact there, or the surface is flat."""
+    q, normal, depth, _ = _project([surface] * len(poses.translation), s_pose, poses.translation)
+    cos = _dots(poses.rotation[:, :, 2], matvec(s_pose.rotation, normal)).tolist()
+    q_w = (q[:, None, :] @ s_pose.rotation.swapaxes(-1, -2))[:, 0, :] + s_pose.translation
+    return q_w, depth, [math.degrees(math.acos(min(1.0, max(-1.0, c)))) for c in cos]
+
+
 def _contact_poses(surfaces, sensor_poses: Pose, anchors):
     """contact_pose of each element of a stack of n sensor poses, each
     against its own surface and anchor; never raises NoContactError.
@@ -383,31 +417,20 @@ def _contact_poses(surfaces, sensor_poses: Pose, anchors):
     contact).  Every numpy product is contact_pose's own, run once over the
     stack with each element laid out as in the single call, so each gets
     the bits of its single call.  The projections off the flat part of a
-    surface, the trig, the angle wraps and the slip run per element, with
-    contact_pose's own code on Python floats.
+    surface (_project), the trig, the angle wraps and the slip run per
+    element, with contact_pose's own code on Python floats.
     """
     n = len(surfaces)
     s_pose = Pose.stack([s.pose for s in surfaces])
     s_rot, sensor_rot = s_pose.rotation, sensor_poses.rotation
-    # inverse().apply(tip): the tip times the rotation, plus -R^T t
-    p_local = ((sensor_poses.translation[:, None, :] @ s_rot)[:, 0, :]
-               + s_pose.inverse().translation)
-    # The flat part of every surface, then the rest one element at a time.
-    q = p_local.copy()
-    q[:, 2] = 0.0
-    normal = np.zeros((n, 3))
-    normal[:, 2] = 1.0
-    x_local = np.zeros((n, 3))
-    x_local[:, 0] = 1.0
-    depth = p_local[:, 2].tolist()
-    errors = [None] * n
+    q, normal, depth, errors = _project(surfaces, s_pose, sensor_poses.translation)
+    x_local = np.array([[1.0, 0.0, 0.0]] * n)
     for i, surface in enumerate(surfaces):
         try:
-            if surface.kind == "hemisphere" or (surface.kind == "ramp" and p_local[i, 1] > 0.0):
-                q[i], normal[i], depth[i] = surface._project_local(p_local[i])
-            _check_depth(depth[i])
-            if surface.kind == "hemisphere":
-                x_local[i] = surface._convention_x_local(q[i], normal[i])
+            if errors[i] is None:
+                _check_depth(depth[i])
+                if surface.kind == "hemisphere":
+                    x_local[i] = surface._convention_x_local(q[i], normal[i])
         except NoContactError as err:
             errors[i] = err
 
@@ -650,54 +673,37 @@ class TrajectoryLog:
         self.rows = []
         self._last_t = {}
 
-    def add(self, t: float, arm: str, pose: Pose, twist, cov_trace, scalars):
+    def add(self, t, arm, pose: Pose, twist, cov_trace, scalars):
         """Append one row; a stacked pose of k elements appends k rows in
         its order, and then t, arm and cov_trace are sequences of k,
-        twist is (k, 6) and each scalar a sequence of k.  Every check
-        runs before any row is appended or any timestamp taken."""
-        if pose.rotation.ndim > 2:
-            self._add_block(t, arm, pose, twist, cov_trace, scalars)
-            return
-        self._check(scalars, twist, ())
-        last = self._last_t.get(arm)
-        if last is not None and t <= last:
-            raise ValueError(f"timestamps must strictly increase per arm ({arm})")
-        self._last_t[arm] = t
-        row = [t, arm, *pose.translation.tolist(), *_quaternion_from_rotation(pose.rotation),
-               *np.asarray(twist).tolist(), cov_trace]
-        row.extend(scalars.get(k) for k in self.scalar_columns)
-        self.rows.append(row)
-
-    def _add_block(self, ts, arms, pose, twists, cov_traces, scalars):
-        """add's stacked form, with the quaternions as one stack
+        twist is (k, 6) and each scalar a sequence of k.  One row is
+        appended as a block of one.  Every check runs before any row is
+        appended or any timestamp taken; the quaternions are one stack
         (_quaternions)."""
-        k = len(pose.translation)
-        self._check(scalars, twists, (k,))
-        for name, cells in (("t", ts), ("arm", arms), ("cov_trace", cov_traces),
-                            *scalars.items()):
-            if len(cells) != k:
-                raise ValueError(f"{name} has {len(cells)} cells for a block of {k} rows")
-        last = dict(self._last_t)
-        for t, arm in zip(ts, arms):
-            if arm in last and t <= last[arm]:
-                raise ValueError(f"timestamps must strictly increase per arm ({arm})")
-            last[arm] = t
-        self._last_t = last
-        none = [None] * k
-        columns = [scalars.get(name, none) for name in self.scalar_columns]
-        for t, arm, p, q, twist, cov_trace, *values in zip(
-                ts, arms, pose.translation.tolist(), _quaternions(pose.rotation).tolist(),
-                np.asarray(twists).tolist(), cov_traces, *columns):
-            self.rows.append([t, arm, *p, *q, *twist, cov_trace, *values])
-
-    def _check(self, scalars, twist, rows: tuple) -> None:
-        """Reject an unknown scalar column and a twist not of shape
-        rows + (6,)."""
+        rows = pose.translation.shape[:-1]
         unknown = set(scalars) - set(self.scalar_columns)
         if unknown:
             raise ValueError(f"unknown scalar columns {sorted(unknown)}")
         if np.shape(twist) != rows + (6,):
             raise ValueError(f"twist has shape {np.shape(twist)}, not {rows + (6,)}")
+        if not rows:
+            t, arm, pose, twist, cov_trace = [t], [arm], Pose.stack([pose]), [twist], [cov_trace]
+            scalars = {name: [cell] for name, cell in scalars.items()}
+        k = len(pose.translation)
+        for name, cells in (("t", t), ("arm", arm), ("cov_trace", cov_trace), *scalars.items()):
+            if len(cells) != k:
+                raise ValueError(f"{name} has {len(cells)} cells for a block of {k} rows")
+        last = dict(self._last_t)
+        for ti, name in zip(t, arm):
+            if name in last and ti <= last[name]:
+                raise ValueError(f"timestamps must strictly increase per arm ({name})")
+            last[name] = ti
+        self._last_t = last
+        columns = [scalars.get(name, [None] * k) for name in self.scalar_columns]
+        for ti, name, p, q, tw, trace, *values in zip(
+                t, arm, pose.translation.tolist(), _quaternions(pose.rotation).tolist(),
+                np.asarray(twist).tolist(), cov_trace, *columns):
+            self.rows.append([ti, name, *p, *q, *tw, trace, *values])
 
     @property
     def header(self):
@@ -718,34 +724,10 @@ def _csv_cell(v) -> str:
     return f"{float(v):.17g}"
 
 
-def _quaternion_from_rotation(r: np.ndarray) -> list:
-    """Unit quaternion [w, x, y, z] with w >= 0, as floats.  The entries
-    are read once; the trace sums in np.trace's order, (r00 + r11) + r22."""
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
-    t = r00 + r11 + r22
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
-    elif r00 > r11 and r00 > r22:
-        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
-        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
-    elif r11 > r22:
-        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
-        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
-    else:
-        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
-        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
-    q = np.array(q)
-    q = q / _norm(q)
-    if q[0] < 0:
-        q = -q
-    return q.tolist()
-
-
 def _quaternions(r: np.ndarray) -> np.ndarray:
-    """_quaternion_from_rotation of each rotation of a (k, 3, 3) stack, as
-    (k, 4): its branches and operations elementwise and its norm through
-    _dots, so each row gets the bits of its single call."""
+    """The unit quaternions [w, x, y, z] with w >= 0 of a (k, 3, 3) stack
+    of rotations, (k, 4): each row takes the first branch that holds, with
+    its entries read once and its norm through _dots."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.transpose(1, 2, 0)
     with np.errstate(invalid="ignore", divide="ignore"):
         # every branch for every rotation; each row takes the first that holds
@@ -824,10 +806,6 @@ class _Arm:
         return _member(self.batch.commands, self.batch.n, self.row)
 
     @property
-    def in_contact(self) -> bool:
-        return self.row in self.batch.group
-
-    @property
     def true_fs(self) -> Pose:
         """The true X_fs this step sensed."""
         return _member(self.batch.true_fs, self.batch.n, self.batch.sensed.index(self.row))
@@ -838,25 +816,12 @@ class _Arm:
         batch = self.batch
         return _member(batch.filter.belief.mean, len(batch.contact), batch.group[self.row])
 
-    def probe(self):
-        """(surface point, depth, angle in degrees between the sensor axis
-        and the surface normal) at the tip's boundary projection."""
-        pose = self.pose
-        q_w, n_w, depth = self.surface.probe(pose.translation)
-        cos = float(np.dot(pose.rotation[:, 2], n_w))
-        return q_w, depth, math.degrees(math.acos(min(1.0, max(-1.0, cos))))
-
     @property
-    def cov_trace(self):
-        """The trace of the belief covariance, None out of contact."""
+    def cov_trace(self) -> float:
+        """The trace of the belief covariance, nan out of contact."""
         g = self.batch.group.get(self.row)
-        return None if g is None else float(np.trace(
+        return math.nan if g is None else float(np.trace(
             _member(self.batch.filter.belief.cov, len(self.batch.contact), g)))
-
-    def log_row(self, log_: TrajectoryLog, t: float, scalars: dict) -> None:
-        """Log the arm's pose, command and belief covariance trace (empty
-        out of contact) with the task's scalars."""
-        log_.add(t, self.name, self.pose, self.command, self.cov_trace, scalars)
 
 
 def _member(value, n: int, i: int):
@@ -1058,13 +1023,9 @@ class _Batch:
         self.poses = moved
 
 
-def _mean(values):
-    return float(np.mean(values)) if values else None
-
-
-def _column_means(rows, width: int) -> list:
-    """Mean of each column of equal-length tuples; None for no rows."""
-    return [_mean([row[i] for row in rows]) for i in range(width)]
+def _means(rows) -> list:
+    """The mean of each row of a 2-D array; None for a row of no values."""
+    return [float(np.mean(row)) if row.size else None for row in rows]
 
 
 def _mm_deg(v: np.ndarray):
@@ -1089,10 +1050,10 @@ class _Trial:
     A runner is a generator over the trial: it sets `step` as each step
     begins and yields its arms twice per step, first to have the engine
     sense, filter and steer them, then to have it move them, and returns
-    (log, metrics).  Between the yields and after the second it probes,
-    logs and moves everything else its step has; the track runner records
-    its steps and logs them in blocks of `log_block` steps
-    (_log_track_steps), each block before its last step's move.
+    (log, metrics).  Between the yields and after the second it moves the
+    rest of its step and records what it logs (_Steps), track and follow
+    before their move, push after it; it logs the steps in blocks of
+    `log_block` (_log_steps), each once its last step is recorded.
     """
 
     def __init__(self, scenario: Scenario, log_block: int):
@@ -1160,7 +1121,7 @@ def run_scenarios(scenarios) -> list:
 
     Lockstep is a faster serial run.  If any step raises, the engine
     throws the lockstep run away and runs the scenarios one after
-    another, each arm alone and each track step logged as it goes, and
+    another, each arm alone and each step logged as it goes, and
     raises that serial run's first error as a DivergenceError naming its
     task and step.
     """
@@ -1194,37 +1155,71 @@ def run_scenario(scenario: Scenario):
     return run_scenarios([scenario])[0]
 
 
-# A lockstep run's track runner logs its steps in blocks of this many; the
-# serial rerun of a run that diverges logs each step before it moves, in
-# blocks of one.  Each step copies what it logs into arrays made once (55
-# floats); each block's errors, probes and rows are then computed as
-# stacks, whose temporaries grow with the block.  On a 2700-step run
-# (track_periodic, one trial) the CLI's peak RSS read 42.3 MB logging each
-# step as it went, 42.5 MB in blocks of 128, 42.7 MB in blocks of 256 and
-# 47.0 MB in one block for the whole run, which was no faster.
+# A lockstep run's runners log their steps in blocks of this many, the
+# serial rerun of a run that diverges in blocks of one.  Each block's
+# probes, errors and rows are stacks, whose temporaries grow with the
+# block: on a 2700-step track_periodic run the CLI's peak RSS read 42.3 MB
+# logging each step as it went, 42.5 MB in blocks of 128, 42.7 MB in
+# blocks of 256 and 47.0 MB in one block for the run, which was no faster.
 _LOG_BLOCK = 128
 
 
-class _TrackSteps:
-    """The steps the track runner has recorded and not logged yet, at most
-    a log block, in arrays made once: each step's leader pose, and the
-    follower's pose, command, belief covariance trace, true X_fs and
-    belief mean."""
+class _Steps:
+    """The steps a runner has recorded and not logged yet, at most a log
+    block, in arrays made once: each step's time, the runner's poses (its
+    arms', their surfaces' and its own), each arm's command and belief
+    covariance trace (nan out of contact) and the runner's own floats."""
 
-    def __init__(self, size: int):
-        # leader, follower, true X_fs, belief mean
-        self.rotations = np.empty((4, size, 3, 3))
-        self.translations = np.empty((4, size, 3))
-        self.commands = np.empty((size, 6))
-        self.cov_traces = np.empty(size)
+    def __init__(self, size: int, poses: int, arms: int, floats: int = 0):
+        self.n = 0
+        self.t = np.empty(size)
+        self.rotations = np.empty((poses, size, 3, 3))
+        self.translations = np.empty((poses, size, 3))
+        self.commands = np.empty((arms, size, 6))
+        self.cov_traces = np.empty((arms, size))
+        self.floats = np.empty((floats, size))
 
-    def record(self, i: int, leader: Pose, follower: _Arm) -> None:
-        for j, pose in enumerate((leader, follower.pose, follower.true_fs,
-                                  follower.belief_mean)):
+    def record(self, t: float, poses, arms, floats=()) -> bool:
+        """Copy one step into the arrays; True once they are full."""
+        i = self.n
+        self.t[i] = t
+        for j, pose in enumerate(poses):
             self.rotations[j, i] = pose.rotation
             self.translations[j, i] = pose.translation
-        self.commands[i] = follower.command
-        self.cov_traces[i] = follower.cov_trace
+        for j, arm in enumerate(arms):
+            self.commands[j, i] = arm.command
+            self.cov_traces[j, i] = arm.cov_trace
+        self.floats[:, i] = floats
+        self.n = i + 1
+        return self.n == len(self.t)
+
+    def pose(self, j: int) -> Pose:
+        """Pose j of the steps recorded, a stack."""
+        return Pose(self.rotations[j, :self.n], self.translations[j, :self.n])
+
+    def arm(self, j: int) -> tuple:
+        """Arm j's commands and covariance traces over the steps recorded."""
+        return self.commands[j, :self.n], self.cov_traces[j, :self.n]
+
+
+def _log_steps(log_: TrajectoryLog, steps: _Steps, rows) -> None:
+    """Log the steps recorded as one block and forget them, each step's
+    rows in the order of `rows`: (arm, poses, twists, covariance traces,
+    scalars), one pose, twist, trace and cell of each scalar column per
+    step.  A nan trace (out of contact) logs an empty cell."""
+    n = steps.n
+    arms, poses, twists, traces, scalars = zip(*rows)
+
+    def cells(columns):  # step by step, in row order
+        return [cell for step in zip(*columns) for cell in step]
+
+    log_.add(cells([steps.t[:n].tolist()] * len(rows)), list(arms) * n,
+             Pose(np.stack([p.rotation for p in poses], 1).reshape(-1, 3, 3),
+                  np.stack([p.translation for p in poses], 1).reshape(-1, 3)),
+             np.stack(twists, 1).reshape(-1, 6),
+             cells([[None if math.isnan(c) else c for c in trace.tolist()] for trace in traces]),
+             {k: cells([s.get(k, [None] * n) for s in scalars]) for k in log_.scalar_columns})
+    steps.n = 0
 
 
 def _track_errors(true_fs: Pose, belief: Pose, ref_inv: Pose):
@@ -1234,50 +1229,34 @@ def _track_errors(true_fs: Pose, belief: Pose, ref_inv: Pose):
     return log(true_sf @ ref_inv), log(belief @ true_sf.inverse())
 
 
-def _log_track_steps(trial: _Trial, log_: TrajectoryLog, steps: _TrackSteps, start: int,
+def _log_track_steps(trial: _Trial, log_: TrajectoryLog, steps: _Steps, surface: SurfaceModel,
                      v: np.ndarray, ref_inv: Pose, steady_t: float) -> np.ndarray:
-    """Log the recorded steps start, start + 1, ..., one per row of the
-    leader velocities v, as stacks: each step's leader row, then its
-    follower row.  Returns (|depth - 6|, normal angle, track mm, deg,
-    estimate mm, deg) of each step from steady_t on, (6, m).
+    """Log the recorded steps, one per row of the leader velocities v, as
+    stacks: each step's leader row, then its follower row.  Returns
+    (|depth - 6|, normal angle, track mm, deg, estimate mm, deg) of each
+    step from steady_t on, (6, m).
 
     Every stacked call gives each step the bits of its single call.  If
     the errors' stack raises, the steps are redone one at a time with the
     single forms, so the error names its step (trial.step) in the words
     of a run that logs each step as it goes."""
-    n = len(v)
-    leader, follower, true_fs, belief = (
-        Pose(r[:n], t[:n]) for r, t in zip(steps.rotations, steps.translations))
+    leader, follower, true_fs, belief = map(steps.pose, range(4))
     try:
         track, est = _track_errors(true_fs, belief, ref_inv)
     except DOMAIN_ERRORS:
-        for i in range(n):
-            trial.step = start + i
+        for i, step in enumerate(range(trial.step + 1 - steps.n, trial.step + 1)):
+            trial.step = step
             _track_errors(take(true_fs, i), take(belief, i), ref_inv)
         raise
     track_mm, track_deg = _mm_deg(track)
     est_mm, est_deg = _mm_deg(est)
-    # _Arm.probe of the follower on the flat surface riding on the leader
-    depth = ((follower.translation[:, None, :] @ leader.rotation)[:, 0, :]
-             + leader.inverse().translation)[:, 2]
-    cos = _dots(follower.rotation[:, :, 2], leader.rotation @ np.array([0.0, 0.0, 1.0]))
-    angle = [math.degrees(math.acos(min(1.0, max(-1.0, c)))) for c in cos.tolist()]
-
-    t = np.arange(start, start + n) * trial.scenario.dt
-    ts, none = t.tolist(), [None] * n
-
-    def both(leader_cells, follower_cells):
-        return [cell for pair in zip(leader_cells, follower_cells) for cell in pair]
-
-    scalars = (depth.tolist(), track_mm, track_deg, est_mm, est_deg)
-    log_.add(both(ts, ts), ["leader", "follower"] * n,
-             Pose(steps.rotations[:2, :n].swapaxes(0, 1).reshape(-1, 3, 3),
-                  steps.translations[:2, :n].swapaxes(0, 1).reshape(-1, 3)),
-             np.stack((v, steps.commands[:n]), axis=1).reshape(-1, 6),
-             both(none, steps.cov_traces[:n].tolist()),
-             {k: both(none, cells) for k, cells in zip(log_.scalar_columns, scalars)})
-    return np.array([np.abs(depth - 6.0), angle, track_mm, track_deg, est_mm, est_deg])[
-        :, t >= steady_t]
+    _, depth, angle = _probe(surface, follower, leader)
+    values = np.array([np.abs(np.subtract(depth, 6.0)), angle, track_mm, track_deg, est_mm,
+                       est_deg])[:, steps.t[:steps.n] >= steady_t]
+    scalars = dict(zip(log_.scalar_columns, (depth, track_mm, track_deg, est_mm, est_deg)))
+    _log_steps(log_, steps, [("leader", leader, v, np.full(len(v), math.nan), {}),
+                             ("follower", follower, *steps.arm(0), scalars)])
+    return values
 
 
 def _run_track(trial: _Trial):
@@ -1296,7 +1275,7 @@ def _run_track(trial: _Trial):
     steady_t = min(max(5.0, 0.5 * scenario.duration), scenario.duration)
     steady = []  # each block's steady-state values (_log_track_steps)
     block = trial.log_block
-    steps = _TrackSteps(min(block, scenario.n_steps))
+    steps = _Steps(min(block, scenario.n_steps), poses=4, arms=1)
     for start in range(0, scenario.n_steps, block):
         v = leader_velocities(np.arange(start, min(start + block, scenario.n_steps)) * dt)
         xi = np.zeros_like(v)
@@ -1310,18 +1289,31 @@ def _run_track(trial: _Trial):
             leader = _integrate_base_frame(leader, v[i], dt, "leader", turn)
             follower.surface.pose = leader
             yield follower,  # sensed, filtered and steered
-            steps.record(i, leader, follower)
+            steps.record(trial.step * dt, (leader, follower.pose, follower.true_fs,
+                                           follower.belief_mean), (follower,))
             if i == len(v) - 1:
-                steady.append(_log_track_steps(trial, log_, steps, start, v, ref_inv,
-                                               steady_t))
+                steady.append(_log_track_steps(trial, log_, steps, follower.surface, v,
+                                               ref_inv, steady_t))
             yield follower,  # moved
 
-    depth_err, angle, track_mm, track_deg, est_mm, est_deg = (
-        float(np.mean(c)) if c.size else None for c in np.concatenate(steady, axis=1))
+    depth_err, angle, track_mm, track_deg, est_mm, est_deg = _means(
+        np.concatenate(steady, axis=1))
     return log_, _metrics(
         scenario, depth_err, angle, track_mm is not None and track_mm < 5.0,
         scenario.n_steps * dt, track_error_mm=track_mm, track_error_deg=track_deg,
         est_error_mm=est_mm, est_error_deg=est_deg)
+
+
+def _log_follow_steps(log_: TrajectoryLog, steps: _Steps, surface: SurfaceModel) -> np.ndarray:
+    """Log the recorded steps as stacks, one sensor row each; returns
+    (|depth - 3|, normal angle) of the steps past their pass's transient."""
+    sensor = steps.pose(0)
+    run, settled = steps.floats[:, :steps.n]
+    _, depth, angle = _probe(surface, sensor, steps.pose(1))
+    values = np.array([np.abs(np.subtract(depth, 3.0)), angle])[:, settled > 0.0]
+    _log_steps(log_, steps, [("sensor", sensor, *steps.arm(0), {
+        "run": run.tolist(), "depth_mm": depth, "normal_angle_deg": angle})])
+    return values
 
 
 def _run_follow(trial: _Trial):
@@ -1336,30 +1328,30 @@ def _run_follow(trial: _Trial):
         passes = [np.array([0, speed, 0, 0, 0, 0], dtype=float)]
     radius = scenario.surface_radius or _SURFACE_RADIUS[scenario.surface]
     # The run's steps, split across the passes as evenly as they go.
-    steps = np.array_split(np.arange(scenario.n_steps), len(passes))
+    pass_steps = np.array_split(np.arange(scenario.n_steps), len(passes))
     base = control.preset(controller_presets(scenario)[0])
 
     log_ = TrajectoryLog(("run", "depth_mm", "normal_angle_deg"))
-    settled = []  # (|depth - 3|, normal angle) after each pass's transient
+    settled = []  # each block's (|depth - 3|, normal angle) after its pass's transient
     transient = 2.0
+    steps = _Steps(min(trial.log_block, scenario.n_steps), poses=2, arms=1, floats=2)
 
     t = 0.0
     for run_idx, ff in enumerate(passes):
         cfg = dataclasses.replace(base, feedforward_twist=ff)
+        # Every pass's surface has the same kind, radius and pose.
         sensor = _Arm("sensor", SurfaceModel(scenario.surface, radius=radius),
                       Pose(np.eye(3), np.array([0.0, 0.0, 3.0])), cfg, scenario, trial.rng)
-        for k, step in enumerate(steps[run_idx]):
+        for k, step in enumerate(pass_steps[run_idx]):
             trial.step = step
             yield sensor,  # sensed, filtered and steered
-            _, depth, angle = sensor.probe()
-            if k * dt >= transient:
-                settled.append((abs(depth - 3.0), angle))
-            sensor.log_row(log_, t, {"run": float(run_idx), "depth_mm": depth,
-                                     "normal_angle_deg": angle})
+            if (steps.record(t, (sensor.pose, sensor.surface.pose), (sensor,),
+                             (run_idx, k * dt >= transient)) or step == scenario.n_steps - 1):
+                settled.append(_log_follow_steps(log_, steps, sensor.surface))
             yield sensor,  # moved
             t += dt
 
-    depth_err, angle = _column_means(settled, 2)
+    depth_err, angle = _means(np.concatenate(settled, axis=1))
     return log_, _metrics(
         scenario, depth_err, angle, depth_err is not None and depth_err < 1.0,
         scenario.n_steps * dt, surface=scenario.surface)
@@ -1396,6 +1388,39 @@ def _push_plant(face: Pose, prev_tip_face, tip_w: np.ndarray):
     return face, face.inverse().apply(tip_w)
 
 
+def _log_push_steps(log_: TrajectoryLog, steps: _Steps, surface: SurfaceModel,
+                    target_w: np.ndarray, tall: bool) -> np.ndarray:
+    """Log the recorded steps as stacks, each step's leader row and then its
+    follower's, if any; returns each step's (1 if the leader is in contact,
+    its |depth - yield depth|, normal angle, t, the follower's |depth - 3|)."""
+    n = steps.n
+    face, leader = steps.pose(0), steps.pose(1)
+    tip_distance, margin, fdepth = steps.floats[:, :n]
+    contact = ~np.isnan(steps.cov_traces[0, :n])
+    q_w, depth, angle = _probe(surface, leader, face)
+    # Bearing of the target seen from the contact point, in face axes, and
+    # the distances from the contact point (the controller's) and from the
+    # tip centre (termination's).
+    d = target_w - q_w
+    bearing = map(math.atan2, _dots(d, face.rotation[:, :, 1]).tolist(),
+                  _dots(d, face.rotation[:, :, 2]).tolist())
+    distance = [math.hypot(target_w[1] - y, target_w[2] - z)
+                for y, z in leader.translation[:, 1:].tolist()]
+    margins = margin.tolist() if tall else [None] * n
+    rows = [("leader", leader, *steps.arm(0), {
+        "bearing_rad": [b if c else None for b, c in zip(bearing, contact.tolist())],
+        "target_distance_mm": distance, "tip_distance_mm": tip_distance.tolist(),
+        "depth_mm": [x if c else None for x, c in zip(depth, contact.tolist())],
+        "stability_margin": margins})]
+    if len(steps.commands) > 1:
+        rows.append(("follower", steps.pose(2), *steps.arm(1),
+                     {"follower_depth_mm": fdepth.tolist(), "stability_margin": margins}))
+    values = np.array([contact, np.abs(np.subtract(depth, _YIELD_DEPTH)), angle, steps.t[:n],
+                       np.abs(fdepth - 3.0)])
+    _log_steps(log_, steps, rows)
+    return values
+
+
 def _run_push(trial: _Trial):
     scenario = trial.scenario
     dt = scenario.dt
@@ -1404,21 +1429,15 @@ def _run_push(trial: _Trial):
 
     # World: x up, pushing happens in the (y, z) plane.  The pushed face's
     # inward normal starts along +y (the initial push direction).
-    contact0 = np.array([0.0, *_PUSH_START])
+    # Its columns: x up, y, z the inward normal.
+    face = Pose(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]),
+                np.array([0.0, *_PUSH_START]))
     target_w = np.array([0.0, *_PUSH_TARGET])
-    face_rot0 = np.column_stack([
-        np.array([1.0, 0.0, 0.0]),   # x: up
-        np.array([0.0, 0.0, -1.0]),  # y
-        np.array([0.0, 1.0, 0.0]),   # z: inward normal
-    ])
-    face = Pose(face_rot0, contact0)
 
     presets = controller_presets(scenario)
-    push_cfg = control.PushConfig(
-        servo=control.preset(presets[0]),
-        bearing_pid=control.preset(presets[1]),
-        target_pose_in_work=Pose(np.eye(3), target_w),
-    )
+    push_cfg = control.PushConfig(servo=control.preset(presets[0]),
+                                  bearing_pid=control.preset(presets[1]),
+                                  target_pose_in_work=Pose(np.eye(3), target_w))
     # Dual-arm: the leader starts engaged at the yield depth so the object
     # moves from the first step.  Single-arm protocol: approach from 45 mm
     # off the face; out of contact the leader presses toward the face with
@@ -1428,10 +1447,7 @@ def _run_push(trial: _Trial):
                   Pose(face.rotation, face.apply(np.array([0.0, 0.0, start_depth]))),
                   push_cfg, scenario, trial.rng)
 
-    face2_offset = Pose(
-        np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
-        np.array([0.0, 0.0, _OBJECT_WIDTH]),
-    )
+    face2_offset = Pose(np.diag([1.0, -1.0, -1.0]), np.array([0.0, 0.0, _OBJECT_WIDTH]))
     if dual:
         # The follower starts at its 3 mm reference on the opposite face;
         # losing it ends the run.
@@ -1442,25 +1458,24 @@ def _run_push(trial: _Trial):
 
     prev_tip_face = None
     margin = 1.0  # the tall object topples when it reaches 0
+    fdepth = math.nan  # the follower's depth before its move
 
     log_ = TrajectoryLog(("bearing_rad", "target_distance_mm", "tip_distance_mm",
                           "depth_mm", "follower_depth_mm", "stability_margin"))
-    contact_rows = []  # (|depth - yield depth|, normal angle) while in contact
+    blocks = []  # each block's values (_log_push_steps)
     # The follower's engagement transient (the object's 10 mm/s recession
     # step) peaks near 2.8 mm and decays with the depth loop's slow pole;
     # depth maintenance is assessed after it has died out.
-    follower_depth_err = []
     follower_window = 8.0
 
     arms = (leader, follower) if dual else (leader,)
+    steps = _Steps(min(trial.log_block, scenario.n_steps), poses=1 + len(arms), arms=len(arms),
+                   floats=3)
     for k in range(scenario.n_steps):
         trial.step = k
-        t = k * dt
         yield arms  # sensed, filtered and steered
         if dual:
-            fdepth = follower.probe()[1]
-            if t >= follower_window:
-                follower_depth_err.append(abs(fdepth - 3.0))
+            fdepth = follower.surface.probe(follower.pose.translation)[2]
             if tall and abs(fdepth - 3.0) > _STABILITY_TOLERANCE:
                 margin -= _STABILITY_DECAY * dt
             elif tall:
@@ -1472,31 +1487,14 @@ def _run_push(trial: _Trial):
         if dual:
             follower.surface.pose = face @ face2_offset
 
-        # Distances from the contact point (the controller's) and from the
-        # tip centre (termination's); both are logged.
+        # The tip centre's distance from the target decides termination.
         sensor = leader.pose
-        tip_centre = sensor.translation - _TIP_RADIUS * sensor.rotation[:, 2]
-        tip_distance = _norm(target_w - tip_centre)
-        contact_distance = math.hypot(target_w[1] - sensor.translation[1],
-                                      target_w[2] - sensor.translation[2])
-        row = {"target_distance_mm": contact_distance,
-               "tip_distance_mm": tip_distance,
-               "stability_margin": margin if tall else None}
-        if leader.in_contact:
-            q_w, depth_now, angle = leader.probe()
-            contact_rows.append((abs(depth_now - _YIELD_DEPTH), angle))
-            # Bearing of the target seen from the current contact point,
-            # in face axes.
-            d = target_w - q_w
-            row["bearing_rad"] = math.atan2(float(np.dot(d, face.rotation[:, 1])),
-                                            float(np.dot(d, face.rotation[:, 2])))
-            row["depth_mm"] = depth_now
-        leader.log_row(log_, t, row)
-        if dual:
-            follower.log_row(log_, t, {"follower_depth_mm": fdepth,
-                                       "stability_margin": margin if tall else None})
-
-        if margin <= 0.0 or tip_distance < _TERMINATION_RADIUS:
+        tip_distance = _norm(target_w - (sensor.translation - _TIP_RADIUS * sensor.rotation[:, 2]))
+        done = margin <= 0.0 or tip_distance < _TERMINATION_RADIUS
+        if (steps.record(k * dt, (face, *(arm.pose for arm in arms)), arms,
+                         (tip_distance, margin, fdepth)) or done or k == scenario.n_steps - 1):
+            blocks.append(_log_push_steps(log_, steps, leader.surface, target_w, tall))
+        if done:
             break
 
     toppled = margin <= 0.0
@@ -1508,12 +1506,14 @@ def _run_push(trial: _Trial):
     to_target = target_w - q_w
     perp = to_target - np.dot(to_target, n_w) * n_w
 
-    depth_err, angle = _column_means(contact_rows, 2)
+    values = np.concatenate(blocks, axis=1)
+    depth_err, angle = _means(values[1:3, values[0] > 0.0])
     metrics = _metrics(scenario, depth_err, angle, terminated, (k + 1) * dt,
                        final_error=_norm(perp), tall=tall, terminated=terminated)
     if dual:
-        metrics["follower_depth_worst_mm"] = max(follower_depth_err, default=None)
-        metrics["follower_depth_mean_mm"] = _mean(follower_depth_err)
+        errors = values[4, values[3] >= follower_window]
+        metrics["follower_depth_worst_mm"] = float(errors.max()) if errors.size else None
+        metrics["follower_depth_mean_mm"], = _means(errors[None])
     if tall:
         metrics["toppled"] = toppled
         metrics["stability_margin_final"] = margin

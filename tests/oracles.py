@@ -6,7 +6,8 @@ a plain Euclidean Gaussian product in the tangent chart, and the left
 Jacobian is integrated by quadrature rather than summed.  The per-row
 filter study and the per-pair fusion histogram run one single pose at a
 time, as the references for the stacked filtering.filter_study and
-fusion-bench.
+fusion-bench, and the quaternion of one rotation on Python floats is the
+reference for the trajectory log's stacked sim._quaternions.
 """
 
 import math
@@ -119,3 +120,28 @@ def fusion_histogram_per_pair(pairs) -> dict:
             pass
         histogram[str(passes)] += 1
     return histogram
+
+
+def _quaternion_from_rotation(r: np.ndarray) -> list:
+    """Unit quaternion [w, x, y, z] with w >= 0 of one rotation, as floats,
+    one branch on Python floats: the bits sim._quaternions must give each
+    rotation of a stack.  The trace sums (r00 + r11) + r22."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    t = r00 + r11 + r22
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 > r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
+    else:
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
+    q = np.array(q)
+    q = q / math.sqrt(q.dot(q))
+    if q[0] < 0:
+        q = -q
+    return q.tolist()

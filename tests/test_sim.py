@@ -17,10 +17,11 @@ from se3kit.errors import (ApproximationDomainError, CovarianceError, Divergence
 from se3kit.liegroup import Pose, euler_to_pose, exp, log, pose_to_euler
 from se3kit.sim import (DEFAULT_OBSERVATION_STD, PushedObject, Scenario,
                         SurfaceModel, TrajectoryLog, _check_pose, _cross,
-                        _integrate_body, _quaternion_from_rotation,
-                        bearing_sensitivity, contact_pose, leader_twist,
+                        _integrate_body, bearing_sensitivity, contact_pose, leader_twist,
                         make_study_sequence, observe, push_object_step,
                         run_scenario)
+
+from oracles import _quaternion_from_rotation
 
 DT = 1.0 / 30.0
 
@@ -621,9 +622,8 @@ def test_log_csv_layout(tmp_path):
 
 
 def test_quaternion_convention(rng):
-    for _ in range(200):
-        r = Rotation.random(random_state=rng).as_matrix()
-        q = _quaternion_from_rotation(r)
+    rotations = np.array([Rotation.random(random_state=rng).as_matrix() for _ in range(200)])
+    for r, q in zip(rotations, sim._quaternions(rotations)):
         assert q[0] >= 0.0
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
         ref = Rotation.from_matrix(r).as_quat()  # (x, y, z, w)
@@ -771,14 +771,41 @@ def test_tall_push_topples_when_every_depth_error_is_out_of_tolerance(monkeypatc
     assert metrics["stability_margin_final"] <= 0.0
 
 
-@pytest.mark.parametrize("duration,profile", [
-    (2.0, "periodic"),    # 60 steps: shorter than a block, 8 blocks of 7 and 4 steps
-    (2.1, "periodic"),    # 63 steps: 9 whole blocks of 7
-    (10.5, "segments"),   # 315 steps: 2 blocks of 128 and 59 steps, a segment change
+@pytest.mark.parametrize("scenario,patch", [
+    # 60 steps: shorter than a block, 8 blocks of 7 and 4 steps
+    pytest.param(Scenario(task="track", duration=2.0, seed=4), {}, id="2.0-periodic"),
+    # 63 steps: 9 whole blocks of 7
+    pytest.param(Scenario(task="track", duration=2.1, seed=4), {}, id="2.1-periodic"),
+    # 315 steps: 2 blocks of 128 and 59 steps, a segment change
+    pytest.param(Scenario(task="track", duration=10.5, track_profile="segments", seed=4), {},
+                 id="10.5-segments"),
+    # 150 steps: a block of 128 and one of 22
+    pytest.param(Scenario(task="follow", duration=5.0, seed=4), {}, id="follow-flat"),
+    pytest.param(Scenario(task="follow", duration=5.0, surface="ramp", seed=4), {},
+                 id="follow-ramp"),
+    # 8 passes of 75 steps, so blocks span passes; the last 15 of each settle
+    pytest.param(Scenario(task="follow", duration=20.0, surface="hemisphere", seed=4), {},
+                 id="follow-hemisphere"),
+    # out of contact until step 45, terminates after 446 steps, mid-block
+    pytest.param(Scenario(task="push_single", duration=120.0, dt=0.1, seed=4), {},
+                 id="push_single"),
+    # every follower depth error counts against the margin: topples after
+    # 60 steps, mid-block
+    pytest.param(Scenario(task="push_dual", duration=10.0, tall=True, seed=4),
+                 {"_STABILITY_TOLERANCE": -1.0}, id="push_dual-tall-topples"),
 ])
-def test_track_logs_the_same_rows_in_any_block_length(monkeypatch, duration, profile):
-    scenario = Scenario(task="track", duration=duration, track_profile=profile, seed=4)
+def test_track_logs_the_same_rows_in_any_block_length(monkeypatch, scenario, patch):
+    # Every runner records its steps and logs them in blocks; any block
+    # length logs the rows and metrics of logging each step as it goes.
+    for name, value in patch.items():
+        monkeypatch.setattr(sim, name, value)
     expected_log, expected_metrics = run_scenario(scenario)
+    if scenario.task == "push_single":
+        assert expected_metrics["terminated"] and len(expected_log.rows) == 446
+        trace = expected_log.header.index("belief_cov_trace")
+        assert expected_log.rows[44][trace] is None and expected_log.rows[45][trace] is not None
+    if scenario.tall:
+        assert expected_metrics["toppled"] and len(expected_log.rows) == 2 * 60
     for block in (1, 7):
         monkeypatch.setattr(sim, "_LOG_BLOCK", block)
         log_, metrics = run_scenario(scenario)
@@ -1208,6 +1235,25 @@ def test_scenario_validation():
         Scenario(task="track", duration=5.0, track_profile="spiral")
     with pytest.raises(ValueError):
         Scenario(task="follow", duration=5.0, surface="torus")
+
+
+def test_one_path_appends_log_rows():
+    # Every runner logs its recorded steps through one block logger
+    # (sim._log_steps), the only caller of TrajectoryLog.add in sim.py,
+    # and TrajectoryLog appends its rows in one statement, a single row
+    # as a block of one.
+    tree = ast.parse(Path(sim.__file__).read_text())
+    callers = {function.name for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "add"}
+    assert callers == {"_log_steps"}
+    log_class, = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "TrajectoryLog"]
+    appends = [node for node in ast.walk(log_class) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) in ("append", "extend")]
+    assert len(appends) == 1
+    assert ast.unparse(appends[0].func.value) == "self.rows"
 
 
 def test_the_engine_holds_filter_and_pid_states_whole():
