@@ -10,9 +10,9 @@ Stacks: exp, log, hat3, vee3, ad, adjoint, inv_left_jacobian, matvec and
 Pose composition and inverse also take leading batch dimensions -- twists
 (..., 6), rotations (..., 3, 3), translations (..., 3) -- and broadcast a
 single pose against a stack; euler_to_pose takes arrays of coordinates.
-exp and log have one body for both: the shape decides only whether the
-angle and trig coefficients come through `math` or through the same
-scalar helpers over each element of a stack.
+exp and log have one scalar body each, on one element's Python floats: a
+single input calls it once, and a stack maps it over its elements, so a
+stack equals its elements' single results bit for bit.
 matvec, hat3, vee3 and ad keep a single-input form (see the note at matvec).
 stack and take build stacks of Poses and dataclasses of them, and read rows.
 
@@ -55,16 +55,9 @@ _GIMBAL_MARGIN = 1e-6
 # first-order truncation error grows quadratically in the flagged norm.
 _BCH_MAX_SMALL_NORM = 0.5
 
-# A single twist whose rotation components are all finite and below this
-# in magnitude has a dot product phi . phi below 3e300, which cannot
-# overflow, so exp takes its angle without entering np.errstate.
-_DOT_SAFE = 1e150
-
-# Identities that exp, log and inv_left_jacobian add to, shared and read-only:
-# every sum with them is a new array, and np.eye per call costs more than
-# the arithmetic on a single 3x3.
-_I3 = np.eye(3)
-_I3.flags.writeable = False
+# The identity that inv_left_jacobian adds to, shared and read-only: every
+# sum with it is a new array, and np.eye per call costs more than the
+# arithmetic on a single 6x6.
 _I6 = np.eye(6)
 _I6.flags.writeable = False
 
@@ -309,13 +302,36 @@ def _exp_angle(angle: float) -> float:
 
 
 def _each(values, shape, fn):
-    """Yield fn of each value, the elements of a stack of the given shape in
-    C order; an error names the element it came from."""
+    """Yield fn(*value) for each value, the elements of a stack of the given
+    shape in C order; an error names the element it came from."""
     for i, value in enumerate(values):
         try:
-            yield fn(value)
+            yield fn(*value)
         except (ApproximationDomainError, PrincipalBranchError) as err:
             raise type(err)(f"stack element {_element(i, shape)}: {err}") from None
+
+
+def _v_floats(t0, t1, t2, p0, p1, p2, b, c) -> tuple:
+    """t + b phi x t + c phi x (phi x t) on floats, which is (I + b K + c K^2) t
+    for K = hat3(phi): V t in exp and, with b = -1/2, V^-1 t in log."""
+    u0, u1, u2 = p1 * t2 - p2 * t1, p2 * t0 - p0 * t2, p0 * t1 - p1 * t0
+    w0, w1, w2 = p1 * u2 - p2 * u1, p2 * u0 - p0 * u2, p0 * u1 - p1 * u0
+    return t0 + b * u0 + c * w0, t1 + b * u1 + c * w1, t2 + b * u2 + c * w2
+
+
+def _exp_floats(r0, r1, r2, p0, p1, p2) -> tuple:
+    """exp of one twist (rho, phi) from its six floats: the nine entries of
+    R = I + a K + b K^2 in C order, then V rho, where K^2 = phi phi^T -
+    angle^2 I.  The angle is sqrt(phi . phi) on floats, whose overflow gives
+    inf without a warning, and _exp_angle rejects it."""
+    q0, q1, q2 = p0 * p0, p1 * p1, p2 * p2
+    a, b, c = _so3_coefficients(_exp_angle(math.sqrt(q0 + q1 + q2)))
+    a0, a1, a2 = a * p0, a * p1, a * p2
+    b01, b02, b12 = b * (p0 * p1), b * (p0 * p2), b * (p1 * p2)
+    return (1.0 - b * (q1 + q2), b01 - a2, b02 + a1,
+            b01 + a2, 1.0 - b * (q0 + q2), b12 - a0,
+            b02 - a1, b12 + a0, 1.0 - b * (q0 + q1),
+            *_v_floats(r0, r1, r2, p0, p1, p2, b, c))
 
 
 def exp(xi) -> Pose:
@@ -323,36 +339,21 @@ def exp(xi) -> Pose:
 
     Rotation by the Rodrigues formula; translation through the SO(3) left
     Jacobian V so that exp is exact for any angle (no series truncation).
-    Raises ApproximationDomainError when a rotation angle is not finite.
+    Both come from _exp_floats, once on a single twist's floats and once
+    per element of a stack, whose rotations and translations are each one
+    C-contiguous array.  Raises ApproximationDomainError when a rotation
+    angle is not finite; in a stack it names the element.
     """
     xi = _twists(xi)
-    phi = xi[..., 3:]
     if xi.ndim == 1:
-        # sqrt of the dot product, which np.linalg.norm would return bit for
-        # bit; an overflowing or NaN angle is rejected by _exp_angle
-        p0, p1, p2 = phi.tolist()
-        if abs(p0) < _DOT_SAFE and abs(p1) < _DOT_SAFE and abs(p2) < _DOT_SAFE:
-            angle = math.sqrt(phi.dot(phi))
-        else:
-            with np.errstate(over="ignore"):
-                angle = _exp_angle(math.sqrt(phi.dot(phi)))
-        a, b, c = _so3_coefficients(angle)
-    else:
-        # sqrt of a BLAS dot product, as a single twist takes it; an
-        # overflowing angle is rejected by _exp_angle
-        with np.errstate(over="ignore"):
-            angles = np.sqrt((phi[..., None, :] @ phi[..., :, None])[..., 0, 0])
-        # zip transposes the per-element (a, b, c) so that they come out as
-        # one contiguous (3, ...) array
-        a, b, c = np.array([*zip(*_each(
-            angles.ravel().tolist(), angles.shape,
-            lambda angle: _so3_coefficients(_exp_angle(angle))))]).reshape(
-                (3,) + angles.shape + (1, 1))
-    k = hat3(phi)
-    k2 = k @ k
-    rot = _I3 + a * k + b * k2
-    v = _I3 + b * k + c * k2
-    return Pose(rot, matvec(v, xi[..., :3]))
+        e = _exp_floats(*xi.tolist())
+        return Pose(np.array(e[:9]).reshape(3, 3), np.array(e[9:]))
+    batch = xi.shape[:-1]
+    e = np.fromiter(chain.from_iterable(_each(
+        struct.iter_unpack("6d", np.ascontiguousarray(xi)), batch, _exp_floats)),
+        float, 12 * math.prod(batch)).reshape(batch + (12,))
+    return Pose(np.ascontiguousarray(e[..., :9]).reshape(batch + (3, 3)),
+                np.ascontiguousarray(e[..., 9:]))
 
 
 def _log_angle(cos_angle: float) -> float:
@@ -374,24 +375,24 @@ def _log_coefficients(angle: float):
     return 0.5 * angle / math.sin(angle), (1.0 - 0.5 * a / b) / (angle * angle)
 
 
-def _log_floats(r) -> tuple:
-    """phi and the V^-1 coefficient of one rotation, from its nine entries
-    in C order, with the floating-point operations of log's single branch."""
+def _log_floats(r, t) -> tuple:
+    """log of one pose, (V^-1 t, phi), from its nine rotation entries in C
+    order and its translation: phi = scale vee(R - R^T) with the trace
+    summed in numpy's order, (r00 + r11) + r22, and V^-1 t = t - 1/2 phi x t
+    + coeff phi x (phi x t)."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
     scale, coeff = _log_coefficients(_log_angle(0.5 * (r00 + r11 + r22 - 1.0)))
-    return scale * (r21 - r12), scale * (r02 - r20), scale * (r10 - r01), coeff
+    p0, p1, p2 = scale * (r21 - r12), scale * (r02 - r20), scale * (r10 - r01)
+    return (*_v_floats(*t, p0, p1, p2, -0.5, coeff), p0, p1, p2)
 
 
 def log(p: Pose) -> np.ndarray:
     """Logarithmic map SE(3) -> se(3), principal branch (|phi| <= pi); a
     stacked pose gives (..., 6).
 
-    A single rotation is read once (tolist) and a stack once per element
-    (struct), and the trace, R - R^T, phi and the V^-1 coefficient are
-    formed from Python floats, the trace summed in numpy's order,
-    (r00 + r11) + r22.  Only the hat3 / k @ k / V^-1 tail runs in numpy,
-    once over a stack, so a stack matches its elements' single results bit
-    for bit.
+    _log_floats maps a single pose's floats (tolist) once, and each element
+    of a stack (struct, so no Python object per entry of a long stack is
+    alive at once) straight into one array.
 
     Raises PrincipalBranchError when a rotation angle is within 1e-6 of
     pi: the preimage is not unique there and a silently chosen branch would
@@ -400,23 +401,12 @@ def log(p: Pose) -> np.ndarray:
     """
     rot = p.rotation
     if rot.ndim == 2:
-        # one read; the trace sums in numpy's order, (r00 + r11) + r22
-        (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rot.tolist()
-        scale, coeff = _log_coefficients(_log_angle(0.5 * (r00 + r11 + r22 - 1.0)))
-        skew = np.array([r21 - r12, r02 - r20, r10 - r01])
-        phi = scale * skew  # vee3(R - R^T) = 2 sin(angle) axis
-    else:
-        # one 9-tuple at a time and straight into an array, so no Python
-        # object per entry of a long stack is alive at once
-        batch = rot.shape[:-2]
-        floats = np.fromiter(chain.from_iterable(_each(
-            struct.iter_unpack("9d", np.ascontiguousarray(rot)), batch, _log_floats)),
-            float).reshape(batch + (4,))
-        phi, coeff = floats[..., :3], floats[..., 3:, None]
-    k = hat3(phi)
-    k2 = k @ k
-    v_inv = _I3 - 0.5 * k + coeff * k2
-    return np.concatenate([matvec(v_inv, p.translation), phi], axis=-1)
+        return np.array(_log_floats(rot.ravel().tolist(), p.translation.tolist()))
+    batch = rot.shape[:-2]
+    return np.fromiter(chain.from_iterable(_each(
+        zip(struct.iter_unpack("9d", np.ascontiguousarray(rot)),
+            struct.iter_unpack("3d", np.ascontiguousarray(p.translation))),
+        batch, _log_floats)), float, 6 * math.prod(batch)).reshape(batch + (6,))
 
 
 def adjoint(p: Pose) -> np.ndarray:

@@ -713,15 +713,8 @@ class TrajectoryLog:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(self.header) + "\n")
             for row in self.rows:
-                fh.write(",".join(_csv_cell(v) for v in row) + "\n")
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, str):
-        return v
-    return f"{float(v):.17g}"
+                fh.write(",".join(["" if v is None else v if isinstance(v, str)
+                                   else "%.17g" % v for v in row]) + "\n")
 
 
 def _quaternions(r: np.ndarray) -> np.ndarray:

@@ -158,6 +158,44 @@ def test_log_near_branch_boundary():
         log(exp(np.array([0, 0, 0, 0, 0, np.pi - 1e-7])))
 
 
+def so3_left_jacobian(phi, terms=40):
+    """SO(3) left Jacobian as its defining series sum_n K^n / (n+1)!."""
+    k = hat3(phi)
+    term = np.eye(3)
+    total = np.eye(3)
+    for n in range(1, terms):
+        term = term @ k / (n + 1)
+        total = total + term
+    return total
+
+
+# Rotation angles around the Taylor guard, mid-range and next to the branch
+# margin at pi.
+ORACLE_ANGLES = [0.5 * liegroup._TINY_ANGLE, np.nextafter(liegroup._TINY_ANGLE, 0.0),
+                 liegroup._TINY_ANGLE, np.nextafter(liegroup._TINY_ANGLE, 1.0),
+                 2.0 * liegroup._TINY_ANGLE, 0.3, 1.0, 2.0, 3.0, np.pi - 1e-5]
+
+
+@pytest.mark.parametrize("angle", ORACLE_ANGLES)
+def test_exp_and_log_match_rotvec_and_series_oracle(rng, angle):
+    # Oracle pose: scipy's rotation of the rotation vector and the series V.
+    # log reads the angle from the trace, whose round-off near pi grows as
+    # 1/sin(angle)^2 in phi; exp is well conditioned at every angle.
+    log_tol = 1e-13 + 10.0 * np.finfo(float).eps / math.sin(angle) ** 2
+    for _ in range(50):
+        axis = rng.standard_normal(3)
+        xi = np.concatenate([rng.uniform(-50.0, 50.0, 3), angle * axis / np.linalg.norm(axis)])
+        rotation = Rotation.from_rotvec(xi[3:]).as_matrix()
+        translation = so3_left_jacobian(xi[3:]) @ xi[:3]
+        for p in (exp(xi), take(exp(np.stack([xi, xi])), 1)):
+            assert np.max(np.abs(p.rotation - rotation)) < 1e-14
+            assert np.max(np.abs(p.translation - translation)) < 1e-13 * np.max(np.abs(translation))
+        oracle = Pose(rotation, translation)
+        for back in (log(oracle), log(stack([oracle, oracle]))[1]):
+            assert np.max(np.abs(back[3:] - xi[3:])) < log_tol
+            assert np.max(np.abs(back[:3] - xi[:3])) < log_tol * np.max(np.abs(xi[:3]))
+
+
 # ---------------------------------------------------------------- adjoint
 
 def test_adjoint_identity():
@@ -489,8 +527,8 @@ def test_stacked_kernels_are_contiguous_and_match_single_bits(rng, shape):
 
 
 def test_exp_and_log_return_fresh_arrays(rng):
-    # The identities they add to are shared module constants.
-    assert not liegroup._I3.flags.writeable and not liegroup._I6.flags.writeable
+    # The identity inv_left_jacobian adds to is a shared module constant.
+    assert not liegroup._I6.flags.writeable
     xi = random_twist(rng)
     expected_pose, expected_log = exp(xi), log(exp(xi))
     expected_jac = inv_left_jacobian(xi)
@@ -498,7 +536,6 @@ def test_exp_and_log_return_fresh_arrays(rng):
                 inv_left_jacobian(xi), exp(xi[None]).rotation):
         assert out.flags.writeable
         out[...] = np.nan
-    assert np.array_equal(liegroup._I3, np.eye(3))
     assert np.array_equal(liegroup._I6, np.eye(6))
     assert exp(xi).rotation.tobytes() == expected_pose.rotation.tobytes()
     assert exp(xi).translation.tobytes() == expected_pose.translation.tobytes()
@@ -553,9 +590,24 @@ def test_stacked_exp_rejects_non_finite_angle(rng, bad):
         exp(xi[3])
 
 
+@pytest.mark.parametrize("bad", [1e200, np.nan])
+@pytest.mark.parametrize("component", [3, 4, 5])
+def test_exp_rejects_an_overflowing_or_nan_rotation_component(rng, bad, component):
+    # The angle's sum of squares runs on floats: 1e200 squares to inf, and
+    # NaN stays NaN, without a warning; _exp_angle rejects both.
+    xi = stacked_twists(rng).reshape(5, 8, 6)
+    xi[1, 2, component] = bad
+    with pytest.raises(ApproximationDomainError, match=r"^rotation angle .* is not finite$"):
+        exp(xi[1, 2])
+    with pytest.raises(ApproximationDomainError, match=r"^stack element \[1, 2\]: rotation angle"):
+        exp(xi)
+    with pytest.raises(ApproximationDomainError, match=r"^stack element \[10\]: "):
+        exp(xi.reshape(40, 6))
+
+
 def test_exp_of_a_large_finite_angle_is_the_stacks_bit_for_bit(rng):
-    # 1e151 is past the bound below which a single twist skips np.errstate,
-    # yet its angle is finite: the guarded branch gives the stack's bits.
+    # 1e151 squares to 1e302: the angle is finite, though its (x - sin x)/x^3
+    # coefficient's denominator overflows to inf.
     xi = stacked_twists(rng)
     xi[3, 4] = 1e151
     stacked, single = exp(xi), exp(xi[3])

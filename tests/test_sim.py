@@ -621,6 +621,27 @@ def test_log_csv_layout(tmp_path):
     assert float(cells[13]) == 1e-17
 
 
+def test_csv_cells_are_each_values_17_digit_float(tmp_path):
+    # Oracle: the per-cell f"{float(v):.17g}", an empty cell for None and a
+    # string as it is.
+    cells = [None, "note", -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324,
+             True, False, np.float64(1.0 / 3.0), np.float32(0.1), 7, -1e300]
+    columns = tuple(f"c{i}" for i in range(len(cells)))
+    log_ = TrajectoryLog(columns)
+    twist = np.array([-0.0, math.nan, math.inf, 1e-300, -2.5, 1.0 / 3.0])
+    log_.add(np.float64(0.1), "leader", Pose.identity(), twist, np.float64(2.0 / 3.0),
+             dict(zip(columns, cells)))
+    path = tmp_path / "cells.csv"
+    log_.write_csv(path)
+    expected = ",".join("" if v is None else v if isinstance(v, str) else f"{float(v):.17g}"
+                        for v in log_.rows[0])
+    assert path.read_bytes() == (",".join(log_.header) + "\n" + expected + "\n").encode()
+    assert expected.split(",")[-len(cells):] == [
+        "", "note", "-0", "nan", "inf", "-inf", "1e-300",
+        "4.9406564584124654e-324", "1", "0", "0.33333333333333331",
+        "0.10000000149011612", "7", "-1.0000000000000001e+300"]
+
+
 def test_quaternion_convention(rng):
     rotations = np.array([Rotation.random(random_state=rng).as_matrix() for _ in range(200)])
     for r, q in zip(rotations, sim._quaternions(rotations)):
