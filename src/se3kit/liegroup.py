@@ -43,6 +43,7 @@ _TINY_ANGLE = 1e-8
 # log() rejects rotations within this margin of pi, where the axis can no
 # longer be recovered from R - R^T and the principal branch degenerates.
 _BRANCH_MARGIN = 1e-6
+_BRANCH_COS = math.cos(math.pi - _BRANCH_MARGIN)
 
 # vee() rejects matrices whose skew / zero-row structure deviates more than
 # this (a symmetric component would be silently discarded otherwise).
@@ -356,14 +357,17 @@ def exp(xi) -> Pose:
                 np.ascontiguousarray(e[..., 9:]))
 
 
-def _log_angle(cos_angle: float) -> float:
-    """Rotation angle from its cosine, checked against the principal branch."""
-    angle = math.acos(min(1.0, max(-1.0, cos_angle)))
-    if angle >= math.pi - _BRANCH_MARGIN:
+def _log_angle(sin_angle: float, cos_angle: float) -> float:
+    """Rotation angle from its sine and cosine, checked against the principal
+    branch.  atan2 keeps the digits that acos of the cosine alone loses near
+    pi.  The branch check reads the cosine, so a matrix whose cosine reads
+    -1 or less (not a rotation) is rejected whatever its sine."""
+    if cos_angle <= _BRANCH_COS:
         raise PrincipalBranchError(
-            f"rotation angle {angle:.9f} rad is within 1e-6 of pi; log is not single-valued there"
+            f"rotation angle {math.acos(max(-1.0, cos_angle)):.9f} rad is within 1e-6 of pi; "
+            "log is not single-valued there"
         )
-    return angle
+    return math.atan2(sin_angle, cos_angle)
 
 
 def _log_coefficients(angle: float):
@@ -377,12 +381,14 @@ def _log_coefficients(angle: float):
 
 def _log_floats(r, t) -> tuple:
     """log of one pose, (V^-1 t, phi), from its nine rotation entries in C
-    order and its translation: phi = scale vee(R - R^T) with the trace
-    summed in numpy's order, (r00 + r11) + r22, and V^-1 t = t - 1/2 phi x t
-    + coeff phi x (phi x t)."""
+    order and its translation: phi = scale w for w = vee(R - R^T), the angle
+    atan2(|w| / 2, (tr R - 1) / 2) with the trace summed in numpy's order,
+    (r00 + r11) + r22, and V^-1 t = t - 1/2 phi x t + coeff phi x (phi x t)."""
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-    scale, coeff = _log_coefficients(_log_angle(0.5 * (r00 + r11 + r22 - 1.0)))
-    p0, p1, p2 = scale * (r21 - r12), scale * (r02 - r20), scale * (r10 - r01)
+    w0, w1, w2 = r21 - r12, r02 - r20, r10 - r01
+    scale, coeff = _log_coefficients(_log_angle(
+        0.5 * math.sqrt(w0 * w0 + w1 * w1 + w2 * w2), 0.5 * (r00 + r11 + r22 - 1.0)))
+    p0, p1, p2 = scale * w0, scale * w1, scale * w2
     return (*_v_floats(*t, p0, p1, p2, -0.5, coeff), p0, p1, p2)
 
 

@@ -7,9 +7,12 @@ standing in for a trained pose estimator.  The pushing plant is the planar
 differential model built around a centre of friction.
 
 A config's trials run in lockstep (run_scenarios): at every control step
-the arms of all trials are sensed, observed, filtered, steered and moved
-as stacks, every runner logs the steps it records in blocks, as stacks,
-and each trial's outputs are those of running it alone (run_scenario).
+the arms of all trials are sensed, each by its own contact_pose call, then
+observed, filtered, steered and moved as stacks; every runner logs the
+steps it records in blocks, as stacks, and each trial's outputs are those
+of running it alone (run_scenario).  The contact geometry (the surfaces'
+projections, the contact pose and its slip) is written once, on one
+contact's Python floats.
 
 Units: mm, rad, s.  Surface-local z points into the material everywhere,
 so pressing deeper along the sensor's +z axis increases contact depth.
@@ -35,7 +38,7 @@ from .errors import (
     SingularTargetError,
 )
 from .gdnmath import sample_contact_pose
-from .liegroup import Pose, euler_to_pose, exp, log, matvec, stack, take
+from .liegroup import Pose, euler_to_pose, exp, log, stack, take
 from .uncertainty import PoseGaussian
 
 DEFAULT_DT = 1.0 / 30.0
@@ -117,6 +120,7 @@ _SEGMENT_TWISTS = [
 # Angular extent of the ramp's arc; the boundary continues as the tangent
 # plane beyond it.
 _RAMP_EXTENT = math.radians(60.0)
+_RAMP_END_NORMAL = (0.0, math.sin(_RAMP_EXTENT), math.cos(_RAMP_EXTENT))
 
 # Surface kinds and the radius (mm) each takes when none is given; None
 # marks a kind that takes no radius.
@@ -134,31 +138,33 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    n = _norm(v)
-    if n == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
+def _dot(a, b) -> float:
+    """a . b of two 3-sequences of floats, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b of two 3-vectors, or of each row of two (k, 3) stacks:
-    np.cross's products and differences in its order, so the same bits,
-    without its fixed cost per call."""
-    if a.ndim > 1:
-        return np.array([[a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
-                         for (a0, a1, a2), (b0, b1, b2) in zip(a.tolist(), b.tolist())])
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _cross(a, b) -> tuple:
+    """a x b of two 3-sequences of floats: np.cross's products and
+    differences in its order, so the same bits."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def _columns(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The C-contiguous matrices [x y z] of three (k, 3) stacks of columns,
-    what np.column_stack makes of one set."""
-    m = np.empty(x.shape + (3,))
-    m[..., 0], m[..., 1], m[..., 2] = x, y, z
-    return m
+def _rotate(r, v) -> tuple:
+    """R v for the nine entries r of a rotation in C order and a 3-sequence v."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    v0, v1, v2 = v
+    return (r00 * v0 + r01 * v1 + r02 * v2, r10 * v0 + r11 * v1 + r12 * v2,
+            r20 * v0 + r21 * v1 + r22 * v2)
+
+
+def _unrotate(r, v) -> tuple:
+    """R^T v for the nine entries r of a rotation in C order and a 3-sequence v."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    v0, v1, v2 = v
+    return (r00 * v0 + r10 * v1 + r20 * v2, r01 * v0 + r11 * v1 + r21 * v2,
+            r02 * v0 + r12 * v1 + r22 * v2)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,68 +224,70 @@ class SurfaceModel:
         self.pose = pose if pose is not None else Pose.identity()
         self.radius = radius
 
-    # local geometry ----------------------------------------------------
+    # local geometry, on Python floats ---------------------------------
 
-    def _project_local(self, p: np.ndarray):
-        """Boundary projection in local coords: (q, inward normal, depth)."""
-        if self.kind == "flat":
-            q = np.array([p[0], p[1], 0.0])
-            return q, np.array([0.0, 0.0, 1.0]), float(p[2])
+    def _project_local(self, x: float, y: float, z: float) -> tuple:
+        """Boundary projection of the local point (x, y, z): (q, inward
+        normal, depth), q and the normal 3-tuples."""
+        if self.kind == "flat" or (self.kind == "ramp" and y <= 0.0):
+            return (x, y, 0.0), (0.0, 0.0, 1.0), z
+        r = self.radius
         if self.kind == "ramp":
-            r = self.radius
-            if p[1] <= 0.0:
-                q = np.array([p[0], p[1], 0.0])
-                return q, np.array([0.0, 0.0, 1.0]), float(p[2])
             # Cylinder axis runs along local x through (y, z) = (0, -r),
             # on the air side; material lies outside the cylinder.
-            axis_offset = np.array([p[1], p[2] + r])
-            tau = math.atan2(axis_offset[0], axis_offset[1])
-            if tau <= _RAMP_EXTENT:
-                dist = _norm(axis_offset)
+            a, b = y, z + r
+            if math.atan2(a, b) <= _RAMP_EXTENT:
+                dist = math.sqrt(a * a + b * b)
                 if dist == 0.0:
                     raise NoContactError("point on the ramp axis has no defined normal")
-                n_yz = axis_offset / dist
-                q = np.array([p[0], r * n_yz[0], r * n_yz[1] - r])
-                n = np.array([0.0, n_yz[0], n_yz[1]])
-                return q, n, dist - r
-            # Tangent-plane continuation past the arc extent.
-            n = np.array([0.0, math.sin(_RAMP_EXTENT), math.cos(_RAMP_EXTENT)])
-            q0 = np.array([p[0], r * math.sin(_RAMP_EXTENT), r * math.cos(_RAMP_EXTENT) - r])
-            depth = float(np.dot(p - q0, n))
-            q = p - depth * n
-            return q, n, depth
-        # hemisphere
-        centre = np.array([0.0, 0.0, self.radius])
-        to_p = p - centre
-        dist = _norm(to_p)
+                ny, nz = a / dist, b / dist
+                return (x, r * ny, r * nz - r), (0.0, ny, nz), dist - r
+            # Tangent-plane continuation past the arc extent, through the
+            # arc's end (r sin, r cos - r).
+            _, ny, nz = _RAMP_END_NORMAL
+            depth = (y - r * ny) * ny + (z - (r * nz - r)) * nz
+            return (x, y - depth * ny, z - depth * nz), _RAMP_END_NORMAL, depth
+        # hemisphere, centre (0, 0, r)
+        a, b, c = x, y, z - r
+        dist = math.sqrt(a * a + b * b + c * c)
         if dist == 0.0:
             raise NoContactError("point at the dome centre has no defined normal")
-        n = -to_p / dist  # toward the centre = into the material
-        q = centre - self.radius * n
-        return q, n, self.radius - dist
+        n = (-a / dist, -b / dist, -c / dist)  # toward the centre = into the material
+        return (-r * n[0], -r * n[1], r - r * n[2]), n, r - dist
 
-    def _convention_x_local(self, q: np.ndarray, n: np.ndarray) -> np.ndarray:
-        if self.kind == "hemisphere":
-            x_apex = np.array([1.0, 0.0, 0.0])
-            tangent = x_apex - np.dot(x_apex, n) * n
-            norm = _norm(tangent)
-            if norm < 1e-9:
-                raise NoContactError(
-                    "contact is 90 degrees from the dome apex; shear convention undefined"
-                )
-            return tangent / norm
-        # flat and ramp: local x is tangential everywhere.
-        return np.array([1.0, 0.0, 0.0])
+    def _convention_x_local(self, n) -> tuple:
+        """The local shear convention's x axis at a contact with inward
+        normal n."""
+        if self.kind != "hemisphere":
+            return 1.0, 0.0, 0.0  # flat and ramp: local x is tangential everywhere
+        # local x with its normal part taken out
+        n0, n1, n2 = n
+        tangent = (1.0 - n0 * n0, -n0 * n1, -n0 * n2)
+        norm = math.sqrt(_dot(tangent, tangent))
+        if norm < 1e-9:
+            raise NoContactError(
+                "contact is 90 degrees from the dome apex; shear convention undefined"
+            )
+        return tangent[0] / norm, tangent[1] / norm, tangent[2] / norm
+
+    def _project_world(self, r, t, point) -> tuple:
+        """The world projection of `point` onto the surface at the pose with
+        rotation entries r (C order) and translation t, all floats:
+        (q_w, inward normal_w, depth)."""
+        q, n, depth = self._project_local(*_unrotate(
+            r, (point[0] - t[0], point[1] - t[1], point[2] - t[2])))
+        q0, q1, q2 = _rotate(r, q)
+        return (q0 + t[0], q1 + t[1], q2 + t[2]), _rotate(r, n), depth
 
     def probe(self, point_w: np.ndarray):
         """World-frame boundary projection: (q_w, inward normal_w, depth).
 
         Pure geometry for metrics and oracles: no depth envelope, no shear.
         """
-        inv = self.pose.inverse()
-        p_local = inv.apply(np.asarray(point_w, dtype=float))
-        q, n, depth = self._project_local(p_local)
-        return self.pose.apply(q), self.pose.rotation @ n, depth
+        q, n, depth = self._project_world(self.pose.rotation.ravel().tolist(),
+                                          self.pose.translation.tolist(),
+                                          np.asarray(point_w, dtype=float).tolist())
+        return np.array(q), np.array(n), depth
 
 
 @dataclasses.dataclass(frozen=True)
@@ -323,162 +331,77 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
 
     Pure: writes nothing of its arguments.  Raises NoContactError outside
     the depth envelope [0, 10] mm; the next engagement then passes None.
+    Computes on its inputs' Python floats, read once.
     """
-    tip_w = sensor_pose.translation
-    inv = surface.pose.inverse()
-    p_local = inv.apply(tip_w)
-    q_local, n_local, depth = surface._project_local(p_local)
+    r_s, t_s = surface.pose.rotation.ravel().tolist(), surface.pose.translation.tolist()
+    r_sensor, tip = sensor_pose.rotation.ravel().tolist(), sensor_pose.translation.tolist()
+    offset = (tip[0] - t_s[0], tip[1] - t_s[1], tip[2] - t_s[2])
+    q, n, depth = surface._project_local(*_unrotate(r_s, offset))
     _check_depth(depth)
-    x_local = surface._convention_x_local(q_local, n_local)
 
-    # Spin of the sensor about the local normal, measured against the
-    # surface's tangential convention.
-    s_rot = surface.pose.rotation
-    z_w = s_rot @ n_local
-    x_conv_w = s_rot @ x_local
-    y_conv_w = _cross(z_w, x_conv_w)
-    r_g = np.column_stack([x_conv_w, y_conv_w, z_w])
-    r_rel = r_g.T @ sensor_pose.rotation
-    spin = math.atan2(r_rel[1, 0], r_rel[0, 0])
+    # Spin of the sensor about the normal, measured against the surface's
+    # tangential convention (x_w, y_w, z_w).
+    z_w = _rotate(r_s, n)
+    x_w = _rotate(r_s, surface._convention_x_local(n))
+    y_w = _cross(z_w, x_w)
+    columns = r_sensor[0::3], r_sensor[1::3], r_sensor[2::3]
+    spin = math.atan2(_dot(y_w, columns[0]), _dot(x_w, columns[0]))
 
     if anchor is None:
-        point, anchor_spin = q_local, spin
+        point, anchor_spin = q, spin
     else:
-        point, anchor_spin = anchor
-        # Drag the anchor when tangential shear exceeds the slip limit.
-        v = q_local - point
-        vt = v - np.dot(v, n_local) * n_local
-        point, anchor_spin = _slip(surface, q_local, vt, _norm(vt), point, spin, anchor_spin)
+        point, anchor_spin = anchor[0].tolist(), anchor[1]
+        # Drag the anchor toward q when the tangential shear passes the
+        # slip limit, and its spin when the spin passes its limit.
+        v = (q[0] - point[0], q[1] - point[1], q[2] - point[2])
+        vn = _dot(v, n)
+        vt = (v[0] - vn * n[0], v[1] - vn * n[1], v[2] - vn * n[2])
+        shear = math.sqrt(_dot(vt, vt))
+        if shear > _MAX_SHEAR:
+            k = _MAX_SHEAR / shear
+            point = surface._project_local(q[0] - k * vt[0], q[1] - k * vt[1],
+                                           q[2] - k * vt[2])[0]
+        gamma = _wrap_angle(spin - anchor_spin)
+        if abs(gamma) > _MAX_SPIN:
+            anchor_spin = _wrap_angle(spin - math.copysign(_MAX_SPIN, gamma))
 
-    anchor_w = surface.pose.apply(point)
     # Feature frame: origin at the anchor, z along the normal at the tip
     # projection, x = tangential convention rotated by the anchor spin.
     cs, sn = math.cos(anchor_spin), math.sin(anchor_spin)
-    x_f = cs * x_conv_w + sn * y_conv_w
-    x_f = _unit(x_f - np.dot(x_f, z_w) * z_w)
-    y_f = _cross(z_w, x_f)
-    feature = Pose(np.column_stack([x_f, y_f, z_w]), anchor_w)
-    return feature.inverse() @ sensor_pose, (point, anchor_spin)
-
-
-def _slip(surface: SurfaceModel, q_local, vt, shear: float, point, spin: float,
-          anchor_spin: float):
-    """The anchor (point, spin) after this contact's slip: the point is
-    dragged toward the tip projection q_local when the tangential shear vt
-    passes _MAX_SHEAR, the spin when the spin passes _MAX_SPIN."""
-    if shear > _MAX_SHEAR:
-        point, _, _ = surface._project_local(q_local - (_MAX_SHEAR / shear) * vt)
-    gamma = _wrap_angle(spin - anchor_spin)
-    if abs(gamma) > _MAX_SPIN:
-        anchor_spin = _wrap_angle(spin - math.copysign(_MAX_SPIN, gamma))
-    return point, anchor_spin
-
-
-def _project(surfaces, s_pose: Pose, points: np.ndarray):
-    """SurfaceModel._project_local of each of n world points in the frame of
-    its surface at its pose in s_pose: (q, inward normals, depths, the n
-    NoContactErrors, None where it projects), the flat part as one stack
-    and the rest one element at a time, each with its single call's bits."""
-    n = len(surfaces)
-    # inverse().apply(point): the point times the rotation, plus -R^T t
-    p_local = (points[:, None, :] @ s_pose.rotation)[:, 0, :] + s_pose.inverse().translation
-    q = p_local.copy()
-    q[:, 2] = 0.0
-    normal = np.array([[0.0, 0.0, 1.0]] * n)
-    depth = p_local[:, 2].tolist()
-    errors = [None] * n
-    for i, surface in enumerate(surfaces):
-        if surface.kind == "hemisphere" or (surface.kind == "ramp" and p_local[i, 1] > 0.0):
-            try:
-                q[i], normal[i], depth[i] = surface._project_local(p_local[i])
-            except NoContactError as err:
-                errors[i] = err
-    return q, normal, depth, errors
+    x_f = [cs * a + sn * b for a, b in zip(x_w, y_w)]
+    xz = _dot(x_f, z_w)
+    x_f = [a - xz * b for a, b in zip(x_f, z_w)]
+    norm = math.sqrt(_dot(x_f, x_f))
+    if norm == 0.0:
+        raise ValueError("cannot normalize a zero vector")
+    x_f = [a / norm for a in x_f]
+    axes = (x_f, _cross(z_w, x_f), z_w)
+    # X_fs = feature^-1 sensor: each axis against the sensor's columns and
+    # against the tip's offset from the anchor.
+    a0, a1, a2 = _rotate(r_s, point)
+    d = (offset[0] - a0, offset[1] - a1, offset[2] - a2)
+    x_fs = Pose(np.array([[_dot(axis, column) for column in columns] for axis in axes]),
+                np.array([_dot(axis, d) for axis in axes]))
+    return x_fs, (np.array(point), anchor_spin)
 
 
 def _probe(surface: SurfaceModel, poses: Pose, s_pose: Pose):
     """SurfaceModel.probe of the tip of each of k sensor poses on the
     surface at its pose in s_pose, with the angle between the sensor axis
     and the surface normal: (surface points (k, 3), depths, angles in
-    degrees), each with its single call's bits.  Every tip projects: it
-    was sensed in contact there, or the surface is flat."""
-    q, normal, depth, _ = _project([surface] * len(poses.translation), s_pose, poses.translation)
-    cos = _dots(poses.rotation[:, :, 2], matvec(s_pose.rotation, normal)).tolist()
-    q_w = (q[:, None, :] @ s_pose.rotation.swapaxes(-1, -2))[:, 0, :] + s_pose.translation
-    return q_w, depth, [math.degrees(math.acos(min(1.0, max(-1.0, c)))) for c in cos]
-
-
-def _contact_poses(surfaces, sensor_poses: Pose, anchors):
-    """contact_pose of each element of a stack of n sensor poses, each
-    against its own surface and anchor; never raises NoContactError.
-
-    Returns (X_fs of the elements in contact, stacked; their indices; the
-    n new anchors, None out of contact; the n NoContactErrors, None in
-    contact).  Every numpy product is contact_pose's own, run once over the
-    stack with each element laid out as in the single call, so each gets
-    the bits of its single call.  The projections off the flat part of a
-    surface (_project), the trig, the angle wraps and the slip run per
-    element, with contact_pose's own code on Python floats.
-    """
-    n = len(surfaces)
-    s_pose = Pose.stack([s.pose for s in surfaces])
-    s_rot, sensor_rot = s_pose.rotation, sensor_poses.rotation
-    q, normal, depth, errors = _project(surfaces, s_pose, sensor_poses.translation)
-    x_local = np.array([[1.0, 0.0, 0.0]] * n)
-    for i, surface in enumerate(surfaces):
-        try:
-            if errors[i] is None:
-                _check_depth(depth[i])
-                if surface.kind == "hemisphere":
-                    x_local[i] = surface._convention_x_local(q[i], normal[i])
-        except NoContactError as err:
-            errors[i] = err
-
-    z_w = matvec(s_rot, normal)
-    x_conv_w = matvec(s_rot, x_local)
-    y_conv_w = _cross(z_w, x_conv_w)
-    r_rel = _columns(x_conv_w, y_conv_w, z_w).swapaxes(-1, -2) @ sensor_rot
-    spins = list(map(math.atan2, r_rel[:, 1, 0].tolist(), r_rel[:, 0, 0].tolist()))
-
-    # A new contact anchors at its tip projection, where it reads no shear.
-    points = q.copy()
-    anchor_spins = spins.copy()
-    for i, anchor in enumerate(anchors):
-        if anchor is not None:
-            points[i], anchor_spins[i] = anchor
-    v = q - points
-    vt = v - _dots(v, normal)[:, None] * normal
-    shears = np.sqrt(_dots(vt, vt)).tolist()
-    for i, anchor in enumerate(anchors):
-        if anchor is not None and errors[i] is None:
-            try:
-                points[i], anchor_spins[i] = _slip(surfaces[i], q[i], vt[i], shears[i],
-                                                   points[i], spins[i], anchor_spins[i])
-            except NoContactError as err:
-                errors[i] = err
-
-    rows = [i for i, err in enumerate(errors) if err is None]
-    if len(rows) < n:
-        if not rows:
-            return None, rows, [None] * n, errors
-        s_pose, sensor_poses, points, z_w, x_conv_w, y_conv_w = take(
-            (s_pose, sensor_poses, points, z_w, x_conv_w, y_conv_w), rows)
-        anchor_spins = [anchor_spins[i] for i in rows]
-    anchor_w = ((points[:, None, :] @ s_pose.rotation.swapaxes(-1, -2))[:, 0, :]
-                + s_pose.translation)
-    cs = np.array([math.cos(a) for a in anchor_spins])[:, None]
-    sn = np.array([math.sin(a) for a in anchor_spins])[:, None]
-    x_f = cs * x_conv_w + sn * y_conv_w
-    x_f = x_f - _dots(x_f, z_w)[:, None] * z_w
-    norms = np.sqrt(_dots(x_f, x_f))
-    if not norms.all():
-        raise ValueError("cannot normalize a zero vector")
-    x_f = x_f / norms[:, None]
-    feature = Pose(_columns(x_f, _cross(z_w, x_f), z_w), anchor_w)
-    new_anchors = [None] * n
-    for j, i in enumerate(rows):
-        new_anchors[i] = (points[j], anchor_spins[j])
-    return feature.inverse() @ sensor_poses, rows, new_anchors, errors
+    degrees).  Every tip projects: it was sensed in contact there, or the
+    surface is flat."""
+    q_w, depths, angles = [], [], []
+    for r, t, r_sensor, tip in zip(s_pose.rotation.reshape(-1, 9).tolist(),
+                                   s_pose.translation.tolist(),
+                                   poses.rotation.reshape(-1, 9).tolist(),
+                                   poses.translation.tolist()):
+        q, n, depth = surface._project_world(r, t, tip)
+        cos = r_sensor[2] * n[0] + r_sensor[5] * n[1] + r_sensor[8] * n[2]
+        q_w.append(q)
+        depths.append(depth)
+        angles.append(math.degrees(math.acos(min(1.0, max(-1.0, cos)))))
+    return np.array(q_w), depths, angles
 
 
 def observe(true_contact: Pose, rng: np.random.Generator) -> PoseGaussian:
@@ -801,7 +724,8 @@ class _Arm:
     @property
     def true_fs(self) -> Pose:
         """The true X_fs this step sensed."""
-        return _member(self.batch.true_fs, self.batch.n, self.batch.sensed.index(self.row))
+        sensed = self.batch.sensed
+        return _member(self.batch.true_fs, len(sensed), sensed.index(self.row))
 
     @property
     def belief_mean(self) -> Pose:
@@ -836,13 +760,15 @@ class _Batch:
     step restacks nothing:
 
     - poses, anchors, dt and commands: one row per arm;
-    - true_fs: X_fs of the arms this step sensed in contact (`sensed`);
+    - true_fs: X_fs of the arms this step sensed in contact (`sensed`),
+      single for one such arm;
     - filter and pid (a FilterState, PidState pair), servo and group_dt:
       one row per arm in contact (`contact`, `group` maps an arm's row to
       its row here), single for one such arm (_member).
 
-    Each stage runs every arm at once, in single form for one arm, and
-    raises what it meets: sense, update (observe and filter), steer, move.
+    Each stage raises what it meets: sense runs contact_pose for each arm
+    in turn, and update (observe and filter), steer and move run every arm
+    at once, in single form for one arm.
     A stack that raises may name any element in any words; the engine
     then reruns the trials one by one (run_scenarios).  A batch is built
     from its arms' states, `state(row)` of the batch each is in, whenever
@@ -914,25 +840,27 @@ class _Batch:
             self.filter = self.pid = self.servo = self.group_dt = None
 
     def sense(self) -> None:
-        """Measure every arm's true X_fs.  Losing contact forgets it:
-        anchor, filter and servo PID state.  Out of contact only a pushing
-        arm goes on; any other arm's NoContactError is raised."""
-        if self.n == 1:
+        """Measure every arm's true X_fs, one contact_pose per arm.  Losing
+        contact forgets it: anchor, filter and servo PID state.  Out of
+        contact only a pushing arm goes on; any other arm's NoContactError
+        is raised."""
+        true_fs, errors = [], {}
+        for row, arm in enumerate(self.arms):
             try:
-                self.true_fs, self.anchors[0] = contact_pose(
-                    self.arms[0].surface, self.poses, self.anchors[0])
-                self.sensed, errors = [0], [None]
+                x_fs, self.anchors[row] = contact_pose(arm.surface, self.pose(row),
+                                                       self.anchors[row])
             except NoContactError as err:
-                self.true_fs, self.anchors[0] = None, None
-                self.sensed, errors = [], [err]
-        else:
-            self.true_fs, self.sensed, self.anchors, errors = _contact_poses(
-                [arm.surface for arm in self.arms], self.poses, self.anchors)
-        kept = [g for g, row in enumerate(self.contact) if errors[row] is None]
+                self.anchors[row], errors[row] = None, err
+            else:
+                true_fs.append(x_fs)
+        self.sensed = [row for row in range(self.n) if row not in errors]
+        self.true_fs = (Pose.stack(true_fs) if len(true_fs) > 1
+                        else true_fs[0] if true_fs else None)
+        kept = [g for g, row in enumerate(self.contact) if row not in errors]
         if len(kept) < len(self.contact):
             self._regroup([self.contact[g] for g in kept], [self._group_state(g) for g in kept])
-        for arm, err in zip(self.arms, errors):
-            if err is not None and not arm.pushing:
+        for row, err in errors.items():
+            if not self.arms[row].pushing:
                 raise err
 
     def update(self) -> None:

@@ -128,45 +128,129 @@ def test_contact_pose_envelope():
         contact_pose(surface, at(3.0, 11.0), anchor)
 
 
-def test_stacked_contact_pose_matches_single_calls(rng):
-    # One stack over flat, ramp (on and off its arc) and hemisphere
+def assert_first_contact(surface, tip_local, depth, normal_local, rng):
+    """Pose the surface at random and touch it with a randomly turned sensor
+    whose tip is at tip_local.  At first contact the anchor sits at the
+    tip's projection, so the pose reduces to closed-form geometry:
+    translation (0, 0, depth) and the feature z-axis along the inward
+    normal."""
+    surface.pose = exp(np.concatenate([rng.uniform(-30, 30, 3), rng.uniform(-0.4, 0.4, 3)]))
+    turn = exp(np.concatenate([np.zeros(3), rng.uniform(-0.3, 0.3, 3)]))
+    sensor = Pose(surface.pose.rotation @ turn.rotation, surface.pose.apply(tip_local))
+    x_fs, _ = contact_pose(surface, sensor, None)
+    assert np.allclose(x_fs.translation, [0, 0, depth], atol=1e-9)
+    feature = sensor @ x_fs.inverse()
+    assert np.allclose(feature.rotation[:, 2], surface.pose.rotation @ normal_local, atol=1e-9)
+
+
+def test_contact_pose_ramp_first_contact_oracle(rng):
+    radius = 300.0
+    surface = SurfaceModel("ramp", radius=radius)
+    for _ in range(20):
+        x, depth = rng.uniform(-40, 40), rng.uniform(0.5, 9.5)
+        # on the arc, at tau from its start
+        tau = rng.uniform(0.05, 1.0) * math.radians(60.0)
+        normal = np.array([0.0, math.sin(tau), math.cos(tau)])
+        tip = np.array([x, 0.0, -radius]) + (radius + depth) * normal
+        assert_first_contact(surface, tip, depth, normal, rng)
+        # on the tangent plane past the arc's 60 degree end
+        end = math.radians(60.0)
+        normal = np.array([0.0, math.sin(end), math.cos(end)])
+        along = np.array([0.0, math.cos(end), -math.sin(end)])
+        tip = (np.array([x, 0.0, -radius]) + radius * normal + depth * normal
+               + rng.uniform(1.0, 50.0) * along)
+        assert_first_contact(surface, tip, depth, normal, rng)
+
+
+def test_contact_pose_hemisphere_first_contact_oracle(rng):
+    radius = 60.0
+    surface = SurfaceModel("hemisphere", radius=radius)
+    centre = np.array([0.0, 0.0, radius])
+    for _ in range(20):
+        u = rng.standard_normal(3)
+        u[2] = -abs(u[2]) - 0.5  # on the approach side, clear of the dome's rim
+        u /= np.linalg.norm(u)
+        depth = rng.uniform(0.5, 9.5)
+        assert_first_contact(surface, centre + (radius - depth) * u, depth, -u, rng)
+
+
+def test_contact_pose_slip_leaves_the_anchor_on_a_curved_surface(rng):
+    # The anchor dragged by a slip is a boundary point: on the ramp's arc
+    # |(y, z + r)| = r, on the hemisphere |point - centre| = r.
+    radius = 300.0
+    ramp = SurfaceModel("ramp", radius=radius)
+    dome = SurfaceModel("hemisphere", radius=60.0)
+    on_arc = lambda tau, depth: np.array([2.0, (radius + depth) * math.sin(tau),
+                                          (radius + depth) * math.cos(tau) - radius])
+    on_dome = lambda a, depth: np.array([0.0, 0.0, 60.0]) + (60.0 - depth) * np.array(
+        [math.sin(a), 0.0, -math.cos(a)])
+    for surface, at, distance in ((ramp, on_arc, lambda p: math.hypot(p[1], p[2] + radius)),
+                                  (dome, on_dome, lambda p: np.linalg.norm(p - [0, 0, 60.0]))):
+        for _ in range(10):
+            start, depth = rng.uniform(0.2, 0.6), rng.uniform(1.0, 8.0)
+            step = 9.0 / (radius if surface is ramp else 60.0)  # 9 mm along the surface
+            _, first = contact_pose(surface, Pose(np.eye(3), at(start, depth)), None)
+            x_fs, anchor = contact_pose(surface, Pose(np.eye(3), at(start + step, depth)), first)
+            assert np.linalg.norm(anchor[0] - first[0]) > 1.0  # it slipped
+            assert distance(anchor[0]) == pytest.approx(
+                radius if surface is ramp else 60.0, abs=1e-9)
+            assert np.linalg.norm(x_fs.translation[:2]) == pytest.approx(sim._MAX_SHEAR, abs=0.5)
+
+
+def sensing_batch(surfaces, poses, anchors, rng):
+    """A stacked batch of one surface-following arm per surface, at the
+    poses, holding the anchors."""
+    scenario = Scenario(task="follow", duration=1.0)
+    arms = [sim._Arm(f"arm{i}", surface, pose, control.preset("surface_follow"), scenario, rng)
+            for i, (surface, pose) in enumerate(zip(surfaces, poses))]
+    batch = sim._Batch.of(arms)
+    batch.anchors = list(anchors)
+    return batch
+
+
+def assert_sensed_as_alone(arm, surface, pose, anchor):
+    """The arm's X_fs and anchor are its own contact_pose call's, bit for bit."""
+    single, single_anchor = contact_pose(surface, pose, anchor)
+    assert arm.true_fs.rotation.tobytes() == single.rotation.tobytes()
+    assert arm.true_fs.translation.tobytes() == single.translation.tobytes()
+    point, spin = arm.batch.anchors[arm.row]
+    assert point.tobytes() == single_anchor[0].tobytes() and spin == single_anchor[1]
+
+
+def test_sense_gives_each_arm_its_own_contact_pose(rng):
+    # One batch over flat, ramp (on and off its arc) and hemisphere
     # surfaces, some posed away from the origin, with fresh anchors and
-    # anchors that slip: every element's X_fs and anchor are its single
-    # call's, bit for bit.  An element out of the envelope gets its single
-    # call's NoContactError, and the others stay in contact.
+    # anchors that slip: every arm's X_fs and anchor are its own
+    # contact_pose call's, bit for bit.  An arm out of the envelope raises
+    # its single call's NoContactError, and the others stay in contact.
     surfaces = [SurfaceModel("flat", exp(np.array([1.0, 2, 3, 0.1, -0.2, 0.3]))),
                 SurfaceModel("ramp", radius=300.0), SurfaceModel("ramp", radius=300.0),
                 SurfaceModel("hemisphere", radius=60.0), SurfaceModel("flat")]
     tips = [[0, 0, 3.0], [0, -20, 4.0], [0, 40, 5.0], [5, 3, 5.0], [0, 0, 4.0]]
     poses = [exp(np.array([0, 0, 0, *rng.normal(0, 0.05, 3)])) for _ in tips]
     poses = [Pose(p.rotation, s.pose.apply(t)) for p, s, t in zip(poses, surfaces, tips)]
-    anchors = [None] * 5
+    batch = sensing_batch(surfaces, poses, [None] * 5, rng)
     for _ in range(3):
-        stacked, rows, stacked_anchors, errors = sim._contact_poses(
-            surfaces, Pose.stack(poses), anchors)
-        assert rows == list(range(5)) and errors == [None] * 5
-        for i, (surface, pose, anchor) in enumerate(zip(surfaces, poses, anchors)):
-            single, single_anchor = contact_pose(surface, pose, anchor)
-            assert stacked.rotation[i].tobytes() == single.rotation.tobytes()
-            assert stacked.translation[i].tobytes() == single.translation.tobytes()
-            assert stacked_anchors[i][0].tobytes() == single_anchor[0].tobytes()
-            assert stacked_anchors[i][1] == single_anchor[1]
-        anchors = stacked_anchors
+        anchors = list(batch.anchors)
+        batch.poses = Pose.stack(poses)
+        batch.sense()
+        assert batch.sensed == list(range(5))
+        for arm, surface, pose, anchor in zip(batch.arms, surfaces, poses, anchors):
+            assert_sensed_as_alone(arm, surface, pose, anchor)
         # shear past the slip limit and spin past its clamp
         poses = [Pose(p.rotation @ rot_z(0.2), p.translation + np.array([6.0, 0, 0]))
                  for p in poses]
     deep = [Pose(np.eye(3), np.array([0, -20, z])) for z in (4.0, 30.0)]
-    stacked, rows, stacked_anchors, errors = sim._contact_poses(
-        surfaces[1:3], Pose.stack(deep), [None, None])
+    batch = sensing_batch(surfaces[1:3], deep, [None, None], rng)
+    with pytest.raises(NoContactError) as sensed:
+        batch.sense()
     with pytest.raises(NoContactError) as single:
         contact_pose(surfaces[2], deep[1], None)
-    assert isinstance(errors[1], NoContactError) and str(errors[1]) == str(single.value)
-    assert str(errors[1]).startswith("contact depth 30")
-    assert rows == [0] and errors[0] is None and stacked_anchors[1] is None
-    single, single_anchor = contact_pose(surfaces[1], deep[0], None)
-    assert stacked.rotation[0].tobytes() == single.rotation.tobytes()
-    assert stacked.translation[0].tobytes() == single.translation.tobytes()
-    assert stacked_anchors[0][0].tobytes() == single_anchor[0].tobytes()
+    assert str(sensed.value) == str(single.value)
+    assert str(sensed.value).startswith("contact depth 30")
+    assert batch.sensed == [0] and batch.anchors[1] is None
+    assert isinstance(batch.true_fs, Pose) and batch.true_fs.rotation.shape == (3, 3)
+    assert_sensed_as_alone(batch.arms[0], surfaces[1], deep[0], None)
 
 
 def engine_step(arm):
@@ -578,7 +662,7 @@ def test_cross_matches_numpy_bit_for_bit(rng):
     vectors[::7, 1, 2] = 0.0
     vectors[::11] = -0.0
     for a, b in vectors:
-        assert _cross(a, b).tobytes() == np.cross(a, b).tobytes()
+        assert np.array(_cross(a.tolist(), b.tolist())).tobytes() == np.cross(a, b).tobytes()
 
 
 # ------------------------------------------------------------ trajectory log
