@@ -371,9 +371,7 @@ def contact_pose(surface: SurfaceModel, sensor_pose: Pose, anchor):
     x_f = [cs * a + sn * b for a, b in zip(x_w, y_w)]
     xz = _dot(x_f, z_w)
     x_f = [a - xz * b for a, b in zip(x_f, z_w)]
-    norm = math.sqrt(_dot(x_f, x_f))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
+    norm = math.sqrt(_dot(x_f, x_f))  # 1 up to round-off: x_w, y_w are orthonormal
     x_f = [a / norm for a in x_f]
     axes = (x_f, _cross(z_w, x_f), z_w)
     # X_fs = feature^-1 sensor: each axis against the sensor's columns and
